@@ -6,8 +6,9 @@ exits when its stdin closes, so a parent that dies cannot leave it behind::
     python3 perfbench/fixture_server.py --vocab 32000 --seed 7
 
 Every reply is pre-encoded at start-up from a seeded pool (full score vectors
-and top-m pairs) and chosen per request by a hash of the request body, so the
-handler's own cost stays small next to the client's. The server speaks
+and top-20 pairs) and chosen per request by a hash of the request body, so the
+handler's own cost stays small next to the client's; a request for any other
+top-m is answered 400. The server speaks
 HTTP/1.1 keep-alive with TCP_NODELAY, validates every request body against
 the /v1/score protocol (400 on a violation) and counts requests, connections,
 reply bytes and handler time; ``GET /stats`` returns the counters as JSON.
@@ -33,7 +34,8 @@ REQUEST_FIELDS = frozenset({"video_ref", "frame_set", "view", "prompt_text", "ge
 # tokens 0..ANSWER_TOKENS-1 carry extra score so greedy decodes often emit an answer letter
 ANSWER_TOKENS = 5
 ANSWER_BOOST = 8.0
-PRE_ENCODED_TOP_M = 20
+TOP_M = 20  # the only top-m the pool pre-encodes
+POOL_SIZE = 8  # distinct replies per kind
 
 
 def protocol_error(body: object) -> str | None:
@@ -80,26 +82,20 @@ def encode_top(log_probs: list[float], m: int) -> bytes:
 
 
 class ReplyPool:
-    """Seeded pool of log-probability vectors with their replies pre-encoded."""
+    """Seeded pool of log-probability vectors with their full and top-20 replies pre-encoded."""
 
-    def __init__(self, vocab: int, size: int, seed: int) -> None:
+    def __init__(self, vocab: int, seed: int) -> None:
         rng = random.Random(seed)
-        self.vectors = [make_log_probs(rng, vocab) for _ in range(size)]
-        self.full = [json.dumps({"vocab_size": vocab, "scores": v}).encode() for v in self.vectors]
-        self.top = {PRE_ENCODED_TOP_M: [encode_top(v, PRE_ENCODED_TOP_M) for v in self.vectors]}
-        self._lock = threading.Lock()
+        vectors = [make_log_probs(rng, vocab) for _ in range(POOL_SIZE)]
+        self.replies = {
+            "full": [json.dumps({"vocab_size": vocab, "scores": v}).encode() for v in vectors],
+            f"top:{TOP_M}": [encode_top(v, TOP_M) for v in vectors],
+        }
 
-    def reply(self, want: str, raw_body: bytes) -> bytes:
-        index = zlib.crc32(raw_body) % len(self.vectors)
-        if want == "full":
-            return self.full[index]
-        m = int(want.partition(":")[2])
-        replies = self.top.get(m)
-        if replies is None:  # an m not pre-encoded: encode the whole pool once
-            replies = [encode_top(v, m) for v in self.vectors]
-            with self._lock:
-                self.top.setdefault(m, replies)
-        return replies[index]
+    def reply(self, want: str, raw_body: bytes) -> bytes | None:
+        """The pre-encoded reply for ``raw_body``, or None for a ``want`` the pool does not hold."""
+        replies = self.replies.get(want)
+        return None if replies is None else replies[zlib.crc32(raw_body) % len(replies)]
 
 
 class Counters:
@@ -186,6 +182,10 @@ def make_handler(pool: ReplyPool, counters: Counters) -> type[BaseHTTPRequestHan
                 counters.add(rejected=1, busy_s=time.perf_counter() - start)
                 return
             data = pool.reply(body["want"], raw)
+            if data is None:
+                self._send(400, json.dumps({"error": f"this fixture serves only 'full' and 'top:{TOP_M}'"}).encode())
+                counters.add(rejected=1, busy_s=time.perf_counter() - start)
+                return
             self._send(200, data)
             counters.add(requests=1, reply_bytes=len(data), busy_s=time.perf_counter() - start)
 
@@ -195,13 +195,12 @@ def make_handler(pool: ReplyPool, counters: Counters) -> type[BaseHTTPRequestHan
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--vocab", type=int, default=32000)
-    parser.add_argument("--pool", type=int, default=16, help="distinct replies per kind")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.vocab < ANSWER_TOKENS or args.pool < 1:
-        parser.error("--vocab must be at least 5 and --pool positive")
+    if args.vocab < ANSWER_TOKENS:
+        parser.error(f"--vocab must be at least {ANSWER_TOKENS}")
 
-    pool = ReplyPool(args.vocab, args.pool, args.seed)
+    pool = ReplyPool(args.vocab, args.seed)
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(pool, Counters()))
     httpd.daemon_threads = True
     serving = threading.Thread(target=httpd.serve_forever, daemon=True)

@@ -5,9 +5,10 @@ percent over seconds to minutes, and a whole run can land in a slow spell.
 The benchmark therefore times this computation (a pure-Python loop plus
 small NumPy array passes, the same mix vps spends its time in) between
 consecutive operations, about a tenth as long as the operations, and scales
-the run's median throughput by ``median reference time / REFERENCE_MS``: the
-figure the run would reach on a machine where the reference takes
-``REFERENCE_MS``. The raw figures are reported beside the normalised ones.
+each operation's throughput by ``median reference time around it /
+REFERENCE_MS``: the figure it would reach on a machine where the reference
+takes ``REFERENCE_MS``. The run reports the median over its operations; the
+raw figures are reported beside the normalised ones.
 """
 
 from __future__ import annotations

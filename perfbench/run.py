@@ -37,8 +37,7 @@ from percentiles import percentile
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
-SETUP_PROBES = 3
-SERVER_POOL = 8
+SETUP_PROBES = 7
 
 
 class ProvenanceError(RuntimeError):
@@ -122,7 +121,7 @@ def start_fixture(vocab: int | None, seed: int):
         return
     proc = subprocess.Popen(
         [sys.executable, str(Path(__file__).with_name("fixture_server.py")),
-         "--vocab", str(vocab), "--pool", str(SERVER_POOL), "--seed", str(seed)],
+         "--vocab", str(vocab), "--seed", str(seed)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -167,11 +166,11 @@ def measure_setup(args, endpoint: str | None, work_dir: Path) -> float:
 
 @dataclass
 class Loop:
-    """The ops of one timed loop with their wall times, and the reference times taken between them."""
+    """The ops of one timed loop with their wall times, and the reference times taken after each op."""
 
     results: list = field(default_factory=list)
     op_s: list[float] = field(default_factory=list)
-    ref_ms: list[float] = field(default_factory=list)
+    ref_ms: list[list[float]] = field(default_factory=list)  # ref_ms[i]: the references run right after op i
     server: dict | None = None
 
     @property
@@ -183,21 +182,27 @@ class Loop:
         return self.work / sum(self.op_s)
 
     def normalised_rate(self) -> float | None:
-        """Median work per second of the ops, scaled to a machine where the reference takes REFERENCE_MS.
+        """Median over the ops of work per second, each scaled to a machine where the reference takes REFERENCE_MS.
 
-        Medians keep a short slow spell within the loop from moving the figure.
+        Each op is scaled by the median of the references run just before and
+        just after it, so speed drift within the loop cancels op by op; the
+        median keeps a short slow spell from moving the figure.
         """
         from reference import REFERENCE_MS
 
-        rates = [r.work / s for r, s in zip(self.results, self.op_s) if r.work]
-        return percentile(rates, 50) * percentile(self.ref_ms, 50) / REFERENCE_MS if rates else None
+        rates = []
+        for i, (result, seconds) in enumerate(zip(self.results, self.op_s)):
+            if result.work:
+                around = (self.ref_ms[i - 1] if i else []) + self.ref_ms[i]
+                rates.append(result.work / seconds * statistics.median(around) / REFERENCE_MS)
+        return percentile(rates, 50) if rates else None
 
 
 def run_loop(workload, seconds: float, stats) -> Loop:
-    """Run ops until ``seconds`` have passed, timing the reference computation between them.
+    """Run ops until ``seconds`` have passed, timing the reference computation after each.
 
     After each op the reference runs until it has taken REFERENCE_SHARE of the
-    op time so far, so its median rests on many samples spread over the loop.
+    op time so far, so every op has a reference measured right after it.
     ``stats`` reads the fixture server's counters (None when the workload has no server).
     """
     from fixture_server import stats_delta
@@ -211,9 +216,10 @@ def run_loop(workload, seconds: float, stats) -> Loop:
         start = time.perf_counter()
         loop.results.append(workload.op())
         loop.op_s.append(time.perf_counter() - start)
+        loop.ref_ms.append([])
         while True:
-            loop.ref_ms.append(reference_ms())
-            ref_s += loop.ref_ms[-1] / 1e3
+            loop.ref_ms[-1].append(reference_ms())
+            ref_s += loop.ref_ms[-1][-1] / 1e3
             if ref_s >= REFERENCE_SHARE * sum(loop.op_s):
                 break
     if stats:
@@ -229,8 +235,8 @@ def raw_figures(loop: Loop) -> dict:
         "raw_latency_ms_p50": percentile(latencies, 50),
         "raw_latency_ms_p90": percentile(latencies, 90),
         "latency_samples": len(latencies),
-        "reference_ms_p50": percentile(loop.ref_ms, 50),
-        "reference_samples": len(loop.ref_ms),
+        "reference_ms_p50": percentile([t for refs in loop.ref_ms for t in refs], 50),
+        "reference_samples": sum(map(len, loop.ref_ms)),
         "ops_timed": len(loop.results),
     }
 
@@ -273,7 +279,6 @@ def run(args) -> int:
                 metrics = layer_metrics(
                     tracer,
                     items=sum(r.attempted for r in traced.results),
-                    traced_wall_s=sum(traced.op_s),
                     overhead_ratio=untraced_rate / traced_rate if untraced_rate and traced_rate else 0.0,
                     server=traced.server,
                     resampled_ratio=workload.info(traced.results, traced.server).get("resampled_ratio", 0.0),

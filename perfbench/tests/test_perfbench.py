@@ -15,7 +15,9 @@ import fixture_server  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 from percentiles import percentile, samples_beyond  # noqa: E402
-from tracer import END, PARENT, REQUEST, START, Tracer, children_of, self_time, tracing_executor  # noqa: E402
+from tracer import (  # noqa: E402
+    END, PARENT, REQUEST, START, Tracer, children_of, layer_metrics, self_time, tracing_executor,
+)
 
 
 class TestPercentileRule:
@@ -73,7 +75,7 @@ class TestFixtureProtocol:
         import requests
 
         proc = subprocess.Popen(
-            [sys.executable, str(BENCH / "fixture_server.py"), "--vocab", "8", "--pool", "2", "--seed", "1"],
+            [sys.executable, str(BENCH / "fixture_server.py"), "--vocab", "24", "--seed", "1"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         try:
@@ -82,13 +84,14 @@ class TestFixtureProtocol:
                 bad = session.post(url + "/v1/score", json=valid_body(want="top:0"), timeout=10)
                 not_json = session.post(url + "/v1/score", data=b"{", timeout=10)
                 full = session.post(url + "/v1/score", json=valid_body(), timeout=10)
-                top = session.post(url + "/v1/score", json=valid_body(want="top:3"), timeout=10)
+                top = session.post(url + "/v1/score", json=valid_body(want="top:20"), timeout=10)
+                other_m = session.post(url + "/v1/score", json=valid_body(want="top:3"), timeout=10)
                 stats = session.get(url + "/stats", timeout=10).json()
-            assert bad.status_code == 400 and not_json.status_code == 400
-            assert full.status_code == 200 and len(full.json()["scores"]) == 8
-            assert [t for t, _ in top.json()["top"]][:1] and len(top.json()["top"]) == 3
-            assert stats["requests"] == 2 and stats["rejected"] == 2
-            assert stats["connections"] == 1  # keep-alive: one connection for five requests
+            assert bad.status_code == not_json.status_code == other_m.status_code == 400
+            assert full.status_code == 200 and len(full.json()["scores"]) == 24
+            assert top.status_code == 200 and len(top.json()["top"]) == 20
+            assert stats["requests"] == 2 and stats["rejected"] == 3
+            assert stats["connections"] == 1  # keep-alive: one connection for six requests
             assert stats["reply_bytes"] == len(full.content) + len(top.content)
         finally:
             proc.stdin.close()
@@ -97,11 +100,12 @@ class TestFixtureProtocol:
         assert proc.returncode == 0
 
     def test_reply_choice_is_deterministic(self):
-        pool = fixture_server.ReplyPool(vocab=8, size=4, seed=3)
+        pool = fixture_server.ReplyPool(vocab=24, seed=3)
         raw = json.dumps(valid_body()).encode()
-        assert pool.reply("full", raw) == fixture_server.ReplyPool(8, 4, 3).reply("full", raw)
-        top = json.loads(pool.reply("top:2", raw))
-        assert top["remainder"] >= 0.0 and len(top["top"]) == 2
+        assert pool.reply("full", raw) == fixture_server.ReplyPool(24, 3).reply("full", raw)
+        top = json.loads(pool.reply("top:20", raw))
+        assert top["remainder"] >= 0.0 and len(top["top"]) == 20
+        assert pool.reply("top:3", raw) is None
 
 
 def span(start, end, parent=None):
@@ -137,6 +141,17 @@ class TestSpans:
         assert all(spans[i][PARENT] == child and spans[i][REQUEST] == root for i in ids)
         assert spans[second][PARENT] is None and spans[second][REQUEST] == second
         assert all(s[END] >= s[START] for s in spans)
+
+
+    def test_coverage_is_the_share_of_entry_points_under_layer_spans(self):
+        tracer = Tracer()
+        tracer.spans = [
+            ["cli.main", 0.0, 10.0, None, 0],
+            ["eval_harness.run_benchmark", 1.0, 9.0, 0, 0],
+            ["eval_harness.evaluate_item", 2.0, 3.0, 1, 0],  # a grandchild adds nothing
+            ["scaling_law.simulate_ce_grid", 20.0, 30.0, None, 3],  # no layer span below: uncovered
+        ]
+        assert layer_metrics(tracer, items=1, overhead_ratio=1.0)["trace.coverage"] == pytest.approx(8.0 / 20.0)
 
 
 def _open(tracer):

@@ -156,7 +156,7 @@ class WireFull(Workload):
     server_vocab = WIRE_VOCAB
     items = 2
     methods = ("baseline", "vps:8+tcd")
-    jobs = 1  # see README: two client threads make throughput swing with GIL hand-offs
+    jobs = 1  # two would overlap only whole items, and made runs swing with slow spells on the second core (README)
 
     def sizes(self) -> dict:
         return {"items": self.items, "methods": list(self.methods), "V": WIRE_VOCAB, "T": TOTAL_FRAMES,
@@ -220,7 +220,7 @@ class WireTopM(Workload):
     streams = 8
     max_tokens = 4
     videos = 16
-    jobs = 1  # see README: two client threads make throughput swing with GIL hand-offs
+    jobs = 2
 
     def sizes(self) -> dict:
         return {"J": self.streams, "tcd": True, "score_top_m": TOP_M, "V": WIRE_VOCAB, "jobs": self.jobs,
