@@ -14,7 +14,7 @@ power-of-two stream count is exact in IEEE754.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -50,14 +50,16 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A probability vector over the vocabulary, optionally with raw scores.
+    """A validated probability vector over the vocabulary.
 
-    ``raw_scores`` are pre-normalization scores: exponential-normalizing them
-    must reproduce ``probs`` (checked on construction within ``PROB_TOL``).
+    ``flags`` name any lossy conversion the scorer made to produce it (for
+    example ``topm_renormalized``); they travel with the distribution into
+    the decode trace.
     """
 
     probs: np.ndarray
-    raw_scores: np.ndarray | None = None
+    flags: tuple[str, ...] = field(default=(), kw_only=True)
+    _logits: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -68,16 +70,17 @@ class Distribution:
             raise ValueError("probs must be non-negative")
         if abs(p.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probs sum to {p.sum()!r}, expected 1 within {PROB_TOL}")
-        if self.raw_scores is not None:
-            z = np.asarray(self.raw_scores, dtype=np.float64)
-            object.__setattr__(self, "raw_scores", z)
-            if z.shape != p.shape:
-                raise ValueError("raw_scores and probs must have identical length")
-            if np.abs(softmax(z) - p).max() > PROB_TOL:
-                raise ValueError("raw_scores do not normalize to probs")
 
     def __len__(self) -> int:
         return self.probs.size
+
+    @property
+    def raw_scores(self) -> np.ndarray:
+        """Pre-normalization scores: the logits this was built from, else
+        ``log(probs)`` with zeros mapped to a finite floor."""
+        if self._logits is not None:
+            return self._logits
+        return np.log(np.maximum(self.probs, _TINY))
 
     @classmethod
     def from_probs(cls, probs: Sequence[float] | np.ndarray) -> "Distribution":
@@ -86,13 +89,9 @@ class Distribution:
     @classmethod
     def from_logits(cls, scores: Sequence[float] | np.ndarray) -> "Distribution":
         z = np.asarray(scores, dtype=np.float64)
-        return cls(softmax(z), z)
-
-    def with_log_scores(self) -> "Distribution":
-        """Attach ``log(probs)`` as raw scores (zeros map to a finite floor)."""
-        if self.raw_scores is not None:
-            return self
-        return Distribution(self.probs, np.log(np.maximum(self.probs, _TINY)))
+        dist = cls(softmax(z))
+        object.__setattr__(dist, "_logits", z)
+        return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,18 +183,15 @@ def mix_logits(dists: Sequence[Distribution], w: Weights) -> Distribution:
     """Weighted mean of raw scores, then exponential normalization.
 
     Equivalent to the normalized weighted geometric mean of the streams'
-    probabilities. Every stream must carry raw scores.
+    probabilities.
     """
     _check_mix_args(dists, w)
-    for j, d in enumerate(dists):
-        if d.raw_scores is None:
-            raise ValueError(f"stream {j} has no raw scores; logit mixing needs them")
     # zero-weight streams are skipped: 0 * -inf would poison the sum with NaN
     terms = [w.w[j] * d.raw_scores for j, d in enumerate(dists) if w.w[j] > 0.0]
     if not terms:
         raise ValueError("all weights are zero")
     combined = _tree_reduce(terms)
-    return Distribution(softmax(combined), combined)
+    return Distribution.from_logits(combined)
 
 
 def tcd_adjust(pos: Distribution, neg: Distribution, cfg: TcdConfig) -> Distribution:
@@ -222,12 +218,11 @@ def tcd_adjust(pos: Distribution, neg: Distribution, cfg: TcdConfig) -> Distribu
         if total <= 0.0:
             scores = np.where(plausible, pos.probs, 0.0)
             total = scores.sum()
-        probs = scores / total
-        return Distribution(probs, np.log(np.maximum(probs, _TINY)))
+        return Distribution(scores / total)
     log_pos = np.log(np.maximum(pos.probs, _TINY))
     log_neg = np.log(np.maximum(neg.probs, _TINY))
     scores = np.where(plausible, (1.0 + a) * log_pos - a * log_neg, -np.inf)
-    return Distribution(softmax(scores), scores)
+    return Distribution.from_logits(scores)
 
 
 def ritual_combine(

@@ -1,6 +1,8 @@
 """Pluggable scorers turning one stream's context into a next-token distribution.
 
-A scorer implements ``score(ScoreRequest) -> Distribution``. Shipped scorers:
+A scorer implements ``score(ScoreRequest) -> Distribution``; a scorer that
+converts lossily names the conversion in the distribution's ``flags``.
+Shipped scorers:
 a deterministic table-driven mock, an exact-Bayes toy video world
 (:mod:`vps.backends.toyworld`), and an HTTP client for external inference
 servers (:mod:`vps.backends.wire`).
@@ -89,7 +91,8 @@ class ScoreResponse:
                 raise ValueError("top probabilities exceed total mass 1")
 
     def to_distribution(self) -> tuple[Distribution, tuple[str, ...]]:
-        """Convert to a proper distribution; flags name any lossy conversion.
+        """Convert to a proper distribution; flags name any lossy conversion
+        and are carried on the distribution too.
 
         Top-m responses are exponentiated, all unreported tokens get zero,
         and the result is renormalized (preserving the reported ordering).
@@ -100,7 +103,8 @@ class ScoreResponse:
         probs = np.zeros(self.vocab_size)
         for token, lp in self.top:
             probs[token] = np.exp(lp)
-        return Distribution.from_probs(probs / probs.sum()), ("topm_renormalized",)
+        flags = ("topm_renormalized",)
+        return Distribution(probs / probs.sum(), flags=flags), flags
 
 
 @runtime_checkable

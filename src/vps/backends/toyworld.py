@@ -106,7 +106,7 @@ def toy_posterior(world: ToyWorld, observed: Sequence[tuple[int, int]]) -> Distr
     probs = np.zeros(len(world.vocab))
     for z, token in enumerate(world.answer_tokens):
         probs[token] += post[z]
-    return Distribution(probs).with_log_scores()
+    return Distribution(probs)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class ToyBackend:
         if req.generated:
             probs = np.zeros(len(self.world.vocab))
             probs[self.world.stop_token] = 1.0
-            return Distribution(probs).with_log_scores()
+            return Distribution(probs)
         episode = self._episodes[req.video_ref]
         observed = {t: episode.frames[t] for t in req.frame_set}
         kind, payload = parse_view(req.view)

@@ -62,7 +62,7 @@ class WireBackend:
     """Pooled-connection scorer for a remote /v1/score endpoint.
 
     Safe for concurrent in-flight requests; the only shared state is the
-    underlying connection pool and monotonic retry counters.
+    underlying connection pool and the monotonic ``retries_total`` counter.
     """
 
     def __init__(
@@ -76,7 +76,6 @@ class WireBackend:
         self._session = session or requests.Session()
         self._lock = threading.Lock()
         self.retries_total = 0
-        self.last_retries = 0
 
     def token_text(self, token: int) -> str:
         if self.vocab is None:
@@ -114,7 +113,6 @@ class WireBackend:
                 time.sleep(self.config.backoff * self.config.backoff_factor**retries)
                 retries += 1
         with self._lock:
-            self.last_retries = retries
             self.retries_total += retries
         if resp.status_code != 200:
             raise BackendError(resp.status_code, resp.text)
@@ -125,8 +123,7 @@ class WireBackend:
         return _parse_payload(payload)
 
     def score(self, req: ScoreRequest) -> Distribution:
-        dist, _flags = self.score_response(req).to_distribution()
-        return dist
+        return self.score_response(req).to_distribution()[0]
 
 
 def _parse_payload(payload: object) -> ScoreResponse:

@@ -21,15 +21,7 @@ from . import eval_harness, scaling_law
 from .backends.toyworld import ToyWorld
 from .backends.wire import WireBackend, WireConfig
 from .decode_engine import DecodeConfig, decode
-from .frame_selection import (
-    BoltConfig,
-    InfeasiblePlanError,
-    bolt_plan,
-    dense_chunk_plan,
-    plan_to_text,
-    uniform_offset_plan,
-    validate_plan,
-)
+from .frame_selection import BoltConfig, InfeasiblePlanError, plan_to_text, validate_plan
 
 __all__ = ["main"]
 
@@ -66,21 +58,39 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _write_tables(
+    out_dir: Path, accuracy: dict[str, dict[str, float]], desc_rows: list[dict]
+) -> None:
+    """accuracy.csv (method x category) and, given description rows, metrics.csv."""
+    columns = sorted({c for cats in accuracy.values() for c in cats if c != "overall"}) + ["overall"]
+    rows = [
+        [method] + [f"{cats.get(c, float('nan')):.6f}" for c in columns]
+        for method, cats in sorted(accuracy.items())
+    ]
+    _write_atomic(out_dir / "accuracy.csv", _csv_text(["method"] + columns, rows))
+    if desc_rows:
+        metrics = ["llm_judge", "sts", "sts_x100", "rouge_l"]
+        rows = [
+            [r["method"], r["nframe"]] + ["" if r.get(m) is None else f"{r[m]:.6f}" for m in metrics]
+            for r in sorted(desc_rows, key=lambda r: (str(r["method"]), r["nframe"]))
+        ]
+        _write_atomic(out_dir / "metrics.csv", _csv_text(["method", "nframe"] + metrics, rows))
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
+    bolt = None
+    if args.strategy == "bolt":
+        if not args.scores:
+            raise UsageError("--strategy bolt needs --scores FILE (JSON list of per-frame scores)")
+        with open(args.scores, "r", encoding="utf-8") as fh:
+            scores = json.load(fh)
+        bolt = BoltConfig(tuple(float(s) for s in scores), sharpen_exponent=args.sharpen)
+        if args.total_frames and args.total_frames != len(scores):
+            raise UsageError(f"--T {args.total_frames} but {len(scores)} scores given")
     try:
-        if args.strategy == "uniform":
-            plan = uniform_offset_plan(args.total_frames, args.frames, args.streams)
-        elif args.strategy == "dense":
-            plan = dense_chunk_plan(args.total_frames, args.frames, args.streams)
-        else:
-            if not args.scores:
-                raise UsageError("--strategy bolt needs --scores FILE (JSON list of per-frame scores)")
-            with open(args.scores, "r", encoding="utf-8") as fh:
-                scores = json.load(fh)
-            cfg = BoltConfig(tuple(float(s) for s in scores), sharpen_exponent=args.sharpen)
-            if args.total_frames and args.total_frames != len(scores):
-                raise UsageError(f"--T {args.total_frames} but {len(scores)} scores given")
-            plan = bolt_plan(cfg, args.frames, args.streams, args.seed)
+        plan = eval_harness._build_plan(
+            args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt
+        )
     except InfeasiblePlanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -194,23 +204,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_atomic(out_dir / "results.jsonl", "".join(r.to_json() + "\n" for r in results))
 
     table = eval_harness.accuracy(results, items)
-    categories = sorted({item.category or "uncategorized" for item in items if item.task != "description"})
-    header = ["method"] + categories + ["overall"]
-    rows = [
-        [method] + [f"{table[method].get(cat, float('nan')):.6f}" for cat in categories + ["overall"]]
-        for method in sorted(table)
-    ]
-    _write_atomic(out_dir / "accuracy.csv", _csv_text(header, rows))
-
     desc_rows = eval_harness.description_rows(results, items, args.frames)
-    if desc_rows:
-        header = ["method", "nframe", "llm_judge", "sts", "sts_x100", "rouge_l"]
-        rows = [
-            [r["method"], r["nframe"]]
-            + ["" if r[m] is None else f"{r[m]:.6f}" for m in ("llm_judge", "sts", "sts_x100", "rouge_l")]
-            for r in desc_rows
-        ]
-        _write_atomic(out_dir / "metrics.csv", _csv_text(header, rows))
+    _write_tables(out_dir, table, desc_rows)
 
     summary = {
         "items": len(items),
@@ -234,13 +229,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str:
     """Re-decode the first item under the first method, recording the trace."""
+    scores = bolt_scores.get(item.video_ref) if bolt_scores else None
+    bolt = BoltConfig(tuple(scores)) if scores is not None else None
     plan = eval_harness._build_plan(
-        args.strategy,
-        item.total_frames,
-        args.frames,
-        method.streams,
-        args.seed,
-        bolt_scores.get(item.video_ref) if bolt_scores else None,
+        args.strategy, item.total_frames, args.frames, method.streams, args.seed, bolt
     )
     cfg = DecodeConfig(
         streams=method.streams,
@@ -357,21 +349,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    categories = sorted({c for cats in items_meta.values() for c in cats if c != "overall"})
-    header = ["method"] + categories + ["overall"]
-    rows = [
-        [method] + [f"{cats.get(c, float('nan')):.6f}" for c in categories + ["overall"]]
-        for method, cats in sorted(items_meta.items())
-    ]
-    _write_atomic(out_dir / "accuracy.csv", _csv_text(header, rows))
-    if desc_rows:
-        header = ["method", "nframe", "llm_judge", "sts", "sts_x100", "rouge_l"]
-        rows = [
-            [r["method"], r["nframe"]]
-            + ["" if r.get(m) is None else f"{r[m]:.6f}" for m in ("llm_judge", "sts", "sts_x100", "rouge_l")]
-            for r in sorted(desc_rows, key=lambda r: (str(r["method"]), r["nframe"]))
-        ]
-        _write_atomic(out_dir / "metrics.csv", _csv_text(header, rows))
+    _write_tables(out_dir, items_meta, desc_rows)
     print(f"report written to {out_dir}", file=sys.stderr)
     return 0
 

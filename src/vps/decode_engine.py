@@ -67,7 +67,8 @@ class DecodeConfig:
     adjustment per stream; ``ritual_views`` (one augmentation tag per stream)
     switches on per-stream view fusion. ``trace_top_m`` truncates per-stream
     distributions in the trace for storage; ``score_top_m`` asks backends for
-    truncated score vectors (flagged in the trace).
+    truncated score vectors (the flags a backend puts on its distributions
+    reach the trace).
     """
 
     streams: int
@@ -100,22 +101,26 @@ class DecodeConfig:
         return self.weights if self.weights is not None else Weights.uniform(self.streams)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamStepRecord:
     """One stream's contribution to a step: the distribution that entered the
-    mixture (after any adjustment), top-m truncated for storage if configured."""
+    mixture (after any adjustment), top-m truncated for storage if configured.
+    ``flags`` name lossy conversions by the engine or the backend."""
 
     stream_id: int
-    probs: tuple[float, ...] | None
+    probs: np.ndarray | None
     top: tuple[tuple[int, float], ...] | None
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
+    """One step: the sampled token, the mixture it was sampled from, and the
+    stream records. Vectors stay arrays until :meth:`DecodeTrace.to_jsonl`."""
+
     index: int
     token: int
-    aggregated: tuple[float, ...]
+    aggregated: np.ndarray
     streams: tuple[StreamStepRecord, ...]
 
 
@@ -131,11 +136,11 @@ class DecodeTrace:
             entry: dict = {
                 "step": rec.index,
                 "token": rec.token,
-                "aggregated": list(rec.aggregated),
+                "aggregated": rec.aggregated.tolist(),
                 "streams": [
                     {
                         "stream": s.stream_id,
-                        **({"probs": list(s.probs)} if s.probs is not None else {}),
+                        **({"probs": s.probs.tolist()} if s.probs is not None else {}),
                         **({"top": [[t, p] for t, p in s.top]} if s.top is not None else {}),
                         **({"flags": list(s.flags)} if s.flags else {}),
                     }
@@ -155,7 +160,7 @@ class DecodeTrace:
             streams = tuple(
                 StreamStepRecord(
                     stream_id=s["stream"],
-                    probs=tuple(s["probs"]) if "probs" in s else None,
+                    probs=np.array(s["probs"], dtype=np.float64) if "probs" in s else None,
                     top=tuple((t, p) for t, p in s["top"]) if "top" in s else None,
                     flags=tuple(s.get("flags", ())),
                 )
@@ -165,7 +170,7 @@ class DecodeTrace:
                 StepRecord(
                     index=raw["step"],
                     token=raw["token"],
-                    aggregated=tuple(raw["aggregated"]),
+                    aggregated=np.array(raw["aggregated"], dtype=np.float64),
                     streams=streams,
                 )
             )
@@ -209,9 +214,9 @@ def negative_view(frame_set: Sequence[int], scheme: str = "interleaved_zero") ->
     return zero_view(frames[1::2])
 
 
-def _truncate(dist: Distribution, top_m: int | None) -> tuple[tuple[float, ...] | None, tuple[tuple[int, float], ...] | None]:
+def _truncate(dist: Distribution, top_m: int | None) -> tuple[np.ndarray | None, tuple[tuple[int, float], ...] | None]:
     if top_m is None or top_m >= len(dist):
-        return tuple(float(p) for p in dist.probs), None
+        return dist.probs, None
     order = np.argsort(-dist.probs, kind="stable")[:top_m]
     return None, tuple((int(t), float(dist.probs[t])) for t in order)
 
@@ -259,8 +264,6 @@ def step(
             if parse_view(neg)[1] == ():
                 flags[s.stream_id].append("tcd_negative_degenerate")
             queries.append((s.stream_id, "negative", ScoreRequest(view=neg, **base)))
-        if cfg.score_top_m is not None:
-            flags[s.stream_id].append("score_top_m")
 
     def run(q: tuple[int, str, ScoreRequest]) -> Distribution | Exception:
         try:
@@ -278,6 +281,7 @@ def step(
         if isinstance(outcome, Exception):
             raise StepError(stream_id, role, outcome)
         results[(stream_id, role)] = outcome
+        flags[stream_id].extend(outcome.flags)
 
     per_stream: list[Distribution] = []
     for s in streams:
@@ -299,12 +303,12 @@ def step(
     for s, dist in zip(streams, per_stream):
         probs, top = _truncate(dist, cfg.trace_top_m)
         stream_records.append(
-            StreamStepRecord(s.stream_id, probs, top, flags=tuple(flags[s.stream_id]))
+            StreamStepRecord(s.stream_id, probs, top, flags=tuple(dict.fromkeys(flags[s.stream_id])))
         )
     record = StepRecord(
         index=index,
         token=token,
-        aggregated=tuple(float(p) for p in mixed.probs),
+        aggregated=mixed.probs,
         streams=tuple(stream_records),
     )
     return token, record

@@ -372,16 +372,17 @@ def _build_plan(
     frames_per_stream: int,
     streams: int,
     seed: int,
-    bolt_scores: Sequence[float] | None = None,
+    bolt: BoltConfig | None = None,
 ) -> FrameSelectionPlan:
+    """The frame plan of a named strategy; ``bolt`` carries BOLT's scores."""
     if strategy == "uniform":
         return uniform_offset_plan(total_frames, frames_per_stream, streams)
     if strategy == "dense":
         return dense_chunk_plan(total_frames, frames_per_stream, streams)
     if strategy == "bolt":
-        if bolt_scores is None:
+        if bolt is None:
             raise ValueError("bolt strategy needs per-frame relevance scores")
-        return bolt_plan(BoltConfig(tuple(bolt_scores)), frames_per_stream, streams, seed)
+        return bolt_plan(bolt, frames_per_stream, streams, seed)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -410,9 +411,8 @@ def evaluate_item(
             temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens,
         )
         return MethodResult(item.id, method.tag, raw_output="", extracted=extracted)
-    plan = _build_plan(
-        strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt_scores
-    )
+    bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
+    plan = _build_plan(strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt)
     cfg = DecodeConfig(
         streams=method.streams,
         space=space,  # type: ignore[arg-type]

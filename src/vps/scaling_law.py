@@ -99,13 +99,18 @@ def stream_loss(params: ScalingParams, stream_index: int) -> float:
     return params.irreducible_entropy + params.capacity_term + params.biases[stream_index]
 
 
+def _mixture_loss(irreducible_entropy, capacity_term, correlation, mean_bias, J):
+    """E + C * (1 + (J-1)*rho) / J + mean(B), for scalar or array ``J``."""
+    return irreducible_entropy + capacity_term * ((1.0 + (J - 1) * correlation) / J) + mean_bias
+
+
 def vps_loss(params: ScalingParams, streams: int) -> float:
     """Expected cross-entropy of the J-stream uniform mixture (closed form)."""
     if len(params.biases) != streams:
         raise ValueError(f"need one bias per stream: {len(params.biases)} biases for {streams} streams")
-    J = streams
-    contraction = (1.0 + (J - 1) * params.correlation) / J
-    return params.irreducible_entropy + params.capacity_term * contraction + params.mean_bias
+    return _mixture_loss(
+        params.irreducible_entropy, params.capacity_term, params.correlation, params.mean_bias, streams
+    )
 
 
 def _mix_equicorrelated(shared: np.ndarray, independent: np.ndarray, correlation: float) -> np.ndarray:
@@ -361,17 +366,12 @@ class FitResult:
     def predict(self, x: float) -> float:
         p = self.params
         if self.mode == "streams":
-            J = float(x)
-            return p.irreducible_entropy + p.capacity_term * (1 + (J - 1) * p.correlation) / J + p.mean_bias
+            return _mixture_loss(p.irreducible_entropy, p.capacity_term, p.correlation, p.mean_bias, float(x))
         return p.irreducible_entropy + p.capacity_coeff / float(x) ** p.capacity_exponent + p.mean_bias
 
 
 def _model_streams(coeffs: Mapping[str, float], J: np.ndarray) -> np.ndarray:
-    return (
-        coeffs["irreducible_entropy"]
-        + coeffs["capacity_term"] * (1 + (J - 1) * coeffs["correlation"]) / J
-        + coeffs["mean_bias"]
-    )
+    return _mixture_loss(*(coeffs[f] for f in _STREAM_FIELDS), J)
 
 
 def _model_size(coeffs: Mapping[str, float], N: np.ndarray) -> np.ndarray:

@@ -39,12 +39,15 @@ class TestDistribution:
         assert abs(d.probs.sum() - 1.0) < 1e-12
         assert np.allclose(softmax(d.raw_scores), d.probs)
 
-    def test_raw_scores_must_match(self):
-        with pytest.raises(ValueError):
+    def test_logit_scores_kept_and_not_a_second_constructor_argument(self):
+        z = np.array([1.0, -2.0, 0.3])
+        assert np.array_equal(Distribution.from_logits(z).raw_scores, z)
+        with pytest.raises(TypeError):
             Distribution(np.array([0.9, 0.1]), np.array([0.0, 0.0]))
 
-    def test_with_log_scores_round_trip(self):
-        d = Distribution.from_probs([0.25, 0.0, 0.75]).with_log_scores()
+    def test_derived_raw_scores_round_trip(self):
+        d = Distribution.from_probs([0.25, 0.0, 0.75])
+        assert np.array_equal(d.raw_scores, np.log(np.maximum(d.probs, 1e-300)))
         assert np.abs(softmax(d.raw_scores) - d.probs).max() < 1e-12
 
 
@@ -156,10 +159,11 @@ class TestMixLogits:
                 geo = geo * d.probs**wj
             assert np.allclose(out.probs, geo / geo.sum(), atol=1e-10)
 
-    def test_requires_raw_scores(self):
-        d = Distribution.from_probs([0.4, 0.6])
-        with pytest.raises(ValueError, match="raw scores"):
-            mix_logits([d], Weights.uniform(1))
+    def test_accepts_probability_built_streams(self):
+        d1 = Distribution.from_probs([0.9, 0.1])
+        d2 = Distribution.from_probs([0.5, 0.5])
+        out = mix_logits([d1, d2], Weights.uniform(2))
+        assert np.allclose(out.probs, [0.75, 0.25], atol=1e-12)
 
 
 class TestTcdAdjust:

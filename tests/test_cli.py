@@ -327,5 +327,38 @@ class TestReportCommand:
         assert rows[0][0] == "method"
         assert {r[0] for r in rows[1:]} == {"baseline", "vps:2"}
 
+    def test_single_run_report_reproduces_the_run_tables(self, tmp_path):
+        from vps.backends.stub_server import StubServer
+
+        vocab = ["yes", "no", " a", " cat", "</s>"]
+
+        def score_handler(body):
+            target = ["yes", "</s>"] if body["video_ref"] == "vid-bin" else [" a", " cat", "</s>"]
+            token = target[min(len(body["generated"]), len(target) - 1)]
+            return {"vocab_size": len(vocab), "scores": [0.0 if t == token else -20.0 for t in vocab]}
+
+        records = [
+            {"id": "b1", "video_ref": "vid-bin", "total_frames": 8, "task": "binary",
+             "question": "Is it a cat?", "reference": "yes", "category": "object"},
+            {"id": "b2", "video_ref": "vid-bin", "total_frames": 8, "task": "binary",
+             "question": "Is it a dog?", "reference": "no", "category": "action"},
+            {"id": "d1", "video_ref": "vid-desc", "total_frames": 8, "task": "description",
+             "question": "", "reference": "a cat", "category": "entire"},
+        ]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+        vocab_file = tmp_path / "vocab.json"
+        vocab_file.write_text(json.dumps(vocab))
+        run, report = tmp_path / "run", tmp_path / "report"
+        with StubServer(score_handler=score_handler) as server:
+            assert main([
+                "run", "--backend", "wire", "--endpoint", server.url, "--dataset", str(dataset),
+                "--vocab", str(vocab_file), "--stop-tokens", "4", "--methods", "baseline,vps:2",
+                "--k", "2", "--max-tokens", "4", "--out-dir", str(run),
+            ]) == 0
+        assert main(["report", str(run), "--out", str(report)]) == 0
+        for name in ("accuracy.csv", "metrics.csv"):
+            assert (report / name).read_bytes() == (run / name).read_bytes()
+
     def test_rejects_non_run_directory(self, tmp_path):
         assert main(["report", str(tmp_path), "--out", str(tmp_path / "r")]) == 2

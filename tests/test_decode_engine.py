@@ -147,12 +147,13 @@ class TestStep:
         _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
         assert np.allclose(record.aggregated, [0.75, 0.25], atol=1e-12)
 
-    def test_truncated_score_requests_flagged_in_trace(self):
+    def test_score_top_m_adds_no_flag_the_backend_did_not_set(self):
         plan = uniform_offset_plan(16, 2, 2)
+        backend = MockBackend(fixtures_for_plan(plan, [[0.6, 0.4], [0.3, 0.7]]))
         cfg = DecodeConfig(streams=2, score_top_m=3)
-        _, record = step(build_streams("v", "p", plan), HashBackend(8), cfg, seed=0)
+        _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
         for srec in record.streams:
-            assert "score_top_m" in srec.flags
+            assert srec.flags == ()
 
     def test_degenerate_negative_flagged(self):
         plan = uniform_offset_plan(4, 1, 2)

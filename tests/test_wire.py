@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 import requests
 
+from vps.aggregation import TcdConfig
 from vps.backends import ScoreRequest
 from vps.backends.stub_server import StubServer
 from vps.backends.wire import BackendError, WireBackend, WireConfig, WireParseError, wire_score
+from vps.decode_engine import DecodeConfig, decode
+from vps.frame_selection import uniform_offset_plan
 
 
 def req(top_m=None):
@@ -75,13 +78,33 @@ class TestRoundTrip:
         del captured
 
 
+class TestTopMDecode:
+    """Decodes over top-m replies, in both fusion spaces."""
+
+    def run(self, cfg):
+        plan = uniform_offset_plan(32, 2, cfg.streams)
+        with StubServer(score_handler=fixture_handler) as server:
+            return decode("vid", "prompt", plan, WireBackend(fast_config(server.url)), cfg)
+
+    def test_logit_mixing_of_top_m_replies_returns_tokens(self):
+        tokens, trace = self.run(DecodeConfig(streams=2, space="logit", score_top_m=2, max_tokens=2))
+        assert tokens == [0, 0]
+        assert np.allclose(trace.steps[0].aggregated, [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
+
+    def test_every_stream_record_carries_the_wire_flag(self):
+        for space in ("probability", "logit"):
+            cfg = DecodeConfig(streams=2, space=space, score_top_m=2, tcd=TcdConfig())
+            _tokens, trace = self.run(cfg)
+            for srec in trace.steps[0].streams:
+                assert srec.flags == ("topm_renormalized",)
+
+
 class TestRetries:
     def test_three_failures_then_success(self):
         with StubServer(score_handler=fixture_handler, fail_first=3) as server:
             backend = WireBackend(fast_config(server.url, retries=3))
             resp = backend.score_response(req())
             assert resp.scores == (0.0, 1.0, -1.0)
-            assert backend.last_retries == 3
             assert backend.retries_total == 3
 
     def test_exhausted_retries_raise_transport_error(self):
