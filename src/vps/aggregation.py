@@ -68,7 +68,8 @@ class Distribution:
             raise ValueError("probs must be a non-empty vector")
         if (p < 0).any():
             raise ValueError("probs must be non-negative")
-        if abs(p.sum() - 1.0) > PROB_TOL:
+        # written so that a NaN or infinite sum fails too
+        if not abs(p.sum() - 1.0) <= PROB_TOL:
             raise ValueError(f"probs sum to {p.sum()!r}, expected 1 within {PROB_TOL}")
 
     def __len__(self) -> int:
@@ -191,6 +192,8 @@ def mix_logits(dists: Sequence[Distribution], w: Weights) -> Distribution:
     if not terms:
         raise ValueError("all weights are zero")
     combined = _tree_reduce(terms)
+    if combined.max() == -np.inf:
+        raise ValueError("streams share no plausible token: every combined score is -inf")
     return Distribution.from_logits(combined)
 
 

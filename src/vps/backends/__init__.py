@@ -52,17 +52,18 @@ class ScoreRequest:
             raise ValueError("top_m must be positive when given")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreResponse:
     """A backend's reply: full log-score vector, or top-m pairs plus remainder.
 
-    ``top`` pairs are (token id, log probability) sorted by descending log
-    probability; ``remainder`` is the probability mass outside the reported
-    tokens.
+    ``scores`` is kept as a 1-D float64 array (converted without a copy when
+    it already is one). ``top`` pairs are (token id, log probability) sorted
+    by descending log probability; ``remainder`` is the probability mass
+    outside the reported tokens.
     """
 
     vocab_size: int
-    scores: tuple[float, ...] | None = None
+    scores: np.ndarray | None = None
     top: tuple[tuple[int, float], ...] | None = None
     remainder: float | None = None
 
@@ -70,9 +71,11 @@ class ScoreResponse:
         if (self.scores is None) == (self.top is None):
             raise ValueError("exactly one of scores/top must be present")
         if self.scores is not None:
-            if len(self.scores) != self.vocab_size:
-                raise ValueError("scores length must equal vocab_size")
-            if not np.isfinite(self.scores).all():
+            scores = np.asarray(self.scores, dtype=np.float64)
+            object.__setattr__(self, "scores", scores)
+            if scores.ndim != 1 or scores.size != self.vocab_size:
+                raise ValueError("scores must be a vector of length vocab_size")
+            if not np.isfinite(scores).all():
                 raise ValueError("full scores must be finite")
         else:
             assert self.top is not None
@@ -98,7 +101,7 @@ class ScoreResponse:
         and the result is renormalized (preserving the reported ordering).
         """
         if self.scores is not None:
-            return Distribution.from_logits(np.asarray(self.scores)), ()
+            return Distribution.from_logits(self.scores), ()
         assert self.top is not None
         probs = np.zeros(self.vocab_size)
         for token, lp in self.top:

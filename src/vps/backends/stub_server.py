@@ -2,8 +2,9 @@
 
 The reference server for offline tests and demos: serves /v1/score from a
 fixture table, /v1/judge from a scripted reply list, and /v1/embed from a
-text-to-vector map. It can also drop the first N connections to exercise
-client retry behavior.
+text-to-vector map. It speaks HTTP/1.1 with keep-alive, records each
+request's path, body and headers, and counts accepted connections. It can
+also drop the first N requests to exercise client retry behavior.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class StubServer:
         self.embeddings = dict(embeddings or {})
         self.fail_first = fail_first
         self.requests_seen: list[tuple[str, dict]] = []
+        self.headers_seen: list[dict[str, str]] = []
+        self.connections = 0
         self._judge_index = 0
         self._failures_left = fail_first
         self._lock = threading.Lock()
@@ -53,14 +56,22 @@ class StubServer:
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def log_message(self, *args) -> None:  # keep test output clean
                 pass
+
+            def setup(self) -> None:
+                super().setup()
+                with stub._lock:
+                    stub.connections += 1
 
             def do_POST(self) -> None:
                 with stub._lock:
                     if stub._failures_left > 0:
                         stub._failures_left -= 1
                         # drop the connection: clients see a transport failure
+                        self.close_connection = True
                         self.connection.close()
                         return
                 length = int(self.headers.get("Content-Length", "0"))
@@ -71,6 +82,7 @@ class StubServer:
                     return
                 with stub._lock:
                     stub.requests_seen.append((self.path, body))
+                    stub.headers_seen.append(dict(self.headers))
                 try:
                     if self.path == "/v1/score":
                         self._reply(200, stub._score(body))

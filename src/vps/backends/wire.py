@@ -3,38 +3,38 @@
 The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 ``prompt_text``, ``generated``, and ``want`` ("full" or "top:<m>"); the
 response carries ``vocab_size`` plus either a full ``scores`` vector or
-``top`` (token, log-probability) pairs with a ``remainder`` mass. Transport
-failures are retried idempotently with exponential backoff; non-success
-statuses are not retried.
+``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
+travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`.
+Transport failures and 429/503 replies are retried idempotently with
+exponential backoff (a 429/503 ``Retry-After`` of whole seconds replaces the
+backoff); other non-success statuses are not retried.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import requests
-
 from ..aggregation import Distribution
+from ..jsonhttp import TRANSPORT_ERRORS, BackendError, JsonEndpoint, WireTransportError, auth_headers
 from . import ScoreRequest, ScoreResponse
 
-__all__ = ["WireConfig", "BackendError", "WireParseError", "WireBackend", "wire_score"]
+__all__ = [
+    "WireConfig",
+    "BackendError",
+    "WireParseError",
+    "WireTransportError",
+    "WireBackend",
+    "wire_score",
+]
 
 TOKEN_ENV = "VPS_BACKEND_TOKEN"
 SCORE_PATH = "/v1/score"
-
-
-class BackendError(RuntimeError):
-    """The server answered with a non-success status."""
-
-    def __init__(self, status: int, body: str) -> None:
-        super().__init__(f"backend returned status {status}: {body[:200]}")
-        self.status = status
-        self.body = body
+# statuses that say "try again later" rather than "this request is wrong"
+RETRY_STATUSES = frozenset({429, 503})
 
 
 class WireParseError(RuntimeError):
@@ -58,22 +58,23 @@ def _encode_want(top_m: int | None) -> str:
     return "full" if top_m is None else f"top:{top_m}"
 
 
+def _retry_after(headers) -> int | None:
+    """The ``Retry-After`` header when it is a whole number of seconds."""
+    value = (headers.get("Retry-After") or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
 class WireBackend:
     """Pooled-connection scorer for a remote /v1/score endpoint.
 
     Safe for concurrent in-flight requests; the only shared state is the
-    underlying connection pool and the monotonic ``retries_total`` counter.
+    pool of idle connections and the monotonic ``retries_total`` counter.
     """
 
-    def __init__(
-        self,
-        config: WireConfig,
-        session: requests.Session | None = None,
-        vocab: Sequence[str] | None = None,
-    ) -> None:
+    def __init__(self, config: WireConfig, vocab: Sequence[str] | None = None) -> None:
         self.config = config
         self.vocab = tuple(vocab) if vocab is not None else None
-        self._session = session or requests.Session()
+        self._endpoint = JsonEndpoint(config.endpoint, config.timeout)
         self._lock = threading.Lock()
         self.retries_total = 0
 
@@ -82,15 +83,13 @@ class WireBackend:
             return str(token)
         return self.vocab[token]
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(TOKEN_ENV)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
+    def close(self) -> None:
+        """Close the idle pooled connections."""
+        self._endpoint.close()
 
     def score_response(self, req: ScoreRequest) -> ScoreResponse:
-        """POST the request; retry transport failures up to the configured limit."""
+        """POST the request; retry transport failures and 429/503 replies up
+        to the configured limit."""
         body = {
             "video_ref": req.video_ref,
             "frame_set": list(req.frame_set),
@@ -99,27 +98,33 @@ class WireBackend:
             "generated": list(req.generated),
             "want": _encode_want(req.top_m),
         }
-        url = self.config.endpoint.rstrip("/") + SCORE_PATH
+        cfg = self.config
         retries = 0
-        while True:
-            try:
-                resp = self._session.post(
-                    url, json=body, headers=self._headers(), timeout=self.config.timeout
-                )
-                break
-            except (requests.ConnectionError, requests.Timeout):
-                if retries >= self.config.max_retries:
-                    raise
-                time.sleep(self.config.backoff * self.config.backoff_factor**retries)
-                retries += 1
-        with self._lock:
-            self.retries_total += retries
-        if resp.status_code != 200:
-            raise BackendError(resp.status_code, resp.text)
         try:
-            payload = resp.json()
-        except (json.JSONDecodeError, requests.exceptions.JSONDecodeError) as exc:
-            raise WireParseError(f"malformed response body: {resp.text[:200]!r}") from exc
+            while True:
+                try:
+                    status, headers, data = self._endpoint.post(SCORE_PATH, body, auth_headers(TOKEN_ENV))
+                except TRANSPORT_ERRORS as exc:
+                    if retries >= cfg.max_retries:
+                        raise WireTransportError(
+                            f"POST {SCORE_PATH} failed after {retries} retries: {exc!r}"
+                        ) from exc
+                    delay = None
+                else:
+                    if status not in RETRY_STATUSES or retries >= cfg.max_retries:
+                        break
+                    delay = _retry_after(headers)
+                time.sleep(cfg.backoff * cfg.backoff_factor**retries if delay is None else delay)
+                retries += 1
+        finally:
+            with self._lock:
+                self.retries_total += retries
+        if status != 200:
+            raise BackendError(status, data.decode("utf-8", "replace"))
+        try:
+            payload = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise WireParseError(f"malformed response body: {data[:200]!r}") from exc
         return _parse_payload(payload)
 
     def score(self, req: ScoreRequest) -> Distribution:
@@ -132,7 +137,7 @@ def _parse_payload(payload: object) -> ScoreResponse:
     try:
         vocab_size = int(payload["vocab_size"])
         if "scores" in payload and payload["scores"] is not None:
-            return ScoreResponse(vocab_size, scores=tuple(float(s) for s in payload["scores"]))
+            return ScoreResponse(vocab_size, scores=payload["scores"])
         top = tuple((int(t), float(lp)) for t, lp in payload["top"])
         return ScoreResponse(vocab_size, top=top, remainder=float(payload["remainder"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,4 +146,8 @@ def _parse_payload(payload: object) -> ScoreResponse:
 
 def wire_score(config: WireConfig, req: ScoreRequest) -> ScoreResponse:
     """One-shot convenience wrapper around :class:`WireBackend`."""
-    return WireBackend(config).score_response(req)
+    backend = WireBackend(config)
+    try:
+        return backend.score_response(req)
+    finally:
+        backend.close()

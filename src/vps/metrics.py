@@ -7,12 +7,13 @@ endpoints are provided alongside.
 
 from __future__ import annotations
 
-import os
+import json
 import re
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
-import requests
+
+from .jsonhttp import BackendError, JsonEndpoint, auth_headers
 
 __all__ = [
     "rouge_l",
@@ -170,47 +171,30 @@ class StubJudgeClient:
         return reply
 
 
-def _auth_headers(env_var: str) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(env_var)
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
+def _post_json(endpoint: JsonEndpoint, path: str, body: dict, token_env: str) -> dict:
+    status, _headers, data = endpoint.post(path, body, auth_headers(token_env))
+    if status != 200:
+        raise BackendError(status, data.decode("utf-8", "replace"))
+    return json.loads(data)
 
 
 class HttpEmbedClient:
     """POST /v1/embed {"text": ...} -> {"embedding": [...]}."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self._session = requests.Session()
+        self._endpoint = JsonEndpoint(endpoint, timeout)
 
     def embed(self, text: str) -> np.ndarray:
-        resp = self._session.post(
-            self.endpoint + "/v1/embed",
-            json={"text": text},
-            headers=_auth_headers(EMBED_TOKEN_ENV),
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        return np.asarray(resp.json()["embedding"], dtype=np.float64)
+        reply = _post_json(self._endpoint, "/v1/embed", {"text": text}, EMBED_TOKEN_ENV)
+        return np.asarray(reply["embedding"], dtype=np.float64)
 
 
 class HttpJudgeClient:
     """POST /v1/judge {"system": ..., "user": ...} -> {"text": ...}."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self._session = requests.Session()
+        self._endpoint = JsonEndpoint(endpoint, timeout)
 
     def complete(self, system: str, user: str) -> str:
-        resp = self._session.post(
-            self.endpoint + "/v1/judge",
-            json={"system": system, "user": user},
-            headers=_auth_headers(JUDGE_TOKEN_ENV),
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        return str(resp.json()["text"])
+        reply = _post_json(self._endpoint, "/v1/judge", {"system": system, "user": user}, JUDGE_TOKEN_ENV)
+        return str(reply["text"])

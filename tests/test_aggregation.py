@@ -33,6 +33,10 @@ class TestDistribution:
             Distribution.from_probs([1.2, -0.2])
         with pytest.raises(ValueError):
             Distribution.from_probs([])
+        with pytest.raises(ValueError):
+            Distribution([math.nan] * 3)
+        with pytest.raises(ValueError):
+            Distribution([math.inf, 0.0])
 
     def test_logit_construction_consistent(self):
         d = Distribution.from_logits([1.0, -2.0, 0.3])
@@ -164,6 +168,13 @@ class TestMixLogits:
         d2 = Distribution.from_probs([0.5, 0.5])
         out = mix_logits([d1, d2], Weights.uniform(2))
         assert np.allclose(out.probs, [0.75, 0.25], atol=1e-12)
+
+
+    def test_streams_without_a_common_token_raise(self):
+        d1 = Distribution.from_logits([0.0, -math.inf, -math.inf])
+        d2 = Distribution.from_logits([-math.inf, 0.0, 0.0])
+        with pytest.raises(ValueError, match="share no plausible token"):
+            mix_logits([d1, d2], Weights.uniform(2))
 
 
 class TestTcdAdjust:

@@ -1,5 +1,6 @@
 """Decode loop: mixing per step, token broadcast, traces, concurrency."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -187,6 +188,24 @@ class TestDecode:
         assert tokens == [0, 0, 0]
         assert len(trace.steps) == 4  # the stop step is recorded
         assert trace.steps[-1].token == 1
+
+    def test_disjoint_plausible_sets_raise_before_softmax(self):
+        # stream j keeps its mass on tokens 2j and 2j+1 of 9, so the TCD
+        # log-space plausible sets of the four streams share no token
+        plan = uniform_offset_plan(32, 2, 4)
+        stream_of = {frames: j for j, frames in enumerate(plan.sets)}
+
+        class DisjointBackend:
+            def score(self, req):
+                p = np.zeros(9)
+                p[2 * stream_of[req.frame_set]: 2 * stream_of[req.frame_set] + 2] = (0.7, 0.3)
+                return Distribution(p)
+
+        cfg = DecodeConfig(streams=4, space="logit", tcd=TcdConfig(0.3, 0.05, "log"), max_tokens=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="streams share no plausible token"):
+                decode("v", "p", plan, DisjointBackend(), cfg)
 
     def test_token_identity_across_streams(self):
         plan = uniform_offset_plan(64, 4, 4)

@@ -1,15 +1,29 @@
 """Wire client against the bundled stub server: round trips, retries, errors."""
 
+import contextlib
+import http.client
+import json
 import math
+import select
+import threading
+import types
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 
+from vps import jsonhttp
 from vps.aggregation import TcdConfig
 from vps.backends import ScoreRequest
 from vps.backends.stub_server import StubServer
-from vps.backends.wire import BackendError, WireBackend, WireConfig, WireParseError, wire_score
+from vps.backends.wire import (
+    BackendError,
+    WireBackend,
+    WireConfig,
+    WireParseError,
+    WireTransportError,
+    wire_score,
+)
 from vps.decode_engine import DecodeConfig, decode
 from vps.frame_selection import uniform_offset_plan
 
@@ -32,12 +46,53 @@ def fast_config(url, retries=3):
     return WireConfig(url, timeout=5.0, max_retries=retries, backoff=0.01, backoff_factor=1.5)
 
 
+@contextlib.contextmanager
+def scripted_server(replies, close_after_reply=False):
+    """/v1/score answered from a script of (status, headers, payload), the
+    last reply repeating; yields the URL and the list of statuses sent."""
+    sent = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            status, headers, payload = replies[min(len(sent), len(replies) - 1)]
+            sent.append(status)
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            # closes the socket without a Connection: close header
+            self.close_connection = close_after_reply
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", sent
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+FULL_REPLY = (200, {}, {"vocab_size": 3, "scores": [0.0, 1.0, -1.0]})
+
+
 class TestRoundTrip:
     def test_full_scores(self):
         with StubServer(score_handler=fixture_handler) as server:
             resp = wire_score(fast_config(server.url), req())
             assert resp.vocab_size == 3
-            assert resp.scores == (0.0, 1.0, -1.0)
+            assert np.array_equal(resp.scores, (0.0, 1.0, -1.0))
             path, body = server.requests_seen[0]
             assert path == "/v1/score"
             assert body == {
@@ -64,18 +119,22 @@ class TestRoundTrip:
 
     def test_auth_header_from_env(self, monkeypatch):
         monkeypatch.setenv("VPS_BACKEND_TOKEN", "sekrit")
-        captured = {}
 
         def handler(body):
             return {"vocab_size": 2, "scores": [0.0, 0.0]}
 
         with StubServer(score_handler=handler) as server:
-            session = requests.Session()
-            backend = WireBackend(fast_config(server.url), session=session)
+            backend = WireBackend(fast_config(server.url))
             backend.score_response(req())
-        # header assembly is what we can check without instrumenting the stub
-        assert backend._headers()["Authorization"] == "Bearer sekrit"
-        del captured
+            assert server.headers_seen[0]["Authorization"] == "Bearer sekrit"
+            assert server.headers_seen[0]["Content-Type"] == "application/json"
+
+    def test_endpoint_path_prefix_is_kept(self):
+        with StubServer(score_handler=fixture_handler) as server:
+            with pytest.raises(BackendError) as err:
+                wire_score(fast_config(server.url + "/api/"), req())
+            assert err.value.status == 404
+            assert server.requests_seen[0][0] == "/api/v1/score"
 
 
 class TestTopMDecode:
@@ -104,19 +163,113 @@ class TestRetries:
         with StubServer(score_handler=fixture_handler, fail_first=3) as server:
             backend = WireBackend(fast_config(server.url, retries=3))
             resp = backend.score_response(req())
-            assert resp.scores == (0.0, 1.0, -1.0)
+            assert np.array_equal(resp.scores, (0.0, 1.0, -1.0))
             assert backend.retries_total == 3
 
     def test_exhausted_retries_raise_transport_error(self):
         with StubServer(score_handler=fixture_handler, fail_first=10) as server:
             backend = WireBackend(fast_config(server.url, retries=2))
-            with pytest.raises((requests.ConnectionError, requests.Timeout)):
+            with pytest.raises(WireTransportError) as err:
                 backend.score_response(req())
+            assert isinstance(err.value.__cause__, (OSError, http.client.HTTPException))
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("vps.backends.wire.time", types.SimpleNamespace(sleep=slept.append))
+        return slept
+
+    def test_503_with_retry_after_is_retried(self, sleeps):
+        busy = (503, {"Retry-After": "0"}, {"error": "busy"})
+        with scripted_server([busy, busy, FULL_REPLY]) as (url, sent):
+            backend = WireBackend(fast_config(url, retries=3))
+            resp = backend.score_response(req())
+            assert np.array_equal(resp.scores, (0.0, 1.0, -1.0))
+            assert backend.retries_total == 2
+            assert sent == [503, 503, 200]
+            assert sleeps == [0, 0]
+
+    def test_429_without_retry_after_backs_off_until_the_budget_runs_out(self, sleeps):
+        slow = (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, {"error": "slow down"})
+        with scripted_server([(429, {}, {"error": "slow down"}), slow]) as (url, sent):
+            backend = WireBackend(fast_config(url, retries=2))
+            with pytest.raises(BackendError) as err:
+                backend.score_response(req())
+            assert err.value.status == 429
+            assert "slow down" in err.value.body
+            assert backend.retries_total == 2
+            assert sent == [429, 429, 429]
+            assert sleeps == [0.01, 0.01 * 1.5]
+
+    def test_404_is_not_retried(self):
+        with scripted_server([(404, {}, {"error": "nope"}), FULL_REPLY]) as (url, sent):
+            backend = WireBackend(fast_config(url, retries=3))
+            with pytest.raises(BackendError) as err:
+                backend.score_response(req())
+            assert err.value.status == 404
+            assert backend.retries_total == 0
+            assert sent == [404]
 
     def test_unreachable_endpoint(self):
         backend = WireBackend(WireConfig("http://127.0.0.1:1", timeout=0.2, max_retries=1, backoff=0.01))
-        with pytest.raises(requests.ConnectionError):
+        with pytest.raises(WireTransportError):
             backend.score_response(req())
+
+
+class TestTransport:
+    """Pooled keep-alive connections, observed from the server side."""
+
+    def decode_twice(self, server, jobs, retries=3):
+        backend = WireBackend(fast_config(server.url, retries=retries))
+        cfg = DecodeConfig(streams=4, max_tokens=2)
+        plan = uniform_offset_plan(32, 2, cfg.streams)
+        for _ in range(2):
+            tokens, _trace = decode("vid", "prompt", plan, backend, cfg, jobs=jobs)
+            assert tokens == [1, 1]
+        return backend
+
+    def test_decodes_reuse_at_most_jobs_connections(self):
+        with StubServer(score_handler=fixture_handler) as server:
+            self.decode_twice(server, jobs=2)
+            assert len(server.requests_seen) == 16
+            assert 1 <= server.connections <= 2
+
+    def test_retries_total_exact_under_concurrency(self):
+        with StubServer(score_handler=fixture_handler, fail_first=3) as server:
+            backend = self.decode_twice(server, jobs=4)
+            assert backend.retries_total == 3
+            assert len(server.requests_seen) == 16
+
+    @pytest.mark.parametrize("check", [True, False], ids=["readability-check", "replay-only"])
+    def test_server_closing_each_connection_silently(self, monkeypatch, check):
+        if not check:  # the stale socket is then only found when the request fails on it
+            monkeypatch.setattr(jsonhttp, "_readable", lambda sock: False)
+        with scripted_server([FULL_REPLY], close_after_reply=True) as (url, sent):
+            backend = WireBackend(fast_config(url, retries=3))
+            for _ in range(5):
+                assert np.array_equal(backend.score_response(req()).scores, (0.0, 1.0, -1.0))
+            assert backend.retries_total == 0
+            assert sent == [200] * 5
+
+    @pytest.mark.parametrize("server_closes", [False, True])
+    def test_idle_connection_is_reused_unless_the_server_closed_it(self, server_closes):
+        with scripted_server([FULL_REPLY], close_after_reply=server_closes) as (url, _sent):
+            endpoint = jsonhttp.JsonEndpoint(url, timeout=5.0)
+            endpoint.post("/v1/score", {}, {})
+            (conn,) = endpoint._idle
+            if server_closes:  # wait for the server's FIN to arrive
+                assert select.select([conn.sock], [], [], 5.0)[0]
+            assert (endpoint._take_idle() is None) == server_closes
+            conn.close()
+
+    def test_connection_class_follows_the_scheme(self):
+        secure = jsonhttp.JsonEndpoint("https://scorer.example:8443/api", timeout=1.0)._new_connection()
+        assert isinstance(secure, http.client.HTTPSConnection)
+        assert (secure.host, secure.port) == ("scorer.example", 8443)
+        plain = jsonhttp.JsonEndpoint("http://127.0.0.1:1", timeout=1.0)._new_connection()
+        assert type(plain) is http.client.HTTPConnection
+        with pytest.raises(ValueError):
+            WireBackend(WireConfig("ftp://127.0.0.1/"))
 
 
 class TestProtocolErrors:
@@ -150,6 +303,20 @@ class TestProtocolErrors:
 
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError):
+                wire_score(fast_config(server.url), req())
+
+    @pytest.mark.parametrize("scores", [[0.0, "x"], [[0.0, 1.0]], [0.0], "01", [0.0, None]])
+    def test_bad_full_scores(self, scores):
+        with StubServer(score_handler=lambda body: {"vocab_size": 2, "scores": scores}) as server:
+            with pytest.raises(WireParseError):
+                wire_score(fast_config(server.url), req())
+
+    def test_non_finite_full_scores(self):
+        def handler(body):
+            return {"vocab_size": 2, "scores": [0.0, math.nan]}
+
+        with StubServer(score_handler=handler) as server:
+            with pytest.raises(WireParseError, match="finite"):
                 wire_score(fast_config(server.url), req())
 
     def test_config_validation(self):
