@@ -15,6 +15,7 @@ power-of-two stream count is exact in IEEE754.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -50,20 +51,30 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A validated probability vector over the vocabulary.
+    """A validated probability distribution over a vocabulary of ``size`` tokens.
+
+    Dense form (the default): ``values`` is the whole probability vector.
+    Sparse form (``support`` given, with ``size``): ``values`` are the
+    probabilities of the strictly ascending token ids in ``support``, and
+    every other token has probability 0. Top-m scorer replies take the sparse
+    form, so probability-space TCD, probability mixing and greedy sampling
+    work on supports only. ``probs`` is always the dense vector: a plain
+    attribute of the dense form, built once on first read for the sparse one.
 
     ``flags`` name any lossy conversion the scorer made to produce it (for
     example ``topm_renormalized``); they travel with the distribution into
     the decode trace.
     """
 
-    probs: np.ndarray
+    values: np.ndarray
+    support: np.ndarray | None = field(default=None, kw_only=True)
+    size: int | None = field(default=None, kw_only=True)
     flags: tuple[str, ...] = field(default=(), kw_only=True)
     _logits: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
+        p = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty vector")
         if (p < 0).any():
@@ -71,9 +82,32 @@ class Distribution:
         # written so that a NaN or infinite sum fails too
         if not abs(p.sum() - 1.0) <= PROB_TOL:
             raise ValueError(f"probs sum to {p.sum()!r}, expected 1 within {PROB_TOL}")
+        if self.support is None:
+            if self.size is not None and self.size != p.size:
+                raise ValueError(f"{p.size} probabilities for a vocabulary of {self.size}")
+            object.__setattr__(self, "size", p.size)
+            object.__setattr__(self, "probs", p)
+            return
+        s = np.asarray(self.support)
+        object.__setattr__(self, "support", s)
+        if s.dtype.kind not in "iu" or s.shape != p.shape:
+            raise ValueError("support must be an integer vector as long as the values")
+        if self.size is None or self.size < 1:
+            raise ValueError("a sparse distribution needs a vocabulary size of at least 1")
+        if (s[1:] <= s[:-1]).any():
+            raise ValueError("support must be strictly ascending")
+        if s[0] < 0 or s[-1] >= self.size:
+            raise ValueError(f"support must lie in [0, {self.size})")
 
     def __len__(self) -> int:
-        return self.probs.size
+        return self.size
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The dense probability vector (set at construction for the dense form)."""
+        p = np.zeros(self.size)
+        p[self.support] = self.values
+        return p
 
     @property
     def raw_scores(self) -> np.ndarray:
@@ -93,6 +127,14 @@ class Distribution:
         dist = cls(softmax(z))
         object.__setattr__(dist, "_logits", z)
         return dist
+
+
+def _probs_at(d: Distribution, ids: np.ndarray) -> np.ndarray:
+    """``d.probs[ids]`` for ascending ``ids``, without densifying a sparse ``d``."""
+    if d.support is None:
+        return d.probs[ids]
+    at = np.minimum(np.searchsorted(d.support, ids), d.support.size - 1)
+    return np.where(d.support[at] == ids, d.values[at], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +216,22 @@ def _check_mix_args(dists: Sequence[Distribution], w: Weights) -> None:
 
 
 def mix_probs(dists: Sequence[Distribution], w: Weights) -> Distribution:
-    """Convex combination of the streams' probability vectors."""
+    """Convex combination of the streams' probability vectors.
+
+    When every stream is sparse the mixture is sparse over the union of their
+    supports, and each token's sum is the same balanced tree as in the dense
+    mixture (absent tokens add exact zeros).
+    """
     _check_mix_args(dists, w)
-    mixed = _tree_reduce([w.w[j] * d.probs for j, d in enumerate(dists)])
-    return Distribution(mixed)
+    if any(d.support is None for d in dists):
+        return Distribution(_tree_reduce([w.w[j] * d.probs for j, d in enumerate(dists)]))
+    support = np.unique(np.concatenate([d.support for d in dists]))
+    terms = []
+    for j, d in enumerate(dists):
+        term = np.zeros(support.size)
+        term[np.searchsorted(support, d.support)] = w.w[j] * d.values
+        terms.append(term)
+    return Distribution(_tree_reduce(terms), support=support, size=len(dists[0]))
 
 
 def mix_logits(dists: Sequence[Distribution], w: Weights) -> Distribution:
@@ -207,21 +261,30 @@ def tcd_adjust(pos: Distribution, neg: Distribution, cfg: TcdConfig) -> Distribu
     contrast strength and a threshold that excludes nothing the input is
     returned unchanged. If the contrast clamps every plausible token to zero
     mass, the positive stream is renormalized over the plausible set instead.
+    In probability space a sparse positive gives a sparse result on its own
+    support.
     """
     if len(pos) != len(neg):
         raise ValueError(f"vocabulary mismatch: {len(pos)} vs {len(neg)}")
     a = cfg.contrast_strength
-    plausible = pos.probs >= cfg.plausibility_threshold * pos.probs.max()
-    if a == 0.0 and plausible.all():
+    # probability space works on a sparse positive's support: every token off
+    # it has pos = 0, so its score (1+a)*0 - a*neg clamps to 0
+    on_support = cfg.space == "probability" and pos.support is not None
+    p = pos.values if on_support else pos.probs
+    cut = cfg.plausibility_threshold * p.max()
+    plausible = p >= cut
+    # tokens off a sparse support (p = 0) are plausible only when the cut is 0
+    if a == 0.0 and plausible.all() and (cut <= 0.0 or p.size == len(pos)):
         return pos
     if cfg.space == "probability":
-        scores = (1.0 + a) * pos.probs - a * neg.probs
+        n = _probs_at(neg, pos.support) if on_support else neg.probs
+        scores = (1.0 + a) * p - a * n
         scores = np.where(plausible, np.maximum(scores, 0.0), 0.0)
         total = scores.sum()
         if total <= 0.0:
-            scores = np.where(plausible, pos.probs, 0.0)
+            scores = np.where(plausible, p, 0.0)
             total = scores.sum()
-        return Distribution(scores / total)
+        return Distribution(scores / total, support=pos.support, size=len(pos))
     log_pos = np.log(np.maximum(pos.probs, _TINY))
     log_neg = np.log(np.maximum(neg.probs, _TINY))
     scores = np.where(plausible, (1.0 + a) * log_pos - a * log_neg, -np.inf)
@@ -241,6 +304,8 @@ def ritual_combine(
 
 def argmax_token(d: Distribution) -> int:
     """Index of the maximum probability; ties go to the lowest token id."""
+    if d.support is not None:
+        return int(d.support[np.argmax(d.values)])
     return int(np.argmax(d.probs))
 
 

@@ -79,10 +79,14 @@ class ScoreResponse:
                 raise ValueError("full scores must be finite")
         else:
             assert self.top is not None
-            lps = [lp for _, lp in self.top]
-            if any(a < b for a, b in zip(lps, lps[1:])):
-                raise ValueError("top pairs must be sorted by descending log-probability")
+            if not self.top:
+                raise ValueError("top responses must report at least one token")
             ids = [t for t, _ in self.top]
+            lps = np.array([lp for _, lp in self.top], dtype=np.float64)
+            if np.isnan(lps).any():
+                raise ValueError("top log-probabilities must not be NaN")
+            if (lps[1:] > lps[:-1]).any():
+                raise ValueError("top pairs must be sorted by descending log-probability")
             if len(set(ids)) != len(ids):
                 raise ValueError("top pairs contain duplicate token ids")
             if any(not 0 <= t < self.vocab_size for t in ids):
@@ -90,24 +94,33 @@ class ScoreResponse:
             mass = float(np.exp(lps).sum())
             if self.remainder is None:
                 raise ValueError("top responses must report the remainder mass")
-            if self.remainder < -1e-9 or mass - 1.0 > 1e-9:
+            if not self.remainder >= -1e-9 or mass - 1.0 > 1e-9:
                 raise ValueError("top probabilities exceed total mass 1")
+            if not mass > 0.0:
+                raise ValueError("top probabilities report no mass")
 
     def to_distribution(self) -> tuple[Distribution, tuple[str, ...]]:
         """Convert to a proper distribution; flags name any lossy conversion
         and are carried on the distribution too.
 
-        Top-m responses are exponentiated, all unreported tokens get zero,
-        and the result is renormalized (preserving the reported ordering).
+        Top-m responses become a sparse distribution on the reported tokens:
+        their probabilities are exponentiated and renormalized, and every
+        unreported token gets zero. No vocabulary-length array is built.
         """
         if self.scores is not None:
             return Distribution.from_logits(self.scores), ()
         assert self.top is not None
-        probs = np.zeros(self.vocab_size)
-        for token, lp in self.top:
-            probs[token] = np.exp(lp)
+        pairs = np.array(self.top, dtype=np.float64)
+        order = np.argsort(pairs[:, 0])
+        values = np.exp(pairs[order, 1])
         flags = ("topm_renormalized",)
-        return Distribution(probs / probs.sum(), flags=flags), flags
+        dist = Distribution(
+            values / values.sum(),
+            support=pairs[order, 0].astype(np.int64),
+            size=self.vocab_size,
+            flags=flags,
+        )
+        return dist, flags
 
 
 @runtime_checkable

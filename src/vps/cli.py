@@ -20,7 +20,7 @@ import numpy as np
 from . import eval_harness, scaling_law
 from .backends.toyworld import ToyWorld
 from .backends.wire import WireBackend, WireConfig
-from .decode_engine import DecodeConfig, decode
+from .decode_engine import decode
 from .frame_selection import BoltConfig, InfeasiblePlanError, plan_to_text, validate_plan
 
 __all__ = ["main"]
@@ -228,19 +228,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str:
-    """Re-decode the first item under the first method, recording the trace."""
-    scores = bolt_scores.get(item.video_ref) if bolt_scores else None
-    bolt = BoltConfig(tuple(scores)) if scores is not None else None
-    plan = eval_harness._build_plan(
-        args.strategy, item.total_frames, args.frames, method.streams, args.seed, bolt
-    )
-    cfg = DecodeConfig(
-        streams=method.streams,
+    """Re-decode the first item as the run decoded it under the first method,
+    recording the trace (for ``sc:J``, of its first sample)."""
+    plan, cfg, seed = eval_harness.method_decodes(
+        item,
+        method,
+        args.frames,
+        eval_harness.item_seed(args.seed, 0),
+        strategy=args.strategy,
         space=args.space,
+        temperature=args.temperature,
         max_tokens=args.max_tokens,
         stop_tokens=stop_tokens,
-    )
-    seed = int(np.random.SeedSequence([args.seed, 0]).generate_state(1)[0])
+        bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
+    )[0]
     _tokens, trace = decode(item.video_ref, eval_harness.build_prompt(item), plan, backend, cfg, seed=seed)
     return trace.to_jsonl()
 

@@ -51,6 +51,8 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "tokens_to_text",
+    "item_seed",
+    "method_decodes",
     "evaluate_item",
     "run_benchmark",
 ]
@@ -196,6 +198,45 @@ def tokens_to_text(tokens: Sequence[int], backend: Scorer) -> str:
     return "".join(to_text(t) for t in tokens)
 
 
+def _sample_decodes(
+    plan_same_frames: FrameSelectionPlan,
+    streams: int,
+    seed: int,
+    temperature: float,
+    max_tokens: int,
+    stop_tokens: frozenset[int],
+) -> list[tuple[FrameSelectionPlan, DecodeConfig, int]]:
+    """Self-consistency's decodes: one single-stream sample per stream."""
+    sets = set(plan_same_frames.sets)
+    if len(sets) != 1:
+        raise ValueError("self-consistency requires identical frame sets in every stream")
+    if plan_same_frames.streams != streams:
+        raise ValueError(f"plan has {plan_same_frames.streams} streams, expected {streams}")
+    single = FrameSelectionPlan(
+        plan_same_frames.total_frames,
+        plan_same_frames.frames_per_stream,
+        1,
+        (plan_same_frames.sets[0],),
+    )
+    cfg = DecodeConfig(streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens)
+    return [
+        (single, cfg, int(np.random.SeedSequence([seed, s]).generate_state(1)[0]))
+        for s in range(streams)
+    ]
+
+
+def _run_decodes(
+    item: EvalItem, backend: Scorer, decodes: Sequence[tuple[FrameSelectionPlan, DecodeConfig, int]]
+) -> list[str]:
+    """The text each (plan, config, seed) decode of ``item`` emits."""
+    prompt = build_prompt(item)
+    outputs = []
+    for plan, cfg, decode_seed in decodes:
+        tokens, _trace = decode(item.video_ref, prompt, plan, backend, cfg, seed=decode_seed)
+        outputs.append(tokens_to_text(tokens, backend))
+    return outputs
+
+
 def self_consistency(
     item: EvalItem,
     plan_same_frames: FrameSelectionPlan,
@@ -213,27 +254,8 @@ def self_consistency(
     from the inputs, not the voting). Sampling temperature must be positive
     for the votes to differ.
     """
-    sets = set(plan_same_frames.sets)
-    if len(sets) != 1:
-        raise ValueError("self-consistency requires identical frame sets in every stream")
-    if plan_same_frames.streams != streams:
-        raise ValueError(f"plan has {plan_same_frames.streams} streams, expected {streams}")
-    single = FrameSelectionPlan(
-        plan_same_frames.total_frames,
-        plan_same_frames.frames_per_stream,
-        1,
-        (plan_same_frames.sets[0],),
-    )
-    prompt = build_prompt(item)
-    answers: list[str | None] = []
-    for s in range(streams):
-        cfg = DecodeConfig(
-            streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens
-        )
-        sample_seed = int(np.random.SeedSequence([seed, s]).generate_state(1)[0])
-        tokens, _trace = decode(item.video_ref, prompt, single, backend, cfg, seed=sample_seed)
-        answers.append(extract_answer(tokens_to_text(tokens, backend), item.task))
-    return majority_vote(answers)
+    decodes = _sample_decodes(plan_same_frames, streams, seed, temperature, max_tokens, stop_tokens)
+    return majority_vote([extract_answer(text, item.task) for text in _run_decodes(item, backend, decodes)])
 
 
 def _is_correct(item: EvalItem, extracted: str | None) -> bool:
@@ -386,6 +408,48 @@ def _build_plan(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def item_seed(seed: int, index: int) -> int:
+    """The seed of the ``index``-th dataset item in a run seeded ``seed``."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
+def method_decodes(
+    item: EvalItem,
+    method: MethodSpec,
+    frames_per_stream: int,
+    seed: int,
+    strategy: str = "uniform",
+    space: str = "probability",
+    temperature: float = 1.0,
+    max_tokens: int = 8,
+    stop_tokens: frozenset[int] = frozenset(),
+    bolt_scores: Sequence[float] | None = None,
+) -> list[tuple[FrameSelectionPlan, DecodeConfig, int]]:
+    """The (plan, config, seed) of every decode ``method`` runs on ``item``.
+
+    A mixture method runs one greedy J-stream decode; ``sc:J`` runs J
+    single-stream samples at ``temperature`` over one frame set.
+    """
+    if method.kind == "sc":
+        plan = identical_sets_plan(item.total_frames, frames_per_stream, method.streams)
+        return _sample_decodes(plan, method.streams, seed, temperature, max_tokens, stop_tokens)
+    bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
+    plan = _build_plan(strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt)
+    cfg = DecodeConfig(
+        streams=method.streams,
+        space=space,  # type: ignore[arg-type]
+        max_tokens=max_tokens,
+        stop_tokens=stop_tokens,
+        tcd=TcdConfig() if method.tcd else None,
+        ritual_views=(
+            tuple(RITUAL_TAG_POOL[j % len(RITUAL_TAG_POOL)] for j in range(method.streams))
+            if method.ritual
+            else None
+        ),
+    )
+    return [(plan, cfg, seed)]
+
+
 def evaluate_item(
     item: EvalItem,
     method: MethodSpec,
@@ -404,30 +468,15 @@ def evaluate_item(
     ``temperature`` only applies to the self-consistency samples; mixture
     methods decode greedily from the fused distribution.
     """
-    if method.kind == "sc":
-        plan = identical_sets_plan(item.total_frames, frames_per_stream, method.streams)
-        extracted = self_consistency(
-            item, plan, backend, method.streams, seed,
-            temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens,
-        )
-        return MethodResult(item.id, method.tag, raw_output="", extracted=extracted)
-    bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
-    plan = _build_plan(strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt)
-    cfg = DecodeConfig(
-        streams=method.streams,
-        space=space,  # type: ignore[arg-type]
-        max_tokens=max_tokens,
-        stop_tokens=stop_tokens,
-        tcd=TcdConfig() if method.tcd else None,
-        ritual_views=(
-            tuple(RITUAL_TAG_POOL[j % len(RITUAL_TAG_POOL)] for j in range(method.streams))
-            if method.ritual
-            else None
-        ),
+    decodes = method_decodes(
+        item, method, frames_per_stream, seed, strategy=strategy, space=space, temperature=temperature,
+        max_tokens=max_tokens, stop_tokens=stop_tokens, bolt_scores=bolt_scores,
     )
-    tokens, _trace = decode(item.video_ref, build_prompt(item), plan, backend, cfg, seed=seed)
-    raw = tokens_to_text(tokens, backend)
-    return MethodResult(item.id, method.tag, raw_output=raw, extracted=extract_answer(raw, item.task))
+    outputs = _run_decodes(item, backend, decodes)
+    if method.kind == "sc":
+        extracted = majority_vote([extract_answer(text, item.task) for text in outputs])
+        return MethodResult(item.id, method.tag, raw_output="", extracted=extracted)
+    return MethodResult(item.id, method.tag, raw_output=outputs[0], extracted=extract_answer(outputs[0], item.task))
 
 
 def run_benchmark(
@@ -457,13 +506,12 @@ def run_benchmark(
 
         def one(indexed_item: tuple[int, EvalItem]) -> MethodResult:
             idx, item = indexed_item
-            item_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
             return evaluate_item(
                 item,
                 method,
                 counter,
                 frames_per_stream,
-                item_seed,
+                item_seed(seed, idx),
                 strategy=strategy,
                 space=space,
                 temperature=temperature,

@@ -19,6 +19,8 @@ from vps.aggregation import (
     softmax,
     tcd_adjust,
 )
+from vps.backends import ScoreResponse
+from vps.decode_engine import _truncate
 
 
 def random_dist(rng, size):
@@ -37,6 +39,24 @@ class TestDistribution:
             Distribution([math.nan] * 3)
         with pytest.raises(ValueError):
             Distribution([math.inf, 0.0])
+        for support, size in [
+            ([3, 1], 5),  # unsorted
+            ([1, 1], 5),  # duplicated
+            ([1, 5], 5),  # past the vocabulary
+            ([-1, 2], 5),  # negative
+            ([1, 2, 3], 5),  # longer than the values
+            ([0, 1], 0),  # empty vocabulary
+            ([0, 1], None),  # no vocabulary size
+            ([0.0, 1.0], 5),  # not token ids
+        ]:
+            with pytest.raises(ValueError):
+                Distribution([0.5, 0.5], support=support, size=size)
+
+    def test_sparse_probs_are_the_dense_vector(self):
+        d = Distribution([0.25, 0.75], support=[1, 3], size=5)
+        assert np.array_equal(d.probs, [0.0, 0.25, 0.0, 0.75, 0.0])
+        assert d.probs is d.probs  # built once
+        assert len(d) == 5
 
     def test_logit_construction_consistent(self):
         d = Distribution.from_logits([1.0, -2.0, 0.3])
@@ -337,3 +357,105 @@ class TestArgmaxAndSampling:
                 a = mix_probs(dists, Weights.normalized(raw))
                 b = mix_probs(dists, Weights.normalized(c * raw))
                 assert argmax_token(a) == argmax_token(b)
+
+
+@st.composite
+def top_m_replies(draw, size):
+    """A sparse distribution from a random top-m reply over ``size`` tokens;
+    weights are drawn from a few integers too, so ties and zeros occur."""
+    m = draw(st.integers(1, min(30, size)))
+    ids = draw(st.permutations(range(size)))[:m]
+    weight = st.one_of(st.integers(0, 3).map(float), st.floats(1e-3, 3.0))
+    weights = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
+    remainder = draw(weight)
+    total = sum(weights) + remainder
+    lps = sorted((math.log(w / total) if w else -math.inf for w in weights), reverse=True)
+    return ScoreResponse(size, top=tuple(zip(ids, lps)), remainder=remainder / total).to_distribution()[0]
+
+
+@st.composite
+def streams(draw, max_streams=8):
+    """Sparse streams over one vocabulary, some given densely to test mixed inputs."""
+    size = draw(st.integers(1, 64))
+    dists = draw(st.lists(top_m_replies(size), min_size=1, max_size=max_streams))
+    return [dense(d) if draw(st.booleans()) else d for d in dists], draw(st.booleans())
+
+
+def dense(d):
+    return Distribution(d.probs)
+
+
+def assert_same(sparse_out, dense_out):
+    assert argmax_token(sparse_out) == argmax_token(dense_out)
+    assert np.abs(sparse_out.probs - dense_out.probs).max() <= 1e-13
+
+
+strengths = st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99)
+thresholds = st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestSparseMatchesDense:
+    """Every operation on the sparse form agrees with the same operation on
+    its dense vector."""
+
+    @given(st.data(), strengths, thresholds, st.sampled_from(["probability", "log"]))
+    @settings(max_examples=200, deadline=None)
+    def test_tcd_adjust(self, data, a, beta, space):
+        size = data.draw(st.integers(1, 64))
+        pos, neg = data.draw(top_m_replies(size)), data.draw(top_m_replies(size))
+        cfg = TcdConfig(a, beta, space)
+        reference = tcd_adjust(dense(pos), dense(neg), cfg)
+        for p, n in [(pos, neg), (pos, dense(neg)), (dense(pos), neg)]:
+            assert_same(tcd_adjust(p, n, cfg), reference)
+        out = tcd_adjust(pos, neg, cfg)
+        if a == 0.0 and beta == 0.0:
+            assert out is pos
+        if space == "probability":
+            assert out.support is not None and set(out.support) <= set(pos.support)
+
+    @given(streams(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_mixing(self, drawn, pyrandom):
+        dists, zero_weight = drawn
+        raw = [pyrandom.random() + 1e-3 for _ in dists]
+        if zero_weight and len(raw) > 1:
+            raw[0] = 0.0
+        w = Weights.normalized(raw)
+        for mix in (mix_probs, mix_logits):
+            assert_same(mix(dists, w), mix([dense(d) for d in dists], w))
+        if all(d.support is not None for d in dists):
+            assert mix_probs(dists, w).support is not None
+
+    @given(st.data(), st.sampled_from(["probability", "logit"]))
+    @settings(max_examples=100, deadline=None)
+    def test_ritual_combine(self, data, space):
+        size = data.draw(st.integers(1, 64))
+        a, b = data.draw(top_m_replies(size)), data.draw(top_m_replies(size))
+        assert_same(ritual_combine(a, b, space), ritual_combine(dense(a), dense(b), space))
+
+    @given(st.data(), st.sampled_from([0.0, 0.7]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_token(self, data, temperature, seed):
+        d = data.draw(top_m_replies(data.draw(st.integers(1, 64))))
+        assert sample_token(d, temperature, seed) == sample_token(dense(d), temperature, seed)
+
+    @given(st.data(), st.sampled_from([-1, 0, 1, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_truncate(self, data, offset):
+        d = data.draw(top_m_replies(data.draw(st.integers(1, 64))))
+        top_m = max(1, len(d.support) + offset)  # below, equal to and above the support size
+        probs, top = _truncate(d, top_m)
+        dense_probs, dense_top = _truncate(dense(d), top_m)
+        assert top == dense_top
+        assert (probs is None) == (dense_probs is None)
+        if probs is not None:
+            assert np.array_equal(probs, dense_probs)
+
+    @pytest.mark.parametrize("J", [2, 4, 8])
+    def test_identical_streams_mix_exactly(self, J):
+        d = ScoreResponse(
+            50, top=((7, math.log(0.5)), (3, math.log(0.3)), (41, math.log(0.15))), remainder=0.05
+        ).to_distribution()[0]
+        out = mix_probs([d] * J, Weights.uniform(J))
+        assert np.array_equal(out.support, d.support)
+        assert np.array_equal(out.values, d.values)

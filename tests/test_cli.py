@@ -95,6 +95,27 @@ class TestRunCommand:
         text = (out / "trace.jsonl").read_text()
         assert DecodeTrace.from_jsonl(text).to_jsonl() == text
 
+    @pytest.mark.parametrize("method", ["vps:2+tcd+ritual", "sc:2"])
+    def test_trace_records_the_runs_own_first_decode(self, tmp_path, monkeypatch, method):
+        from vps import eval_harness
+
+        traces = []
+        run_decode = eval_harness.decode
+
+        def recording_decode(*args, **kwargs):
+            tokens, trace = run_decode(*args, **kwargs)
+            traces.append(trace)
+            return tokens, trace
+
+        monkeypatch.setattr(eval_harness, "decode", recording_decode)
+        out = tmp_path / "run"
+        assert main([
+            "run", "--backend", "toy", "--toy-episodes", "3", "--methods", method, "--k", "4",
+            "--max-tokens", "2", "--seed", "5", "--jobs", "1", "--out-dir", str(out), "--trace",
+        ]) == 0
+        # with one job, the run's first decode is item 0's (for sc:2, its first sample)
+        assert (out / "trace.jsonl").read_text() == traces[0].to_jsonl()
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         assert main([
             "run", "--backend", "toy", "--toy-episodes", "0",

@@ -7,6 +7,7 @@ import math
 import select
 import threading
 import types
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -318,6 +319,23 @@ class TestProtocolErrors:
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError, match="finite"):
                 wire_score(fast_config(server.url), req())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"vocab_size": 4, "top": [[0, math.nan], [1, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [], "remainder": 1.0},
+            {"vocab_size": 4, "top": [[0, -math.inf], [1, -math.inf]], "remainder": 1.0},
+        ],
+        ids=["nan-logprob", "empty-top", "no-mass"],
+    )
+    def test_malformed_top_replies_fail_at_the_boundary(self, payload):
+        # the stub sends NaN and -Infinity literals, which json.loads accepts
+        with StubServer(score_handler=lambda body: payload) as server:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(WireParseError):
+                    WireBackend(fast_config(server.url)).score(req(top_m=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
