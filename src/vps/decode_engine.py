@@ -215,22 +215,10 @@ def negative_view(frame_set: Sequence[int], scheme: str = "interleaved_zero") ->
 
 
 def _truncate(dist: Distribution, top_m: int | None) -> tuple[np.ndarray | None, tuple[tuple[int, float], ...] | None]:
-    """The dense vector, or the ``top_m`` (token, prob) pairs by descending
-    probability with ties to the lowest id."""
     if top_m is None or top_m >= len(dist):
         return dist.probs, None
-    if dist.support is None:
-        order = np.argsort(-dist.probs, kind="stable")[:top_m]
-        return None, tuple((int(t), float(dist.probs[t])) for t in order)
-    ids, values = dist.support, dist.values
-    positive = np.flatnonzero(values > 0.0)
-    order = positive[np.argsort(-values[positive], kind="stable")][:top_m]
-    top = [(int(ids[i]), float(values[i])) for i in order]
-    if len(top) < top_m:
-        # pad with the lowest-id zero-probability tokens, as the dense sort does
-        zeros = np.setdiff1d(np.arange(top_m), ids[positive])[: top_m - len(top)]
-        top.extend((int(t), 0.0) for t in zeros)
-    return None, tuple(top)
+    order = np.argsort(-dist.probs, kind="stable")[:top_m]
+    return None, tuple((int(t), float(dist.probs[t])) for t in order)
 
 
 def _step_seed(seed: int, index: int) -> int:

@@ -237,6 +237,11 @@ def _run_decodes(
     return outputs
 
 
+def _vote(item: EvalItem, outputs: Sequence[str]) -> str | None:
+    """The majority answer extracted from the sampled decodes' texts."""
+    return majority_vote([extract_answer(text, item.task) for text in outputs])
+
+
 def self_consistency(
     item: EvalItem,
     plan_same_frames: FrameSelectionPlan,
@@ -255,7 +260,8 @@ def self_consistency(
     for the votes to differ.
     """
     decodes = _sample_decodes(plan_same_frames, streams, seed, temperature, max_tokens, stop_tokens)
-    return majority_vote([extract_answer(text, item.task) for text in _run_decodes(item, backend, decodes)])
+    return _vote(item, _run_decodes(item, backend, decodes))
+
 
 
 def _is_correct(item: EvalItem, extracted: str | None) -> bool:
@@ -474,8 +480,7 @@ def evaluate_item(
     )
     outputs = _run_decodes(item, backend, decodes)
     if method.kind == "sc":
-        extracted = majority_vote([extract_answer(text, item.task) for text in outputs])
-        return MethodResult(item.id, method.tag, raw_output="", extracted=extracted)
+        return MethodResult(item.id, method.tag, raw_output="", extracted=_vote(item, outputs))
     return MethodResult(item.id, method.tag, raw_output=outputs[0], extracted=extract_answer(outputs[0], item.task))
 
 

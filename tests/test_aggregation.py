@@ -20,7 +20,6 @@ from vps.aggregation import (
     tcd_adjust,
 )
 from vps.backends import ScoreResponse
-from vps.decode_engine import _truncate
 
 
 def random_dist(rng, size):
@@ -438,18 +437,6 @@ class TestSparseMatchesDense:
     def test_sample_token(self, data, temperature, seed):
         d = data.draw(top_m_replies(data.draw(st.integers(1, 64))))
         assert sample_token(d, temperature, seed) == sample_token(dense(d), temperature, seed)
-
-    @given(st.data(), st.sampled_from([-1, 0, 1, 40]))
-    @settings(max_examples=200, deadline=None)
-    def test_truncate(self, data, offset):
-        d = data.draw(top_m_replies(data.draw(st.integers(1, 64))))
-        top_m = max(1, len(d.support) + offset)  # below, equal to and above the support size
-        probs, top = _truncate(d, top_m)
-        dense_probs, dense_top = _truncate(dense(d), top_m)
-        assert top == dense_top
-        assert (probs is None) == (dense_probs is None)
-        if probs is not None:
-            assert np.array_equal(probs, dense_probs)
 
     @pytest.mark.parametrize("J", [2, 4, 8])
     def test_identical_streams_mix_exactly(self, J):
