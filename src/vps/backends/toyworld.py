@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +31,16 @@ class ToyWorld:
     ``emission[z, s]`` is the probability that label ``z`` emits frame symbol
     ``s``. ``answer_tokens[z]`` is the vocabulary token that answers an
     episode whose hidden label is ``z``; ``vocab`` maps every token id to its
-    surface text.
+    surface text. ``log_prior`` and ``log_emission`` are their logarithms
+    (``-inf`` where zero), computed once at construction.
     """
 
     emission: np.ndarray
     prior: np.ndarray
     answer_tokens: tuple[int, ...]
     vocab: tuple[str, ...]
+    log_prior: np.ndarray = field(init=False, repr=False)
+    log_emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         em = np.asarray(self.emission, dtype=np.float64)
@@ -54,6 +57,9 @@ class ToyWorld:
             raise ValueError("need one answer token per label")
         if any(not 0 <= t < len(self.vocab) for t in self.answer_tokens):
             raise ValueError("answer token outside the vocabulary")
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "log_prior", np.log(pr))
+            object.__setattr__(self, "log_emission", np.log(em))
 
     @property
     def n_labels(self) -> int:
@@ -91,9 +97,8 @@ def toy_posterior(world: ToyWorld, observed: Sequence[tuple[int, int]]) -> Distr
     matter for bookkeeping. Raises if the observations have zero likelihood
     under every label.
     """
-    with np.errstate(divide="ignore"):
-        log_post = np.log(world.prior)
-        log_em = np.log(world.emission)
+    log_post = world.log_prior
+    log_em = world.log_emission
     for _slot, symbol in observed:
         if not 0 <= symbol < world.n_symbols:
             raise ValueError(f"symbol {symbol} outside emission support")
@@ -157,6 +162,7 @@ class ToyBackend:
     def __init__(self, world: ToyWorld) -> None:
         self.world = world
         self._episodes: dict[str, ToyEpisode] = {}
+        self._augmented: dict[str, tuple[np.ndarray, ToyWorld]] = {}
 
     def add_episode(self, episode: ToyEpisode) -> str:
         self._episodes[episode.video_ref] = episode
@@ -167,12 +173,16 @@ class ToyBackend:
 
     def _augment(self, frames: dict[int, int], tag: str) -> tuple[ToyWorld, dict[int, int]]:
         # permutation derived from the tag; the model "knows" the augmentation,
-        # so the same permutation reindexes the emission columns
-        perm = np.random.default_rng(zlib.crc32(tag.encode())).permutation(self.world.n_symbols)
-        permuted = {slot: int(perm[s]) for slot, s in frames.items()}
-        emission = self.world.emission[:, np.argsort(perm)]
-        world = ToyWorld(emission, self.world.prior, self.world.answer_tokens, self.world.vocab)
-        return world, permuted
+        # so the same permutation reindexes the emission columns. Both are
+        # built once per tag; concurrent first queries build equal copies.
+        view = self._augmented.get(tag)
+        if view is None:
+            perm = np.random.default_rng(zlib.crc32(tag.encode())).permutation(self.world.n_symbols)
+            emission = self.world.emission[:, np.argsort(perm)]
+            world = ToyWorld(emission, self.world.prior, self.world.answer_tokens, self.world.vocab)
+            view = self._augmented.setdefault(tag, (perm, world))
+        perm, world = view
+        return world, {slot: int(perm[s]) for slot, s in frames.items()}
 
     def score(self, req: ScoreRequest) -> Distribution:
         if req.generated:

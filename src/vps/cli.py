@@ -1,8 +1,12 @@
 """Operator surface: plan generation, benchmark runs, simulation, fitting.
 
-Exit codes: 0 success, 1 runtime failure (partial results are preserved),
-2 usage or validation error. Every command is deterministic given --seed and
-an offline backend, and all output files are written atomically.
+Exit codes: 0 success, 1 runtime failure, 2 usage or validation error. When
+some item x method decodes of ``vps run`` fail, the run goes on and exits 1
+with partial results preserved: ``results.jsonl`` and the tables hold every
+evaluation (a failed one has ``extracted: null`` and an ``error``), and
+``summary.json`` lists the failures under ``failed``. Every command is
+deterministic given --seed and an offline backend, and all output files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -170,7 +174,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    status = 0
     try:
         results, audit = eval_harness.run_benchmark(
             items,
@@ -219,7 +222,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         "backend_calls": audit,
         "description_metrics": desc_rows,
     }
+    failed = [
+        {"item_id": r.item_id, "method": r.method, "error": r.error} for r in results if r.error is not None
+    ]
+    if failed:
+        summary["failed"] = failed
     _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    status = 0
+    if failed:
+        print(
+            f"run failed: {len(failed)} of {len(results)} item x method evaluations failed "
+            f"(listed in {out_dir / 'summary.json'})",
+            file=sys.stderr,
+        )
+        status = 1
 
     if args.trace:
         trace_text = _example_trace(items[0], methods[0], backend, args, stop_tokens, bolt_scores)

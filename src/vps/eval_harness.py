@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import CallCounter, Scorer
-from .decode_engine import DecodeConfig, decode
+from .decode_engine import DecodeConfig, DecodeError, decode
 from .frame_selection import (
     FrameSelectionPlan,
     bolt_plan,
@@ -112,25 +112,31 @@ class EvalItem:
 
 @dataclass(frozen=True)
 class MethodResult:
-    """One method's output on one item, with extracted answer and scores."""
+    """One method's output on one item, with extracted answer and scores.
+
+    ``error`` is set when a decode failed: the backend exception's class,
+    the stream and role of the failed query, and its message; ``extracted``
+    is then None.
+    """
 
     item_id: str
     method: str
     raw_output: str
     extracted: str | None
     scores: dict[str, float] = field(default_factory=dict)
+    error: dict[str, object] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "item_id": self.item_id,
-                "method": self.method,
-                "raw_output": self.raw_output,
-                "extracted": self.extracted,
-                "scores": self.scores,
-            },
-            sort_keys=True,
-        )
+        record = {
+            "item_id": self.item_id,
+            "method": self.method,
+            "raw_output": self.raw_output,
+            "extracted": self.extracted,
+            "scores": self.scores,
+        }
+        if self.error is not None:
+            record["error"] = self.error
+        return json.dumps(record, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "MethodResult":
@@ -141,6 +147,7 @@ class MethodResult:
             raw_output=raw["raw_output"],
             extracted=raw["extracted"],
             scores=dict(raw["scores"]),
+            error=raw.get("error"),
         )
 
 
@@ -279,8 +286,8 @@ def accuracy(
 ) -> dict[str, dict[str, float]]:
     """Fraction correct per method, per category and overall.
 
-    Unparseable outputs count as incorrect; the denominator is always the
-    number of scored items.
+    Unparseable outputs and failed decodes count as incorrect; the
+    denominator is always the number of scored items.
     """
     by_id = {item.id: item for item in items}
     table: dict[str, dict[str, list[bool]]] = {}
@@ -503,6 +510,9 @@ def run_benchmark(
     Items run independently (optionally in parallel); results are ordered by
     (method, item) regardless of schedule. The audit maps each method tag to
     the number of backend calls it issued, for compute-matched comparisons.
+    A decode that fails (:class:`DecodeError`) fails only its item x method:
+    its result carries the ``error`` and the run goes on. Any other exception
+    aborts the run.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
@@ -511,19 +521,29 @@ def run_benchmark(
 
         def one(indexed_item: tuple[int, EvalItem]) -> MethodResult:
             idx, item = indexed_item
-            return evaluate_item(
-                item,
-                method,
-                counter,
-                frames_per_stream,
-                item_seed(seed, idx),
-                strategy=strategy,
-                space=space,
-                temperature=temperature,
-                max_tokens=max_tokens,
-                stop_tokens=stop_tokens,
-                bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
-            )
+            try:
+                return evaluate_item(
+                    item,
+                    method,
+                    counter,
+                    frames_per_stream,
+                    item_seed(seed, idx),
+                    strategy=strategy,
+                    space=space,
+                    temperature=temperature,
+                    max_tokens=max_tokens,
+                    stop_tokens=stop_tokens,
+                    bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
+                )
+            except DecodeError as exc:
+                step = exc.cause
+                error = {
+                    "type": type(step.cause).__name__,
+                    "stream": step.stream_id,
+                    "role": step.role,
+                    "message": str(step.cause),
+                }
+                return MethodResult(item.id, method.tag, raw_output="", extracted=None, error=error)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:

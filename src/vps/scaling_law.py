@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "ScalingParams",
@@ -409,8 +408,11 @@ def fit_params(
     entropy, capacity term, and correlation cannot all be identified from it:
     ``mode="streams"`` requires at least one of them in ``fixed``.
     Deterministic multi-start: a correlation grid with linear initialization
-    of the remaining coefficients.
+    of the remaining coefficients. SciPy is imported here, on first use, so
+    importing ``vps`` does not load it.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(losses, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:

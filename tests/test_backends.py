@@ -8,6 +8,7 @@ import pytest
 from vps.aggregation import Distribution, Weights, argmax_token, mix_probs
 from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest, ScoreResponse
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode, toy_posterior
+from vps.eval_harness import RITUAL_TAG_POOL
 
 
 def req(frame_set=(0, 16, 32, 48), view="identity", generated=(), video_ref="v", top_m=None):
@@ -210,6 +211,36 @@ class TestToyBackend:
             req(frame_set=(0, 4), view="aug:hflip", video_ref=self.episode.video_ref)
         )
         assert np.allclose(identity.probs, augmented.probs, atol=1e-12)
+
+    def test_augmented_views_score_exactly_like_identity(self):
+        # distinct emission entries, so a wrong column permutation shows
+        emission = np.random.default_rng(3).dirichlet(np.ones(6), size=3)
+        emission /= emission.sum(axis=1, keepdims=True)
+        world = ToyWorld(emission, np.array([0.5, 0.3, 0.2]), (0, 1, 2), ("A", "B", "C", "</s>"))
+        backend = ToyBackend(world)
+        episode = toy_episode(world, 16, seed=4)
+        backend.add_episode(episode)
+        frame_set = (0, 3, 5, 9, 14)
+        identity = backend.score(req(frame_set=frame_set, video_ref=episode.video_ref))
+        for tag in RITUAL_TAG_POOL:
+            augmented = backend.score(req(frame_set=frame_set, view=f"aug:{tag}", video_ref=episode.video_ref))
+            assert np.array_equal(augmented.probs, identity.probs), tag
+
+    def test_augmented_view_tables_are_built_once_per_tag(self, monkeypatch):
+        built = []
+        post_init = ToyWorld.__post_init__
+
+        def counting_post_init(world):
+            built.append(world)
+            post_init(world)
+
+        monkeypatch.setattr(ToyWorld, "__post_init__", counting_post_init)
+        query = req(frame_set=(0, 4), view="aug:hflip", video_ref=self.episode.video_ref)
+        first = self.backend.score(query)
+        assert len(built) == 1
+        second = self.backend.score(query)
+        assert len(built) == 1
+        assert np.array_equal(first.probs, second.probs)
 
     def test_emits_stop_after_answer(self):
         out = self.backend.score(

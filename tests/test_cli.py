@@ -158,6 +158,61 @@ class TestRunCommand:
             "--k", "2", "--out-dir", str(tmp_path / "x"),
         ]) == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_item_keeps_partial_results(self, tmp_path, monkeypatch, capsys, jobs):
+        from vps import cli
+
+        build_toy = cli._build_toy
+
+        class FailingScorer:
+            """The toy backend, except that one video's queries fail."""
+
+            def __init__(self, backend, bad_ref):
+                self.backend, self.bad_ref = backend, bad_ref
+
+            def score(self, req):
+                if req.video_ref == self.bad_ref:
+                    raise ConnectionError("scorer down")
+                return self.backend.score(req)
+
+            def token_text(self, token):
+                return self.backend.token_text(token)
+
+        def failing_toy(args):
+            items, backend, stop_tokens = build_toy(args)
+            return items, FailingScorer(backend, items[1].video_ref), stop_tokens
+
+        argv = [
+            "run", "--backend", "toy", "--toy-episodes", "4", "--methods", "baseline,vps:2",
+            "--k", "4", "--seed", "3", "--jobs", jobs,
+        ]
+        monkeypatch.setattr(cli, "_build_toy", failing_toy)
+        out = tmp_path / "partial"
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert "2 of 8 item x method evaluations failed" in capsys.readouterr().err
+        monkeypatch.undo()
+        clean = tmp_path / "clean"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+
+        error = {"type": "ConnectionError", "stream": 0, "role": "positive", "message": "scorer down"}
+        partial_lines = (out / "results.jsonl").read_text().splitlines()
+        clean_lines = (clean / "results.jsonl").read_text().splitlines()
+        assert len(partial_lines) == len(clean_lines) == 8
+        failed = []
+        for partial, full in zip(partial_lines, clean_lines):
+            record = json.loads(partial)
+            if record["item_id"] == "toy-00001":
+                assert record["extracted"] is None and record["error"] == error
+                failed.append({"item_id": record["item_id"], "method": record["method"], "error": error})
+            else:
+                assert partial == full
+        assert [f["method"] for f in failed] == ["baseline", "vps:2"]
+        assert json.loads((out / "summary.json").read_text())["failed"] == failed
+        assert read_csv(out / "accuracy.csv")[0] == ["method", "toy", "overall"]
+        # a run without failures writes neither key
+        assert "failed" not in json.loads((clean / "summary.json").read_text())
+        assert not any("error" in json.loads(line) for line in clean_lines)
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         outs = []
         for jobs, name in ((1, "serial"), (4, "parallel")):

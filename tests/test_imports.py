@@ -1,4 +1,5 @@
-"""Runtime dependencies: the HTTP clients run on the standard library alone."""
+"""Runtime dependencies: the HTTP clients run on the standard library alone,
+and only the loss-model fit loads SciPy."""
 
 import os
 import subprocess
@@ -10,11 +11,8 @@ import vps
 SRC = Path(vps.__file__).resolve().parent.parent
 
 
-def test_importing_vps_does_not_import_requests():
-    code = (
-        "import sys, vps, vps.cli, vps.backends.wire, vps.metrics\n"
-        "print(sorted(m for m in sys.modules if m == 'requests' or m.startswith('requests.')))\n"
-    )
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout; its stdout."""
     path = os.pathsep.join([str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -24,4 +22,30 @@ def test_importing_vps_does_not_import_requests():
         timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_importing_vps_does_not_import_requests():
+    code = (
+        "import sys, vps, vps.cli, vps.backends.wire, vps.metrics\n"
+        "print(sorted(m for m in sys.modules if m == 'requests' or m.startswith('requests.')))\n"
+    )
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_only_the_fit_loads_scipy():
+    code = (
+        "import sys\n"
+        "import vps, vps.cli, vps.decode_engine, vps.eval_harness, vps.scaling_law\n"
+        "import vps.backends.toyworld, vps.backends.wire\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert vps.cli.main(['simulate', '--samples', '2000', '--streams', '1,2']) == 0\n"
+        "print(scipy_modules())\n"
+        "fit = vps.scaling_law.fit_params([1, 2, 4], [1.5, 1.25, 1.125], fixed={'correlation': 0.0})\n"
+        "assert fit.cost < 1e-20, fit.cost\n"
+        "print('scipy' in scipy_modules())\n"
+    )
+    before_fit, after_fit = run_fresh(code).splitlines()[-2:]
+    assert before_fit == "[]"
+    assert after_fit == "True"
