@@ -91,13 +91,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         bolt = BoltConfig(tuple(float(s) for s in scores), sharpen_exponent=args.sharpen)
         if args.total_frames and args.total_frames != len(scores):
             raise UsageError(f"--T {args.total_frames} but {len(scores)} scores given")
-    try:
-        plan = eval_harness._build_plan(
-            args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt
-        )
-    except InfeasiblePlanError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+    plan = eval_harness._build_plan(args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt)
 
     text = plan_to_text(plan)
     if args.out:
@@ -118,6 +112,8 @@ def _build_toy(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.frames < 1 or args.max_tokens < 1:
+        raise UsageError("--k and --max-tokens must be positive")
     config = _load_config(args.config)
     endpoint = args.endpoint or config.get("endpoint")
 
@@ -165,11 +161,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if not items:
         raise UsageError("dataset is empty")
+    widest = max(m.streams for m in methods)
     for item in items:
-        if methods and max(m.streams for m in methods) * args.frames > item.total_frames:
+        if widest * args.frames > item.total_frames:
             raise UsageError(
-                f"item {item.id}: {max(m.streams for m in methods)} streams x "
-                f"{args.frames} frames exceed its {item.total_frames} total frames"
+                f"item {item.id}: {widest} streams x {args.frames} frames exceed its {item.total_frames} total frames"
             )
 
     out_dir = Path(args.out_dir)
@@ -305,22 +301,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)  # header row
-            data = [(float(row[0]), float(row[1])) for row in reader if row]
+            data = [(float(x), float(loss)) for x, loss in (row[:2] for row in reader if row)]
     except (OSError, ValueError, StopIteration) as exc:
         raise UsageError(f"cannot read fit input {args.input}: {exc}") from exc
     fixed = {}
     for pair in args.fix or []:
         name, _, value = pair.partition("=")
-        if not value:
-            raise UsageError(f"--fix expects name=value, got {pair!r}")
-        fixed[name] = float(value)
-    xs = [x for x, _ in data]
-    losses = [y for _, y in data]
+        try:
+            fixed[name] = float(value)
+        except ValueError:
+            raise UsageError(f"--fix expects name=value with a number, got {pair!r}") from None
     try:
-        result = scaling_law.fit_params(xs, losses, mode=args.mode, fixed=fixed)
+        result = scaling_law.fit_params([x for x, _ in data], [y for _, y in data], mode=args.mode, fixed=fixed)
     except scaling_law.FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # non-finite input or an unknown --fix name
+        raise UsageError(str(exc)) from exc
     p = result.params
     payload = {
         "mode": result.mode,

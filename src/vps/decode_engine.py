@@ -12,7 +12,7 @@ regardless of thread count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -238,7 +238,9 @@ def step(
 
     Backend queries may run on ``executor``; aggregation waits for all of
     them (the mixture is synchronous) and reduces in ascending stream order.
-    A failed query aborts the step with no token appended anywhere.
+    A failed query aborts the step with no token appended anywhere: the
+    first failure in query order is raised once the queries already running
+    have finished, and queries not yet started are dropped.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -265,23 +267,18 @@ def step(
                 flags[s.stream_id].append("tcd_negative_degenerate")
             queries.append((s.stream_id, "negative", ScoreRequest(view=neg, **base)))
 
-    def run(q: tuple[int, str, ScoreRequest]) -> Distribution | Exception:
-        try:
-            return backend.score(q[2])
-        except Exception as exc:  # noqa: BLE001 - surfaced as StepError below
-            return exc
-
-    if executor is not None:
-        outcomes = list(executor.map(run, queries))
-    else:
-        outcomes = [run(q) for q in queries]
-
+    futures = [executor.submit(backend.score, req) for _, _, req in queries] if executor is not None else []
     results: dict[tuple[int, str], Distribution] = {}
-    for (stream_id, role, _req), outcome in zip(queries, outcomes):
-        if isinstance(outcome, Exception):
-            raise StepError(stream_id, role, outcome)
-        results[(stream_id, role)] = outcome
-        flags[stream_id].extend(outcome.flags)
+    for k, (stream_id, role, req) in enumerate(queries):
+        try:
+            dist = futures[k].result() if futures else backend.score(req)
+        except Exception as exc:  # noqa: BLE001 - surfaced as StepError
+            for future in futures:
+                future.cancel()
+            wait(futures)  # the queries already running finish before the step returns
+            raise StepError(stream_id, role, exc) from exc
+        results[(stream_id, role)] = dist
+        flags[stream_id].extend(dist.flags)
 
     per_stream: list[Distribution] = []
     for s in streams:

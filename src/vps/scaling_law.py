@@ -369,26 +369,83 @@ class FitResult:
         return p.irreducible_entropy + p.capacity_coeff / float(x) ** p.capacity_exponent + p.mean_bias
 
 
-def _model_streams(coeffs: Mapping[str, float], J: np.ndarray) -> np.ndarray:
-    return _mixture_loss(*(coeffs[f] for f in _STREAM_FIELDS), J)
-
-
-def _model_size(coeffs: Mapping[str, float], N: np.ndarray) -> np.ndarray:
-    return (
-        coeffs["irreducible_entropy"]
-        + coeffs["capacity_coeff"] / N ** coeffs["capacity_exponent"]
-        + coeffs["mean_bias"]
-    )
-
-
+# bounds of the fields solved linearly
 _BOUNDS = {
     "irreducible_entropy": (0.0, np.inf),
     "capacity_term": (1e-300, np.inf),
     "capacity_coeff": (1e-300, np.inf),
-    "capacity_exponent": (1e-6, np.inf),
     "correlation": (0.0, 1.0),
-    "mean_bias": (0.0, np.inf),
 }
+
+
+def _box_lstsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact argmin of ||design @ c - target|| over the box lo <= c <= hi: the problem is convex, so
+    the unconstrained solution if feasible, else the best solve on a face (a coordinate at a bound)."""
+    sol = np.linalg.lstsq(design, target, rcond=None)[0]
+    if ((lo <= sol) & (sol <= hi)).all():
+        return sol
+    faces = []
+    for i in range(sol.size):
+        rest = np.arange(sol.size) != i
+        for bound in filter(np.isfinite, (lo[i], hi[i])):
+            c = np.full(sol.size, bound)
+            c[rest] = _box_lstsq(design[:, rest], target - bound * design[:, i], lo[rest], hi[rest])
+            faces.append((np.nan_to_num(np.square(design @ c - target).sum(), nan=np.inf), c))
+    return min(faces, key=lambda face: face[0])[1]
+
+
+def _linear_fit(columns: Mapping[str, np.ndarray], target: np.ndarray, pinned: Mapping[str, float]) -> tuple:
+    """Bounded least squares of ``target`` on ``columns`` (field -> basis vector),
+    the fields in ``pinned`` held at their value: the fields and the sum of squares."""
+    design = np.column_stack(list(columns.values()))
+    if not np.isfinite(design).all():
+        return dict.fromkeys(columns, np.nan), np.inf
+    lo, hi = np.array([(pinned[f],) * 2 if f in pinned else _BOUNDS[f] for f in columns]).T
+    sol = _box_lstsq(design, target, lo, hi)
+    return dict(zip(columns, sol.tolist())), float(np.nan_to_num(np.square(design @ sol - target).sum(), nan=np.inf))
+
+
+def _fit_streams(J: np.ndarray, y: np.ndarray, pinned: Mapping[str, float]) -> dict[str, float]:
+    """Loss vs J net of the mean bias, with one of E, C and rho pinned."""
+    one = np.ones_like(J)
+    if "correlation" in pinned:
+        rho = pinned["correlation"]
+        return _linear_fit({"irreducible_entropy": one, "capacity_term": rho + (1 - rho) / J}, y, pinned)[0]
+    if "capacity_term" in pinned:
+        C = pinned["capacity_term"]
+        return _linear_fit({"irreducible_entropy": one, "correlation": C * (1 - 1 / J)}, y - C / J, pinned)[0]
+    # E pinned: linear in (C*rho, C*(1-rho)) >= 0 on the basis [1, 1/J]
+    E = pinned["irreducible_entropy"]
+    u, v = _box_lstsq(np.column_stack([one, 1 / J]), y - E, np.zeros(2), np.full(2, np.inf))
+    C = max(float(u + v), _BOUNDS["capacity_term"][0])
+    return {"capacity_term": C, "correlation": float(u / (u + v)) if u + v > 0 else 0.0}
+
+
+def _fit_size(N: np.ndarray, y: np.ndarray, pinned: Mapping[str, float]) -> dict[str, float]:
+    """Loss vs N net of the mean bias: linear in (E, A) for a given exponent. A free exponent
+    minimises the profile cost (variable projection; Golub and Pereyra, SIAM J. Numer. Anal.
+    1973): golden-section search in log space around each local minimum of a log-spaced grid."""
+
+    def solve(alpha: float) -> tuple[dict[str, float], float]:
+        with np.errstate(all="ignore"):
+            return _linear_fit({"irreducible_entropy": np.ones_like(N), "capacity_coeff": N**-alpha}, y, pinned)
+
+    if "capacity_exponent" in pinned:
+        return solve(pinned["capacity_exponent"])[0]
+    ts = np.linspace(-6, 2, 81) * np.log(10.0)  # log exponents on [1e-6, 100], 10 per decade
+    grid = [(solve(np.exp(t))[1], t) for t in ts]
+    edged = [(np.inf, 0.0), *grid, (np.inf, 0.0)]
+    best = min(grid)
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    for i in range(ts.size):
+        if edged[i + 1] < edged[i] and edged[i + 1] <= edged[i + 2]:
+            lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+            for _ in range(80):  # shrinks the bracket by 0.618**80, below double precision
+                c, d = ((solve(np.exp(t))[1], t) for t in (hi - g * (hi - lo), lo + g * (hi - lo)))
+                best = min(best, c, d)
+                lo, hi = (lo, d[1]) if c < d else (c[1], hi)
+    alpha = float(np.exp(best[1]))
+    return {**solve(alpha)[0], "capacity_exponent": alpha}
 
 
 def fit_params(
@@ -397,38 +454,40 @@ def fit_params(
     mode: str = "streams",
     fixed: Mapping[str, float] | None = None,
 ) -> FitResult:
-    """Nonlinear least squares of the closed-form loss against measurements.
+    """Least squares of the closed-form loss against measurements, solved exactly.
 
     ``mode="streams"`` fits loss-vs-J; ``mode="model_size"`` fits loss-vs-N
     (free: irreducible entropy, capacity coefficient, capacity exponent).
-    ``fixed`` pins any field by name; the mean bias is fixed at 0 by default
-    because it is not separable from the irreducible entropy.
+    ``fixed`` pins the mode's fields, ``model_size``, ``capacity_exponent`` or
+    ``correlation`` by name; another name, or a non-finite input, raises
+    ``ValueError``. The mean bias is fixed at 0 by default because it is not
+    separable from the irreducible entropy.
 
     The stream sweep is affine in 1/J (loss = (E + C*rho) + C*(1-rho)/J), so
     entropy, capacity term, and correlation cannot all be identified from it:
     ``mode="streams"`` requires at least one of them in ``fixed``.
-    Deterministic multi-start: a correlation grid with linear initialization
-    of the remaining coefficients. SciPy is imported here, on first use, so
-    importing ``vps`` does not load it.
     """
-    from scipy.optimize import least_squares
-
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(losses, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise ValueError("xs and losses must be equal-length non-empty vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and losses must be finite")
     if mode == "streams":
-        fields, model = _STREAM_FIELDS, _model_streams
+        fields, solve = _STREAM_FIELDS, _fit_streams
         if (x < 1).any():
             raise ValueError("stream counts must be >= 1")
     elif mode == "model_size":
-        fields, model = _SIZE_FIELDS, _model_size
+        fields, solve = _SIZE_FIELDS, _fit_size
         if (x <= 0).any():
             raise ValueError("model sizes must be positive")
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
 
     fixed = dict(fixed or {})
+    unknown = sorted(set(fixed) - set(fields) - {"model_size", "capacity_exponent", "correlation"})
+    if unknown:
+        raise ValueError(f"cannot fix {', '.join(unknown)} in {mode} mode")
     fixed.setdefault("mean_bias", 0.0)
     if mode == "streams" and not {"irreducible_entropy", "capacity_term", "correlation"} & set(fixed):
         raise FitError(
@@ -441,84 +500,27 @@ def fit_params(
     if x.size < len(free):
         raise FitError(f"{x.size} data points cannot determine {len(free)} free parameters")
 
-    def assemble(theta: np.ndarray) -> dict[str, float]:
-        coeffs = dict(fixed)
-        coeffs.update(zip(free, theta))
-        return coeffs
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        return model(assemble(theta), x) - y
-
-    def linear_init(anchor: dict[str, float]) -> dict[str, float]:
-        # with the nonlinear fields anchored, the model is affine in the
-        # entropy and capacity coefficients: solve those by linear lstsq
-        init = dict(anchor)
-        init.setdefault("irreducible_entropy", max(0.9 * float(y.min()), 0.0))
-        cap_field = "capacity_term" if mode == "streams" else "capacity_coeff"
-        probe = dict(fixed)
-        probe.update(init)
-        probe[cap_field] = 1.0
-        probe.setdefault("correlation", 0.0)
-        probe.setdefault("capacity_exponent", 1.0)
-        shape = model({**probe, "irreducible_entropy": 0.0, "mean_bias": 0.0}, x)
-        if "irreducible_entropy" in free and cap_field in free:
-            design = np.stack([np.ones_like(x), shape], axis=1)
-            sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-            init["irreducible_entropy"] = max(float(sol[0]), 0.0)
-            init[cap_field] = max(float(sol[1]), 1e-12)
-        elif cap_field in free:
-            base = model({**probe, cap_field: 0.0} | {cap_field: 1e-300}, x)
-            denom = float((shape**2).sum())
-            init[cap_field] = max(float((shape * (y - base)).sum() / denom), 1e-12) if denom else 1e-12
-        return init
-
-    starts: list[dict[str, float]] = []
-    if mode == "streams" and "correlation" in free:
-        for rho0 in (0.0, 0.25, 0.5, 0.75, 1.0):
-            starts.append(linear_init({"correlation": rho0}))
-    else:
-        starts.append(linear_init({"capacity_exponent": 1.0} if mode == "model_size" else {}))
-
-    lo = np.array([_BOUNDS[f][0] for f in free])
-    hi = np.array([_BOUNDS[f][1] for f in free])
-    best = None
-    for start in starts:
-        theta0 = np.clip(np.array([start.get(f, 1.0) for f in free]), lo, hi)
-        sol = least_squares(
-            residual, theta0, bounds=(lo, hi), xtol=1e-14, ftol=1e-14, gtol=1e-14
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    assert best is not None
-    if not np.isfinite(best.cost):
+    c = {"model_size": 1.0, "capacity_exponent": 1.0, "correlation": 0.0}
+    c.update(solve(x, y - fixed["mean_bias"], fixed), **fixed)
+    E, b = c["irreducible_entropy"], c["mean_bias"]
+    with np.errstate(all="ignore"):
+        if mode == "streams":
+            C, rho = c["capacity_term"], c["correlation"]
+            residuals = _mixture_loss(E, C, rho, b, x) - y
+            slopes = {"capacity_term": rho + (1 - rho) / x, "correlation": C * (1 - 1 / x)}
+            c["capacity_coeff"] = C * c["model_size"] ** c["capacity_exponent"]
+        else:
+            A, alpha = c["capacity_coeff"], c["capacity_exponent"]
+            residuals = E + A / x**alpha + b - y
+            slopes = {"capacity_coeff": x**-alpha, "capacity_exponent": -A * np.log(x) * x**-alpha}
+        # degeneracy: the Jacobian of the residuals in the free fields, at the solution
+        jac = np.column_stack([slopes.get(f, np.ones_like(x)) for f in free])
+        cond = np.linalg.cond(jac) if np.isfinite(jac).all() else np.inf
+    cost = 0.5 * float(residuals @ residuals)
+    if not np.isfinite(cost):
         raise FitError("fit diverged: non-finite cost")
-    jac = best.jac
-    cond = np.linalg.cond(jac) if np.isfinite(jac).all() else np.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise FitError(f"degenerate fit: jacobian condition number {cond:.3g}")
-
-    coeffs = assemble(best.x)
-    model_size = float(fixed.get("model_size", 1.0))
-    if mode == "streams":
-        exponent = float(fixed.get("capacity_exponent", 1.0))
-        capacity_coeff = coeffs["capacity_term"] * model_size**exponent
-        correlation = coeffs["correlation"]
-    else:
-        exponent = coeffs["capacity_exponent"]
-        capacity_coeff = coeffs["capacity_coeff"]
-        correlation = float(fixed.get("correlation", 0.0))
-    params = ScalingParams(
-        irreducible_entropy=coeffs["irreducible_entropy"],
-        capacity_coeff=capacity_coeff,
-        capacity_exponent=exponent,
-        model_size=model_size,
-        correlation=correlation,
-        biases=(coeffs["mean_bias"],),
-    )
-    return FitResult(
-        params=params,
-        residuals=residual(best.x),
-        cost=float(best.cost),
-        mode=mode,
-        free=free,
-    )
+    param_fields = ("irreducible_entropy", "capacity_coeff", "capacity_exponent", "model_size", "correlation")
+    params = ScalingParams(*(float(c[f]) for f in param_fields), biases=(b,))
+    return FitResult(params=params, residuals=residuals, cost=cost, mode=mode, free=free)

@@ -128,6 +128,13 @@ class TestRunCommand:
             "--toy-total-frames", "8", "--methods", "vps:4", "--k", "4",
             "--out-dir", str(tmp_path / "x"),
         ]) == 2
+        # zero frames per stream or zero tokens are usage errors too, caught before any run directory exists
+        for flag in ("--k", "--max-tokens"):
+            assert main([
+                "run", "--backend", "toy", "--toy-episodes", "4", "--methods", "baseline",
+                flag, "0", "--out-dir", str(tmp_path / "y"),
+            ]) == 2
+        assert not (tmp_path / "y").exists()
 
     def test_wire_backend_requires_endpoint(self, tmp_path):
         dataset = tmp_path / "d.jsonl"
@@ -384,6 +391,29 @@ class TestFitCommand:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == 2
+
+    def test_unknown_fix_name_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "losses.csv"
+        path.write_text("J,loss\n1,1.5\n2,1.25\n4,1.125\n")
+        assert main([
+            "fit", "--input", str(path), "--fix", "irreducible_entropy=1", "--fix", "corelation=0.3",
+        ]) == 2
+        assert "corelation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, fix",
+        [
+            ("1,1.5\n2\n4,1.125\n", "irreducible_entropy=1"),  # a short row
+            ("1,1.5\n2,nan\n4,1.125\n", "irreducible_entropy=1"),
+            ("1,1.5\n2,inf\n4,1.125\n", "irreducible_entropy=1"),
+            ("1,1.5\n2,1.25\n4,1.125\n", "irreducible_entropy=one"),
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, rows, fix):
+        path = tmp_path / "losses.csv"
+        path.write_text("J,loss\n" + rows)
+        assert main(["fit", "--input", str(path), "--fix", fix]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReportCommand:

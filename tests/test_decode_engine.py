@@ -2,6 +2,7 @@
 
 import warnings
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ class TestStep:
         with pytest.raises(StepError) as err:
             step(streams, backend, DecodeConfig(streams=2), seed=0)
         assert err.value.stream_id == 1
+        assert all(s.generated == [] for s in streams)
+
+    def test_failed_query_stops_the_step(self):
+        plan = uniform_offset_plan(8, 2, 4)
+        backend = CallCounter(MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4)))
+        del backend.inner.fixtures[(plan.sets[0], "identity", ())]
+        with pytest.raises(StepError) as err:
+            step(build_streams("v", "p", plan), backend, DecodeConfig(streams=4), seed=0)
+        assert err.value.stream_id == 0
+        assert backend.calls == 1
+
+    def test_threaded_step_raises_the_first_failure_in_query_order(self):
+        plan = uniform_offset_plan(8, 2, 4)
+        backend = MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4))
+        for j in (1, 3):
+            del backend.fixtures[(plan.sets[j], "identity", ())]
+        streams = build_streams("v", "p", plan)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(StepError) as err:
+                step(streams, backend, DecodeConfig(streams=4), seed=0, executor=pool)
+        assert (err.value.stream_id, err.value.role) == (1, "positive")
         assert all(s.generated == [] for s in streams)
 
     def test_tcd_negative_query_per_stream(self):

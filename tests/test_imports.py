@@ -1,5 +1,5 @@
 """Runtime dependencies: the HTTP clients run on the standard library alone,
-and only the loss-model fit loads SciPy."""
+and nothing, the loss-model fit included, loads SciPy."""
 
 import os
 import subprocess
@@ -33,19 +33,20 @@ def test_importing_vps_does_not_import_requests():
     assert run_fresh(code).strip() == "[]"
 
 
-def test_only_the_fit_loads_scipy():
+def test_no_command_or_fit_loads_scipy(tmp_path):
+    losses = tmp_path / "losses.csv"
+    losses.write_text("J,loss\n1,1.5\n2,1.25\n4,1.125\n")
     code = (
         "import sys\n"
         "import vps, vps.cli, vps.decode_engine, vps.eval_harness, vps.scaling_law\n"
         "import vps.backends.toyworld, vps.backends.wire\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert vps.cli.main(['simulate', '--samples', '2000', '--streams', '1,2']) == 0\n"
-        "print(scipy_modules())\n"
         "fit = vps.scaling_law.fit_params([1, 2, 4], [1.5, 1.25, 1.125], fixed={'correlation': 0.0})\n"
         "assert fit.cost < 1e-20, fit.cost\n"
-        "print('scipy' in scipy_modules())\n"
+        "ns = [1e6, 1e7, 1e8, 1e9]\n"
+        "fit = vps.scaling_law.fit_params(ns, [1.7 + 400 / n**0.42 for n in ns], mode='model_size')\n"
+        "assert fit.cost < 1e-20, fit.cost\n"
+        f"assert vps.cli.main(['fit', '--input', {str(losses)!r}, '--fix', 'irreducible_entropy=1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    before_fit, after_fit = run_fresh(code).splitlines()[-2:]
-    assert before_fit == "[]"
-    assert after_fit == "True"
+    assert run_fresh(code).splitlines()[-1] == "[]"

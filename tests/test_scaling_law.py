@@ -277,3 +277,40 @@ class TestFit:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             fit_params([1, 2, 3], [1, 2, 3], mode="banana")
+
+    @pytest.mark.parametrize(
+        "mode, fixed, bad",
+        [
+            ("streams", {"irreducible_entropy": 1.0, "corelation": 0.3}, "corelation"),
+            ("streams", {"irreducible_entropy": 1.0, "capacity_coeff": 0.3}, "capacity_coeff"),
+            ("model_size", {"capacity_term": 0.3}, "capacity_term"),
+        ],
+    )
+    def test_unknown_fixed_field_rejected(self, mode, fixed, bad):
+        with pytest.raises(ValueError, match=bad):
+            fit_params([1, 2, 4, 8], [1.5, 1.25, 1.125, 1.0625], mode=mode, fixed=fixed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_params([1, 2, 4], [1.5, bad, 1.125], fixed={"correlation": 0.0})
+        with pytest.raises(ValueError, match="finite"):
+            fit_params([1, bad, 4], [1.5, 1.25, 1.125], fixed={"correlation": 0.0})
+
+    def test_optimum_on_a_bound_is_exact(self):
+        # loss rising with J is best fitted by rho = 1 (no 1/J term) and C = mean(y - E)
+        js = np.array([1.0, 2.0, 4.0, 8.0])
+        losses = 1.0 + 0.1 * (1.0 - 1.0 / js)
+        result = fit_params(js, losses, mode="streams", fixed={"irreducible_entropy": 1.0})
+        assert result.params.correlation == 1.0
+        assert result.params.capacity_term == pytest.approx(float(np.mean(losses - 1.0)), rel=1e-12)
+        assert result.cost == pytest.approx(0.5 * float(np.sum((losses - losses.mean()) ** 2)), rel=1e-12)
+
+    def test_model_size_fit_refines_every_local_minimum(self):
+        # with A pinned the valley around alpha = 0.7256 is narrow: the exponent
+        # grid's lowest point lies near alpha = 0, not in it
+        ns = [1e5, 1e6, 1e7, 1e8]
+        losses = [2.9365 + 1.12 / n**0.7256 for n in ns]
+        result = fit_params(ns, losses, mode="model_size", fixed={"capacity_coeff": 1.12})
+        assert result.params.capacity_exponent == pytest.approx(0.7256, rel=1e-9)
+        assert result.params.irreducible_entropy == pytest.approx(2.9365, rel=1e-12)
