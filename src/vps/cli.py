@@ -41,14 +41,19 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_json(path: str, what: str, convert=lambda value: value):
+    """``convert`` of the JSON in ``path``; an unreadable or malformed file is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
@@ -86,9 +91,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.strategy == "bolt":
         if not args.scores:
             raise UsageError("--strategy bolt needs --scores FILE (JSON list of per-frame scores)")
-        with open(args.scores, "r", encoding="utf-8") as fh:
-            scores = json.load(fh)
-        bolt = BoltConfig(tuple(float(s) for s in scores), sharpen_exponent=args.sharpen)
+        scores = _read_json(args.scores, "BOLT scores", lambda v: tuple(float(s) for s in v))
+        bolt = BoltConfig(scores, sharpen_exponent=args.sharpen)
         if args.total_frames and args.total_frames != len(scores):
             raise UsageError(f"--T {args.total_frames} but {len(scores)} scores given")
     plan = eval_harness._build_plan(args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt)
@@ -126,8 +130,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     bolt_scores = None
     if args.bolt_scores:
-        with open(args.bolt_scores, "r", encoding="utf-8") as fh:
-            bolt_scores = {str(k): [float(x) for x in v] for k, v in json.load(fh).items()}
+        bolt_scores = _read_json(
+            args.bolt_scores, "BOLT scores", lambda v: {str(k): [float(x) for x in xs] for k, xs in v.items()}
+        )
     if args.strategy == "bolt" and bolt_scores is None:
         raise UsageError("--strategy bolt needs --bolt-scores FILE")
 
@@ -150,11 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         vocab = None
         vocab_path = args.vocab or config.get("vocab")
         if vocab_path:
-            try:
-                with open(vocab_path, "r", encoding="utf-8") as fh:
-                    vocab = [str(t) for t in json.load(fh)]
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot load vocab {vocab_path}: {exc}") from exc
+            vocab = _read_json(vocab_path, "vocab", lambda v: [str(t) for t in v])
         backend = WireBackend(WireConfig(endpoint), vocab=vocab)
         if args.stop_tokens:
             stop_tokens = frozenset(_parse_int_list(args.stop_tokens))
@@ -269,15 +270,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     streams_list = _parse_int_list(args.streams)
     if not streams_list:
         raise UsageError("--streams list is empty")
-    params = scaling_law.ScalingParams(
-        irreducible_entropy=args.irreducible,
-        capacity_coeff=args.capacity,
-        capacity_exponent=args.exponent,
-        model_size=args.model_size,
-        correlation=args.correlation,
-        biases=(args.bias,) * max(streams_list),
-    )
-    spec = scaling_law.SimSpec(args.vocab, args.samples, args.seed, params)
+    if min(streams_list) < 1:
+        raise UsageError("stream counts must be positive")
+    try:
+        params = scaling_law.ScalingParams(
+            irreducible_entropy=args.irreducible,
+            capacity_coeff=args.capacity,
+            capacity_exponent=args.exponent,
+            model_size=args.model_size,
+            correlation=args.correlation,
+            biases=(args.bias,) * max(streams_list),
+        )
+        spec = scaling_law.SimSpec(args.vocab, args.samples, args.seed, params)
+    except ValueError as exc:  # a parameter or size out of range
+        raise UsageError(str(exc)) from exc
     dtype = np.float32 if args.float32 else np.float64
     grid = scaling_law.simulate_ce_grid(spec, streams_list, [args.correlation], dtype=dtype)
     rows = []

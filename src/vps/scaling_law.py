@@ -15,10 +15,17 @@ below validates these second-order formulas empirically: it draws a true
 token distribution per sample, perturbs it with equicorrelated zero-mean
 relative errors scaled so that ``E[delta**2] = 2 A / N**alpha``, and measures
 the cross-entropy excess of each stream and of their uniform mixture.
+
+One sweep serves a whole (correlation, stream count) grid: per batch it draws
+the shared and per-stream normal fields once, stream-major in the bulk dtype,
+and centres them once (centring is linear, so each correlation's mix of them
+is centred too); a batch with an infeasible draw is redrawn in those rows and
+recomputed whole.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -112,12 +119,6 @@ def vps_loss(params: ScalingParams, streams: int) -> float:
     )
 
 
-def _mix_equicorrelated(shared: np.ndarray, independent: np.ndarray, correlation: float) -> np.ndarray:
-    # sqrt(rho)*g + sqrt(1-rho)*h has unit variance and pairwise correlation rho
-    dt = independent.dtype
-    return np.sqrt(dt.type(correlation)) * shared + np.sqrt(dt.type(1.0 - correlation)) * independent
-
-
 def equicorrelated_normals(
     rng: np.random.Generator, samples: int, streams: int, correlation: float
 ) -> np.ndarray:
@@ -126,7 +127,8 @@ def equicorrelated_normals(
         raise ValueError("correlation must lie in [0, 1]")
     g = rng.standard_normal((samples, 1))
     h = rng.standard_normal((samples, streams))
-    return _mix_equicorrelated(g, h, correlation)
+    # sqrt(rho)*g + sqrt(1-rho)*h has unit variance and pairwise correlation rho
+    return math.sqrt(correlation) * g + math.sqrt(1.0 - correlation) * h
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,13 @@ class _Accumulator:
         return np.sqrt(var / self.n)
 
 
+def _centred_normals(rng: np.random.Generator, fields: int, p: np.ndarray) -> np.ndarray:
+    """(fields, samples, V) standard normals in ``p``'s dtype, each made zero-mean under its row of ``p``."""
+    z = rng.standard_normal((fields, *p.shape), dtype=p.dtype)
+    z -= np.einsum("bv,kbv->kb", p, z)[:, :, None]
+    return z
+
+
 def _simulate_grid(
     spec: SimSpec,
     streams_list: Sequence[int],
@@ -215,17 +224,22 @@ def _simulate_grid(
 ) -> dict[tuple[float, int], SimResult]:
     """Shared-draw sweep over (correlation, stream count) combinations.
 
-    Streams for smaller J are the leading subset of the largest draw and all
-    correlations reuse the same underlying normals, so one pass over the
-    sample budget serves the whole grid. Accumulation is float64 regardless
-    of the bulk ``dtype``.
+    Each batch draws one ``(1 + max J, batch, V)`` array of normals in
+    ``dtype``, stream-major: row 0 is the shared field g, the rest the
+    per-stream fields h. They are centred under p once; each correlation then
+    forms ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias`` in one reused
+    buffer. Streams for smaller J are the leading subset of the largest draw,
+    so the mixtures come from a running sum over the sorted stream counts. A
+    batch with a row whose relative error reaches -1 is redrawn in those rows
+    and recomputed whole: rejected draws never reach the (float64)
+    accumulators.
     """
     params = spec.params
     js = sorted(set(int(j) for j in streams_list))
     rhos = [float(r) for r in correlations]
-    jmax = js[-1]
-    if jmax < 1:
+    if not js or js[0] < 1:
         raise ValueError("stream counts must be positive")
+    jmax = js[-1]
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:
             raise ValueError("correlation must lie in [0, 1]")
@@ -234,12 +248,14 @@ def _simulate_grid(
         raise ScaleError("stream biases must be < 1 for the multiplicative construction")
     cap = params.capacity_term
     dtype = np.dtype(dtype)
-    bias_col = np.asarray(biases[:jmax], dtype=dtype)[:, None]
+    bias_col = np.asarray(biases[:jmax], dtype=dtype)[:, None, None]
 
-    mix_acc = {(rho, J): _Accumulator() for rho in rhos for J in js}
-    lab_acc = {(rho, J): _Accumulator() for rho in rhos for J in js}
-    stream_acc = {rho: _Accumulator(jmax) for rho in rhos}
+    # per correlation: p-weighted delta^2, per-stream CE gap, and the mixture's
+    # conditional and single-label CE gaps per stream count
     d2_acc = {rho: _Accumulator() for rho in rhos}
+    stream_acc = {rho: _Accumulator(jmax) for rho in rhos}
+    mix_acc = {rho: _Accumulator(len(js)) for rho in rhos}
+    lab_acc = {rho: _Accumulator(len(js)) for rho in rhos}
     ent_acc = _Accumulator()
 
     V = spec.vocab_size
@@ -263,24 +279,38 @@ def _simulate_grid(
         )
         rows = np.arange(b)
 
-        g = rng.standard_normal((b, 1, V)).astype(dtype, copy=False)
-        h = rng.standard_normal((b, jmax, V)).astype(dtype, copy=False)
+        z = _centred_normals(rng, 1 + jmax, pd)
         # per-sample scale: after centering under p the p-weighted variance of
         # a unit normal field is 1 - ||p||^2, so dividing it out targets
         # E[delta^2] = 2*A/N^alpha exactly in expectation
         pnorm = 1.0 - np.einsum("bv,bv->b", pd, pd)
-        scale = np.sqrt(2.0 * cap / pnorm).astype(dtype, copy=False)[:, None, None]
+        scale = np.sqrt(2.0 * cap / pnorm).astype(dtype, copy=False)[:, None]
+        delta = np.empty((jmax, b, V), dtype=dtype)
+        dbar = np.empty((b, V), dtype=dtype)
 
         # resample rows where any stream's relative error would reach -1
-        deltas: dict[float, np.ndarray] = {}
         for _attempt in range(100):
             bad = np.zeros(b, dtype=bool)
+            stats = []
             for rho in rhos:
-                eps = _mix_equicorrelated(g, h, rho)
-                eps -= np.einsum("bv,bjv->bj", pd, eps)[:, :, None]
-                delta = scale * eps - bias_col
-                deltas[rho] = delta
-                bad |= delta.min(axis=(1, 2)) <= -1.0
+                # delta = scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias
+                np.multiply(z[1:], math.sqrt(1.0 - rho) * scale, out=delta)
+                delta += math.sqrt(rho) * scale * z[0]
+                delta -= bias_col
+                bad |= delta.min(axis=0).min(axis=1) <= -1.0
+                if bad.any():
+                    continue  # the batch is redrawn: skip its statistics
+                d2 = np.einsum("bv,jbv,jbv->b", pd, delta, delta) / jmax
+                mix = np.empty((b, len(js)), dtype=dtype)
+                lab = np.empty((b, len(js)), dtype=dtype)
+                running = np.zeros((b, V), dtype=dtype)
+                for k, (lo, J) in enumerate(zip([0, *js], js)):
+                    running += delta[lo:J].sum(axis=0)
+                    np.log1p(np.divide(running, J, out=dbar), out=dbar)
+                    mix[:, k] = -np.einsum("bv,bv->b", pd, dbar)
+                    lab[:, k] = -dbar[rows, labels]
+                np.log1p(delta, out=delta)
+                stats.append((d2, -np.einsum("bv,jbv->bj", pd, delta), mix, lab))
             if not bad.any():
                 break
             resampled += int(bad.sum())
@@ -289,38 +319,32 @@ def _simulate_grid(
                     f"perturbation scale 2*A/N^alpha = {2 * cap:.3g} drives token mass "
                     f"negative in more than 1% of draws ({resampled} resampled)"
                 )
-            idx = np.where(bad)[0]
-            g[idx] = rng.standard_normal((idx.size, 1, V)).astype(dtype, copy=False)
-            h[idx] = rng.standard_normal((idx.size, jmax, V)).astype(dtype, copy=False)
+            idx = np.flatnonzero(bad)
+            z[:, idx] = _centred_normals(rng, 1 + jmax, pd[idx])
         else:
             raise ScaleError("could not find feasible draws; scale far too large")
 
         ent_acc.add(-np.einsum("bv,bv->b", p, np.log(p))[:, None])
-
-        for rho in rhos:
-            delta = deltas[rho]
-            d2 = np.einsum("bv,bjv->bj", pd, delta * delta).mean(axis=1)
+        for rho, (d2, stream, mix, lab) in zip(rhos, stats):
             d2_acc[rho].add(d2[:, None])
-            stream_acc[rho].add(-np.einsum("bv,bjv->bj", pd, np.log1p(delta)))
-            for J in js:
-                dbar = delta[:, :J].mean(axis=1)
-                mix_acc[(rho, J)].add(-np.einsum("bv,bv->b", pd, np.log1p(dbar))[:, None])
-                lab_acc[(rho, J)].add(-np.log1p(dbar[rows, labels])[:, None])
+            stream_acc[rho].add(stream)
+            mix_acc[rho].add(mix)
+            lab_acc[rho].add(lab)
         done += b
 
     results: dict[tuple[float, int], SimResult] = {}
     for rho in rhos:
-        for J in js:
+        for k, J in enumerate(js):
             results[(rho, J)] = SimResult(
                 streams=J,
                 correlation=rho,
                 samples=n,
                 resampled=resampled,
                 entropy_mean=float(ent_acc.mean()[0]),
-                mixture_excess=float(mix_acc[(rho, J)].mean()[0]),
-                mixture_excess_stderr=float(mix_acc[(rho, J)].stderr()[0]),
-                label_excess=float(lab_acc[(rho, J)].mean()[0]),
-                label_excess_stderr=float(lab_acc[(rho, J)].stderr()[0]),
+                mixture_excess=float(mix_acc[rho].mean()[k]),
+                mixture_excess_stderr=float(mix_acc[rho].stderr()[k]),
+                label_excess=float(lab_acc[rho].mean()[k]),
+                label_excess_stderr=float(lab_acc[rho].stderr()[k]),
                 stream_excess=stream_acc[rho].mean()[:J],
                 stream_excess_stderr=stream_acc[rho].stderr()[:J],
                 delta_sq_mean=float(d2_acc[rho].mean()[0]),

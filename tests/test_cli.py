@@ -364,6 +364,37 @@ class TestSimulateCommand:
         fitted = json.loads(fit_out.read_text())
         assert abs(fitted["params"]["correlation"] - 0.3) < 0.05
 
+    @pytest.mark.parametrize("args", [
+        ["--streams", "0,2"],
+        ["--streams=-1,2"],
+        ["--samples", "0"],
+        ["--vocab", "1"],
+        ["--correlation", "1.5"],
+    ])
+    def test_invalid_sizes_exit_2(self, args, capsys):
+        assert main(["simulate", "--samples", "100", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_infeasible_bias_exits_1(self, capsys):
+        assert main(["simulate", "--samples", "100", "--bias", "1"]) == 1
+        assert "biases must be < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "[0.1, ", '{"v": ["x"]}'], ids=["missing", "bad-json", "not-numbers"])
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_unreadable_bolt_scores_exit_2(command, content, tmp_path, capsys):
+    path = tmp_path / "scores.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {
+        "plan": ["plan", "--T", "8", "--k", "2", "--J", "2", "--strategy", "bolt", "--scores", str(path)],
+        "run": ["run", "--strategy", "bolt", "--bolt-scores", str(path), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    assert f"cannot read BOLT scores {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 class TestFitCommand:
     def test_fit_exact_curve(self, tmp_path, capsys):

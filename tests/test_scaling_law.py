@@ -1,5 +1,8 @@
 """Closed-form losses, the Monte Carlo validator, and curve fitting."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from vps.scaling_law import (
     FitError,
     ScaleError,
     ScalingParams,
+    SimResult,
     SimSpec,
     equicorrelated_normals,
     fit_params,
@@ -189,6 +193,63 @@ class TestSimulate:
             SimSpec(8, 0, 0, params_with())
         with pytest.raises(ValueError):
             simulate_ce(SimSpec(8, 10, 0, params_with(b=(0.0, 0.0))), 1)
+
+
+def assert_same_result(a: SimResult, b: SimResult) -> None:
+    for field in dataclasses.fields(SimResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y), field.name
+
+
+class TestSweep:
+    """The stream-major sweep: shared draws, running stream sums, batch redraws."""
+
+    def test_unsorted_duplicate_streams_match_sorted(self):
+        spec = SimSpec(16, 5_000, 43, params_with(b=(0.0,) * 8))
+        messy = simulate_ce_grid(spec, [8, 2, 1, 4, 2], [0.0, 0.5])
+        tidy = simulate_ce_grid(spec, [1, 2, 4, 8], [0.0, 0.5])
+        assert messy.keys() == tidy.keys()
+        for key in tidy:
+            assert_same_result(messy[key], tidy[key])
+
+    def test_rejects_stream_counts_below_one(self):
+        spec = SimSpec(8, 100, 0, params_with(b=(0.0,) * 2))
+        for streams in ([0, 2], [-1, 2], []):
+            with pytest.raises(ValueError, match="stream counts must be positive"):
+                simulate_ce_grid(spec, streams)
+
+    def test_full_correlation_mixture_is_the_stream_mean(self):
+        # at rho=1 with no bias every stream carries the same error, so each
+        # J's mixture equals its streams: a wrong divisor or slice shows here
+        spec = SimSpec(32, 10_000, 47, params_with(b=(0.0,) * 8))
+        grid = simulate_ce_grid(spec, [1, 2, 3, 5, 8], [1.0])
+        for J in (1, 2, 3, 5, 8):
+            res = grid[(1.0, J)]
+            assert res.mixture_excess == pytest.approx(res.stream_excess.mean(), rel=1e-9, abs=0)
+
+    def test_redraws_near_the_feasibility_edge(self):
+        spec = SimSpec(8, 50_000, 41, params_with(b=(0.0,) * 4, A=0.02))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0])
+            second = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0])
+        budget = 100 + int(0.01 * spec.samples)
+        for key, res in first.items():
+            assert 0 < res.resampled <= budget
+            assert np.isfinite([res.mixture_excess, res.label_excess, res.delta_sq_mean]).all()
+            assert np.isfinite(res.stream_excess).all()
+            assert_same_result(res, second[key])
+
+    def test_float32_agrees_with_float64(self):
+        spec = SimSpec(64, 40_000, 53, params_with(b=(0.0,) * 4))
+        single = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0], dtype=np.float32)
+        double = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0], dtype=np.float64)
+        for key, a in single.items():
+            b = double[key]
+            for name in ("mixture_excess", "label_excess", "delta_sq_mean", "stream_excess"):
+                se = name.replace("_mean", "") + "_stderr"
+                gap = np.abs(getattr(a, name) - getattr(b, name))
+                assert (gap < 3 * (getattr(a, se) + getattr(b, se))).all(), (key, name)
 
 
 class TestFit:
