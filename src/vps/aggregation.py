@@ -15,7 +15,7 @@ power-of-two stream count is exact in IEEE754.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -158,9 +158,8 @@ class Weights:
 
     @classmethod
     def uniform(cls, streams: int) -> "Weights":
-        if streams < 1:
-            raise ValueError("streams must be positive")
-        return cls(np.full(streams, 1.0 / streams))
+        """Equal weights; one shared, read-only instance per stream count."""
+        return _uniform_weights(streams)
 
     @classmethod
     def normalized(cls, values: Sequence[float] | np.ndarray) -> "Weights":
@@ -169,6 +168,15 @@ class Weights:
         if total <= 0:
             raise ValueError("weights must have positive total mass")
         return cls(v / total)
+
+
+@lru_cache
+def _uniform_weights(streams: int) -> Weights:
+    if streams < 1:
+        raise ValueError("streams must be positive")
+    w = np.full(streams, 1.0 / streams)
+    w.flags.writeable = False
+    return Weights(w)
 
 
 @dataclass(frozen=True)

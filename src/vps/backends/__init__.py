@@ -1,8 +1,11 @@
 """Pluggable scorers turning one stream's context into a next-token distribution.
 
 A scorer implements ``score(ScoreRequest) -> Distribution``; a scorer that
-converts lossily names the conversion in the distribution's ``flags``.
-Shipped scorers:
+converts lossily names the conversion in the distribution's ``flags``. A
+scorer may also implement ``score_batch(requests) -> list[Distribution]``,
+one distribution per request in request order; :func:`score_batch` calls it
+when present and falls back to ``score``, one request at a time. Shipped
+scorers:
 a deterministic table-driven mock, an exact-Bayes toy video world
 (:mod:`vps.backends.toyworld`), and an HTTP client for external inference
 servers (:mod:`vps.backends.wire`).
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "ScoreRequest",
     "ScoreResponse",
     "Scorer",
+    "score_batch",
     "FixtureMissError",
     "MockBackend",
     "CallCounter",
@@ -128,6 +132,30 @@ class Scorer(Protocol):
     def score(self, req: ScoreRequest) -> Distribution: ...
 
 
+def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest]) -> Iterator[Distribution]:
+    """One distribution per request, in request order, produced lazily.
+
+    A scorer with its own ``score_batch`` scores the whole batch in one call.
+    If that call raises, the batch is scored again one request at a time, so
+    the failure surfaces at the request that caused it. A scorer without one
+    has ``score`` called one request at a time, each call made only when the
+    caller asks for its reply.
+    """
+    native = getattr(scorer, "score_batch", None)
+    if native is not None:
+        try:
+            replies = native(requests)
+        except Exception:  # noqa: BLE001 - attributed below, one request at a time
+            replies = None
+        if replies is not None:
+            if len(replies) != len(requests):
+                raise ValueError(f"score_batch returned {len(replies)} replies for {len(requests)} requests")
+            yield from replies
+            return
+    for req in requests:
+        yield scorer.score(req)
+
+
 class FixtureMissError(KeyError):
     """The mock backend has no fixture for the requested key."""
 
@@ -166,7 +194,13 @@ class MockBackend:
 
 
 class CallCounter:
-    """Wrap a scorer and count its calls (compute-audit helper, thread-safe)."""
+    """Wrap a scorer and count its calls (compute-audit helper, thread-safe).
+
+    Every ``score`` call counts, failed or not. When the inner scorer has a
+    ``score_batch``, so does the counter: a batch that succeeds counts one
+    call per request, and a batch that raises counts nothing, since
+    :func:`score_batch` then scores its requests again one at a time.
+    """
 
     def __init__(self, inner: Scorer) -> None:
         self.inner = inner
@@ -179,4 +213,14 @@ class CallCounter:
         return self.inner.score(req)
 
     def __getattr__(self, name: str):
-        return getattr(self.inner, name)
+        attr = getattr(self.inner, name)
+        if name != "score_batch":
+            return attr
+
+        def score_batch(requests: Sequence[ScoreRequest]) -> list[Distribution]:
+            replies = attr(requests)
+            with self._lock:
+                self.calls += len(requests)
+            return replies
+
+        return score_batch

@@ -90,6 +90,39 @@ class ToyWorld:
         return cls(emission, prior, tuple(range(n_labels)), letters + ("</s>",))
 
 
+def _answer_probs(world: ToyWorld, symbols: Sequence[Sequence[int]]) -> np.ndarray:
+    """Exact posterior answer-token probabilities, one row per symbol list.
+
+    All lists are scored at once: their symbols index ``log_emission`` in one
+    gather, padded to a common length with a column of ``+0.0``, and the log
+    likelihoods are added to the log prior frame by frame in list order.
+    Adding ``+0.0`` changes no value, so a row does not depend on the other
+    lists scored with it.
+    """
+    lengths = np.array([len(row) for row in symbols], dtype=np.int64)
+    flat = np.fromiter((s for row in symbols for s in row), dtype=np.int64, count=int(lengths.sum()))
+    outside = flat[(flat < 0) | (flat >= world.n_symbols)]
+    if outside.size:
+        raise ValueError(f"symbol {int(outside[0])} outside emission support")
+    width = int(lengths.max(initial=0))
+    index = np.full((len(symbols), width), world.n_symbols)  # the padding column
+    index[np.arange(width) < lengths[:, None]] = flat
+    gathered = np.concatenate([world.log_emission, np.zeros((world.n_labels, 1))], axis=1).T[index]
+    log_post = np.repeat(world.log_prior[None, :], len(symbols), axis=0)
+    for frame in range(width):
+        log_post += gathered[:, frame]
+    finite = np.isfinite(log_post)
+    if not finite.any(axis=1).all():
+        raise ValueError("observations have zero likelihood under every label (inconsistent world)")
+    post = np.exp(log_post - np.where(finite, log_post, -np.inf).max(axis=1, keepdims=True))
+    post[~finite] = 0.0
+    post /= post.sum(axis=1, keepdims=True)
+    probs = np.zeros((len(symbols), len(world.vocab)))
+    for z, token in enumerate(world.answer_tokens):
+        probs[:, token] += post[:, z]
+    return probs
+
+
 def toy_posterior(world: ToyWorld, observed: Sequence[tuple[int, int]]) -> Distribution:
     """Exact Bayes posterior over answer tokens given (slot, symbol) pairs.
 
@@ -97,21 +130,7 @@ def toy_posterior(world: ToyWorld, observed: Sequence[tuple[int, int]]) -> Distr
     matter for bookkeeping. Raises if the observations have zero likelihood
     under every label.
     """
-    log_post = world.log_prior
-    log_em = world.log_emission
-    for _slot, symbol in observed:
-        if not 0 <= symbol < world.n_symbols:
-            raise ValueError(f"symbol {symbol} outside emission support")
-        log_post = log_post + log_em[:, symbol]
-    if not np.isfinite(log_post).any():
-        raise ValueError("observations have zero likelihood under every label (inconsistent world)")
-    post = np.exp(log_post - log_post[np.isfinite(log_post)].max())
-    post[~np.isfinite(log_post)] = 0.0
-    post /= post.sum()
-    probs = np.zeros(len(world.vocab))
-    for z, token in enumerate(world.answer_tokens):
-        probs[token] += post[z]
-    return Distribution(probs)
+    return Distribution(_answer_probs(world, [[symbol for _slot, symbol in observed]])[0])
 
 
 @dataclass(frozen=True)
@@ -157,6 +176,7 @@ class ToyBackend:
     them under the correspondingly permuted emission, which leaves the
     posterior unchanged, mirroring augmentations that preserve content. Once
     an answer token has been generated the backend emits the stop token.
+    ``score`` is ``score_batch`` of one request.
     """
 
     def __init__(self, world: ToyWorld) -> None:
@@ -171,33 +191,44 @@ class ToyBackend:
     def episode(self, video_ref: str) -> ToyEpisode:
         return self._episodes[video_ref]
 
-    def _augment(self, frames: dict[int, int], tag: str) -> tuple[ToyWorld, dict[int, int]]:
+    def _observation(self, req: ScoreRequest) -> tuple[ToyWorld, list[int]]:
+        """The world a request's view is scored under and its symbols in slot order."""
+        episode = self._episodes[req.video_ref]
+        kind, payload = parse_view(req.view)
+        slots = [t for t in req.frame_set if t not in payload] if kind == "zero" else req.frame_set
+        symbols = [episode.frames[t] for t in slots]
+        if kind != "aug":
+            return self.world, symbols
         # permutation derived from the tag; the model "knows" the augmentation,
         # so the same permutation reindexes the emission columns. Both are
         # built once per tag; concurrent first queries build equal copies.
-        view = self._augmented.get(tag)
+        view = self._augmented.get(payload)
         if view is None:
-            perm = np.random.default_rng(zlib.crc32(tag.encode())).permutation(self.world.n_symbols)
+            perm = np.random.default_rng(zlib.crc32(payload.encode())).permutation(self.world.n_symbols)
             emission = self.world.emission[:, np.argsort(perm)]
             world = ToyWorld(emission, self.world.prior, self.world.answer_tokens, self.world.vocab)
-            view = self._augmented.setdefault(tag, (perm, world))
+            view = self._augmented.setdefault(payload, (perm, world))
         perm, world = view
-        return world, {slot: int(perm[s]) for slot, s in frames.items()}
+        return world, [int(perm[s]) for s in symbols]
+
+    def score_batch(self, requests: Sequence[ScoreRequest]) -> list[Distribution]:
+        """Score every request, one gather-and-sum per view world for the batch."""
+        probs = np.zeros((len(requests), len(self.world.vocab)))
+        groups: dict[ToyWorld, tuple[list[int], list[list[int]]]] = {}
+        for i, req in enumerate(requests):
+            if req.generated:
+                probs[i, self.world.stop_token] = 1.0
+                continue
+            world, symbols = self._observation(req)
+            rows, lists = groups.setdefault(world, ([], []))
+            rows.append(i)
+            lists.append(symbols)
+        for world, (rows, lists) in groups.items():
+            probs[rows] = _answer_probs(world, lists)
+        return [Distribution(row) for row in probs]
 
     def score(self, req: ScoreRequest) -> Distribution:
-        if req.generated:
-            probs = np.zeros(len(self.world.vocab))
-            probs[self.world.stop_token] = 1.0
-            return Distribution(probs)
-        episode = self._episodes[req.video_ref]
-        observed = {t: episode.frames[t] for t in req.frame_set}
-        kind, payload = parse_view(req.view)
-        world = self.world
-        if kind == "zero":
-            observed = {t: s for t, s in observed.items() if t not in payload}
-        elif kind == "aug":
-            world, observed = self._augment(observed, payload)
-        return toy_posterior(world, sorted(observed.items()))
+        return self.score_batch([req])[0]
 
     def token_text(self, token: int) -> str:
         return self.world.vocab[token]

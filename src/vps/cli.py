@@ -24,7 +24,6 @@ import numpy as np
 from . import eval_harness, scaling_law
 from .backends.toyworld import ToyWorld
 from .backends.wire import WireBackend, WireConfig
-from .decode_engine import decode
 from .frame_selection import BoltConfig, InfeasiblePlanError, plan_to_text, validate_plan
 
 __all__ = ["main"]
@@ -87,15 +86,20 @@ def _write_tables(
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    bolt = None
+    scores = None
     if args.strategy == "bolt":
         if not args.scores:
             raise UsageError("--strategy bolt needs --scores FILE (JSON list of per-frame scores)")
         scores = _read_json(args.scores, "BOLT scores", lambda v: tuple(float(s) for s in v))
-        bolt = BoltConfig(scores, sharpen_exponent=args.sharpen)
         if args.total_frames and args.total_frames != len(scores):
             raise UsageError(f"--T {args.total_frames} but {len(scores)} scores given")
-    plan = eval_harness._build_plan(args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt)
+    try:
+        bolt = BoltConfig(scores, sharpen_exponent=args.sharpen) if scores is not None else None
+        plan = eval_harness._build_plan(args.strategy, args.total_frames, args.frames, args.streams, args.seed, bolt)
+    except InfeasiblePlanError:
+        raise
+    except ValueError as exc:  # invalid sizes or scores
+        raise UsageError(str(exc)) from exc
 
     text = plan_to_text(plan)
     if args.out:
@@ -243,9 +247,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str:
     """Re-decode the first item as the run decoded it under the first method,
     recording the trace (for ``sc:J``, of its first sample)."""
-    plan, cfg, seed = eval_harness.method_decodes(
+    trace = eval_harness.first_decode_trace(
         item,
         method,
+        backend,
         args.frames,
         eval_harness.item_seed(args.seed, 0),
         strategy=args.strategy,
@@ -254,8 +259,7 @@ def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str
         max_tokens=args.max_tokens,
         stop_tokens=stop_tokens,
         bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
-    )[0]
-    _tokens, trace = decode(item.video_ref, eval_harness.build_prompt(item), plan, backend, cfg, seed=seed)
+    )
     return trace.to_jsonl()
 
 
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0, help="self-consistency sampling temperature")
     p.add_argument("--max-tokens", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent episodes")
+    p.add_argument("--jobs", type=int, default=1, help="items scored at once (scorers without score_batch)")
     p.add_argument("--out-dir", default="vps-run")
     p.add_argument("--trace", action="store_true", help="emit a decode trace for the first item")
     p.add_argument("--bolt-scores", help="JSON file mapping video_ref to per-frame scores")

@@ -7,14 +7,23 @@ stream distributions, sample a single token, and append that same token to
 every stream. Stream queries within a step may run concurrently; results are
 buffered and reduced in ascending stream order, so traces are bit-identical
 regardless of thread count.
+
+A decode is a :class:`Decoder`: its queries come out of ``pending()`` and
+their replies go back in through ``advance()``, so the caller decides how
+they are scored. :func:`step` scores one step of one decoder, and
+:func:`decode` loops over it; :func:`run_lockstep` scores a round of many
+decoders' steps as one batch.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -28,9 +37,9 @@ from .aggregation import (
     sample_token,
     tcd_adjust,
 )
-from .backends import ScoreRequest, Scorer
+from .backends import ScoreRequest, Scorer, score_batch
 from .frame_selection import FrameSelectionPlan
-from .views import IDENTITY, augmented_view, parse_view, zero_view
+from .views import IDENTITY, augmented_view, zero_view
 
 __all__ = [
     "StreamContext",
@@ -41,6 +50,8 @@ __all__ = [
     "StepError",
     "DecodeError",
     "negative_view",
+    "Decoder",
+    "run_lockstep",
     "step",
     "decode",
 ]
@@ -226,6 +237,246 @@ def _step_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
+class Decoder:
+    """One decode as a state machine.
+
+    :meth:`pending` returns the score requests of the next step, and none
+    once the decode is ``done``. :meth:`advance` takes their distributions,
+    in request order, and finishes the step: it adjusts and mixes the
+    streams, samples one token and appends it to every stream. The decode is
+    done after a stop token or ``cfg.max_tokens`` steps. Step ``t`` samples
+    with a seed derived from (``seed``, ``t``), or with ``step_seed`` when
+    given. With ``keep_trace`` off no step record is built, and ``trace``
+    stays empty.
+    """
+
+    def __init__(
+        self,
+        streams: Sequence[StreamContext],
+        cfg: DecodeConfig,
+        seed: int = 0,
+        *,
+        index: int = 0,
+        step_seed: int | None = None,
+        keep_trace: bool = True,
+    ) -> None:
+        if not streams:
+            raise ValueError("need at least one stream")
+        if len(streams) != cfg.streams:
+            raise ValueError(f"{len(streams)} stream contexts for streams={cfg.streams}")
+        self.streams = list(streams)
+        self.cfg = cfg
+        self.seed = seed
+        self.index = index
+        self.step_seed = step_seed
+        self.keep_trace = keep_trace
+        self.trace = DecodeTrace()
+        self.tokens: list[int] = []
+        self.steps = 0
+        self.done = False
+        self._queries: list[tuple[int, str]] = []  # (stream id, role) of each pending request
+
+    def pending(self) -> list[ScoreRequest]:
+        """One positive query per stream, plus its augmented and negative
+        queries when view fusion and contrastive adjustment are on."""
+        if self.done:
+            return []
+        cfg = self.cfg
+        requests: list[ScoreRequest] = []
+        self._queries = []
+        for s in self.streams:
+            base = dict(
+                video_ref=s.video_ref,
+                frame_set=s.frame_set,
+                prompt_text=s.prompt,
+                generated=tuple(s.generated),
+                top_m=cfg.score_top_m,
+            )
+            views = [("positive", s.view)]
+            if cfg.ritual_views is not None:
+                views.append(("augmented", augmented_view(cfg.ritual_views[s.stream_id])))
+            if cfg.tcd is not None:
+                views.append(("negative", negative_view(s.frame_set)))
+            for role, view in views:
+                self._queries.append((s.stream_id, role))
+                requests.append(ScoreRequest(view=view, **base))
+        return requests
+
+    def advance(self, replies: Sequence[Distribution]) -> int:
+        """Finish the pending step with one distribution per request; returns its token."""
+        cfg = self.cfg
+        if len(replies) != len(self._queries):
+            raise ValueError(f"{len(replies)} replies for {len(self._queries)} pending requests")
+        results = dict(zip(self._queries, replies))
+        self._queries = []
+        per_stream: list[Distribution] = []
+        for s in self.streams:
+            dist = results[(s.stream_id, "positive")]
+            if cfg.ritual_views is not None:
+                dist = ritual_combine(dist, results[(s.stream_id, "augmented")], space=cfg.space)
+            if cfg.tcd is not None:
+                dist = tcd_adjust(dist, results[(s.stream_id, "negative")], cfg.tcd)
+            per_stream.append(dist)
+
+        w = cfg.resolved_weights()
+        mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
+        seed = self.step_seed if self.step_seed is not None else _step_seed(self.seed, self.index)
+        token = sample_token(mixed, cfg.temperature, seed)
+
+        for s in self.streams:
+            s.generated.append(token)
+        if self.keep_trace:
+            self.trace.steps.append(self._record(token, mixed, per_stream, results))
+        self.index += 1
+        self.steps += 1
+        if token in cfg.stop_tokens:
+            self.done = True
+        else:
+            self.tokens.append(token)
+            self.done = self.steps >= cfg.max_tokens
+        return token
+
+    def _record(
+        self,
+        token: int,
+        mixed: Distribution,
+        per_stream: list[Distribution],
+        results: dict[tuple[int, str], Distribution],
+    ) -> StepRecord:
+        stream_records = []
+        for s, dist in zip(self.streams, per_stream):
+            flags: list[str] = []
+            if self.cfg.tcd is not None and len(s.frame_set) == 1:
+                flags.append("tcd_negative_degenerate")
+            for role in ("positive", "augmented", "negative"):
+                if (s.stream_id, role) in results:
+                    flags.extend(results[(s.stream_id, role)].flags)
+            probs, top = _truncate(dist, self.cfg.trace_top_m)
+            stream_records.append(StreamStepRecord(s.stream_id, probs, top, flags=tuple(dict.fromkeys(flags))))
+        return StepRecord(index=self.index, token=token, aggregated=mixed.probs, streams=tuple(stream_records))
+
+    def fail(self, k: int, cause: Exception) -> DecodeError:
+        """End the decode because its ``k``-th pending request raised ``cause``."""
+        stream_id, role = self._queries[k]
+        self._queries = []
+        self.done = True
+        error = StepError(stream_id, role, cause)
+        error.__cause__ = cause
+        failure = DecodeError(error, self.trace, self.tokens)
+        failure.__cause__ = error
+        return failure
+
+
+def _fanned_out(scorer: Scorer, requests: Sequence[ScoreRequest], executor: Executor) -> Iterator[Distribution]:
+    """Replies to ``requests`` in request order, all submitted at once to
+    ``executor``. After a failure the queued ones are cancelled, and the
+    running ones finish before it is raised."""
+    futures = [executor.submit(scorer.score, req) for req in requests]
+    try:
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
+
+def _drain(replies: Iterator[Distribution]) -> tuple[list[Distribution], Exception | None]:
+    """The replies up to the first failure, and that failure (or None)."""
+    done: list[Distribution] = []
+    try:
+        for dist in replies:
+            done.append(dist)
+    except Exception as exc:  # noqa: BLE001 - raised again by _replay
+        return done, exc
+    return done, None
+
+
+def _replay(done: list[Distribution], failure: Exception | None) -> Iterator[Distribution]:
+    yield from done
+    if failure is not None:
+        raise failure
+
+
+# one round: (group index, decoder, its pending requests) per live decoder, grouped
+Round = list[tuple[int, Decoder, list[ScoreRequest]]]
+
+
+def _requests(entries: Round) -> list[ScoreRequest]:
+    return [req for _, _, requests in entries for req in requests]
+
+
+def _advance(entries: Round, replies: Iterator[Distribution], errors: list[DecodeError | None]) -> int:
+    """Advance the decoders of ``entries`` in order, each as soon as its own
+    replies are in. A failed reply ends that decoder's group, and nothing
+    more is read. Returns how many entries were handled."""
+    for n, (g, decoder, requests) in enumerate(entries):
+        got: list[Distribution] = []
+        try:
+            for _ in requests:
+                got.append(next(replies))
+        except Exception as exc:  # noqa: BLE001 - recorded as the group's DecodeError
+            errors[g] = decoder.fail(len(got), exc)
+            return n + 1
+        decoder.advance(got)
+    return len(entries)
+
+
+def _score_round(
+    scorer: Scorer, batch: Round, errors: list[DecodeError | None], executor: Executor | None, ahead: int
+) -> None:
+    """Score one round and advance its decoders; see :func:`run_lockstep`."""
+    if executor is None or hasattr(scorer, "score_batch"):
+        # the whole round as one lazy batch; after a failure, what is left of it
+        while batch:
+            handled = _advance(batch, score_batch(scorer, _requests(batch)), errors)
+            batch = [entry for entry in batch[handled:] if errors[entry[0]] is None]
+        return
+    # each group's requests one after another on the executor, ``ahead`` more
+    # groups at a time: a failure sends no later request of its group
+    groups = [list(entries) for _, entries in groupby(batch, key=itemgetter(0))]
+    futures: deque[Future] = deque()
+    for n, entries in enumerate(groups):
+        while len(futures) <= ahead and n + len(futures) < len(groups):
+            queued = groups[n + len(futures)]
+            futures.append(executor.submit(_drain, score_batch(scorer, _requests(queued))))
+        _advance(entries, _replay(*futures.popleft().result()), errors)
+
+
+def run_lockstep(
+    groups: Sequence[Sequence[Decoder]],
+    scorer: Scorer,
+    executor: Executor | None = None,
+    ahead: int = 0,
+) -> list[DecodeError | None]:
+    """Run every decoder of ``groups`` to its end, all in lock step.
+
+    Each round gathers the pending requests of every live decoder, in group
+    then decoder order, and scores them through :func:`score_batch`: a
+    scorer with its own ``score_batch`` gets the whole round in one call,
+    any other one ``score`` call per request, in order. Each decoder
+    advances as soon as its own replies are in. On ``executor``, a scorer
+    without ``score_batch`` has each group's requests scored one after
+    another as one task, with up to ``ahead`` further groups scored
+    meanwhile. A failed request ends its decoder's whole group: the group
+    sends no later request, and its entry of the returned list is the
+    :class:`DecodeError`. A group that finishes gets None. Exceptions other
+    than a failed request propagate.
+    """
+    errors: list[DecodeError | None] = [None] * len(groups)
+    while True:
+        batch = [
+            (g, decoder, decoder.pending())
+            for g, group in enumerate(groups)
+            if errors[g] is None
+            for decoder in group
+            if not decoder.done
+        ]
+        if not batch:
+            return errors
+        _score_round(scorer, batch, errors, executor, ahead)
+
+
 def step(
     streams: Sequence[StreamContext],
     backend: Scorer,
@@ -242,73 +493,18 @@ def step(
     first failure in query order is raised once the queries already running
     have finished, and queries not yet started are dropped.
     """
-    if not streams:
-        raise ValueError("need at least one stream")
-    if len(streams) != cfg.streams:
-        raise ValueError(f"{len(streams)} stream contexts for streams={cfg.streams}")
-
-    queries: list[tuple[int, str, ScoreRequest]] = []
-    flags: dict[int, list[str]] = {s.stream_id: [] for s in streams}
-    for s in streams:
-        base = dict(
-            video_ref=s.video_ref,
-            frame_set=s.frame_set,
-            prompt_text=s.prompt,
-            generated=tuple(s.generated),
-            top_m=cfg.score_top_m,
-        )
-        queries.append((s.stream_id, "positive", ScoreRequest(view=s.view, **base)))
-        if cfg.ritual_views is not None:
-            aug = augmented_view(cfg.ritual_views[s.stream_id])
-            queries.append((s.stream_id, "augmented", ScoreRequest(view=aug, **base)))
-        if cfg.tcd is not None:
-            neg = negative_view(s.frame_set)
-            if parse_view(neg)[1] == ():
-                flags[s.stream_id].append("tcd_negative_degenerate")
-            queries.append((s.stream_id, "negative", ScoreRequest(view=neg, **base)))
-
-    futures = [executor.submit(backend.score, req) for _, _, req in queries] if executor is not None else []
-    results: dict[tuple[int, str], Distribution] = {}
-    for k, (stream_id, role, req) in enumerate(queries):
-        try:
-            dist = futures[k].result() if futures else backend.score(req)
-        except Exception as exc:  # noqa: BLE001 - surfaced as StepError
-            for future in futures:
-                future.cancel()
-            wait(futures)  # the queries already running finish before the step returns
-            raise StepError(stream_id, role, exc) from exc
-        results[(stream_id, role)] = dist
-        flags[stream_id].extend(dist.flags)
-
-    per_stream: list[Distribution] = []
-    for s in streams:
-        dist = results[(s.stream_id, "positive")]
-        if cfg.ritual_views is not None:
-            dist = ritual_combine(dist, results[(s.stream_id, "augmented")], space=cfg.space)
-        if cfg.tcd is not None:
-            dist = tcd_adjust(dist, results[(s.stream_id, "negative")], cfg.tcd)
-        per_stream.append(dist)
-
-    w = cfg.resolved_weights()
-    mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-    token = sample_token(mixed, cfg.temperature, seed)
-
-    for s in streams:
-        s.generated.append(token)
-
-    stream_records = []
-    for s, dist in zip(streams, per_stream):
-        probs, top = _truncate(dist, cfg.trace_top_m)
-        stream_records.append(
-            StreamStepRecord(s.stream_id, probs, top, flags=tuple(dict.fromkeys(flags[s.stream_id])))
-        )
-    record = StepRecord(
-        index=index,
-        token=token,
-        aggregated=mixed.probs,
-        streams=tuple(stream_records),
-    )
-    return token, record
+    decoder = Decoder(streams, cfg, index=index, step_seed=seed)
+    requests = decoder.pending()
+    if executor is None or hasattr(backend, "score_batch"):
+        replies = score_batch(backend, requests)
+    else:
+        replies = _fanned_out(backend, requests, executor)
+    errors: list[DecodeError | None] = [None]
+    _advance([(0, decoder, requests)], replies, errors)
+    if errors[0] is not None:
+        raise errors[0].cause
+    record = decoder.trace.steps[-1]
+    return record.token, record
 
 
 def build_streams(

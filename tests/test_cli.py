@@ -56,6 +56,18 @@ class TestPlanCommand:
         main(["plan", "--T", "64", "--k", "4", "--J", "4"])
         assert "disjointness audit: ok" in capsys.readouterr().err
 
+    def test_non_positive_size_exits_2(self, capsys):
+        assert main(["plan", "--T", "4", "--k", "0", "--J", "2"]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_negative_bolt_score_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([0.5, -0.1, 0.2, 0.3]))
+        assert main([
+            "plan", "--T", "4", "--k", "1", "--J", "2", "--strategy", "bolt", "--scores", str(scores),
+        ]) == 2
+        assert "scores must be non-negative" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_toy_run_writes_reports(self, tmp_path, capsys):
