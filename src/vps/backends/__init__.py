@@ -133,13 +133,14 @@ class Scorer(Protocol):
 
 
 def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest]) -> Iterator[Distribution]:
-    """One distribution per request, in request order, produced lazily.
+    """One distribution per request, in request order.
 
-    A scorer with its own ``score_batch`` scores the whole batch in one call.
-    If that call raises, the batch is scored again one request at a time, so
-    the failure surfaces at the request that caused it. A scorer without one
-    has ``score`` called one request at a time, each call made only when the
-    caller asks for its reply.
+    A scorer with its own ``score_batch`` scores the whole batch in one call,
+    made here; a reply count other than one per request raises ``ValueError``
+    here too. If that call raises, the batch is scored again one request at a
+    time, so the failure surfaces at the request that caused it. Those calls,
+    and those of a scorer without ``score_batch``, go to ``score`` lazily:
+    each is made only when the caller asks for its reply.
     """
     native = getattr(scorer, "score_batch", None)
     if native is not None:
@@ -150,10 +151,8 @@ def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest]) -> Iterator[Di
         if replies is not None:
             if len(replies) != len(requests):
                 raise ValueError(f"score_batch returned {len(replies)} replies for {len(requests)} requests")
-            yield from replies
-            return
-    for req in requests:
-        yield scorer.score(req)
+            return iter(replies)
+    return (scorer.score(req) for req in requests)
 
 
 class FixtureMissError(KeyError):

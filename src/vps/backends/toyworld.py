@@ -99,14 +99,13 @@ def _answer_probs(world: ToyWorld, symbols: Sequence[Sequence[int]]) -> np.ndarr
     Adding ``+0.0`` changes no value, so a row does not depend on the other
     lists scored with it.
     """
-    lengths = np.array([len(row) for row in symbols], dtype=np.int64)
-    flat = np.fromiter((s for row in symbols for s in row), dtype=np.int64, count=int(lengths.sum()))
-    outside = flat[(flat < 0) | (flat >= world.n_symbols)]
-    if outside.size:
-        raise ValueError(f"symbol {int(outside[0])} outside emission support")
-    width = int(lengths.max(initial=0))
-    index = np.full((len(symbols), width), world.n_symbols)  # the padding column
-    index[np.arange(width) < lengths[:, None]] = flat
+    pad = world.n_symbols  # the index of the padding column
+    for row in symbols:
+        for s in row:
+            if not 0 <= s < pad:
+                raise ValueError(f"symbol {s} outside emission support")
+    width = max(map(len, symbols), default=0)
+    index = np.array([[*row, *[pad] * (width - len(row))] for row in symbols], dtype=np.intp)
     gathered = np.concatenate([world.log_emission, np.zeros((world.n_labels, 1))], axis=1).T[index]
     log_post = np.repeat(world.log_prior[None, :], len(symbols), axis=0)
     for frame in range(width):

@@ -247,10 +247,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str:
     """Re-decode the first item as the run decoded it under the first method,
     recording the trace (for ``sc:J``, of its first sample)."""
-    trace = eval_harness.first_decode_trace(
+    plan, cfg, seed = eval_harness.method_decodes(
         item,
         method,
-        backend,
         args.frames,
         eval_harness.item_seed(args.seed, 0),
         strategy=args.strategy,
@@ -259,7 +258,8 @@ def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str
         max_tokens=args.max_tokens,
         stop_tokens=stop_tokens,
         bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
-    )
+    )[0]
+    _tokens, trace = eval_harness.decode(item.video_ref, eval_harness.build_prompt(item), plan, backend, cfg, seed=seed)
     return trace.to_jsonl()
 
 

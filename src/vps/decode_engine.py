@@ -18,11 +18,8 @@ decoders' steps as one batch.
 from __future__ import annotations
 
 import json
-from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -381,23 +378,6 @@ def _fanned_out(scorer: Scorer, requests: Sequence[ScoreRequest], executor: Exec
         wait(futures)
 
 
-def _drain(replies: Iterator[Distribution]) -> tuple[list[Distribution], Exception | None]:
-    """The replies up to the first failure, and that failure (or None)."""
-    done: list[Distribution] = []
-    try:
-        for dist in replies:
-            done.append(dist)
-    except Exception as exc:  # noqa: BLE001 - raised again by _replay
-        return done, exc
-    return done, None
-
-
-def _replay(done: list[Distribution], failure: Exception | None) -> Iterator[Distribution]:
-    yield from done
-    if failure is not None:
-        raise failure
-
-
 # one round: (group index, decoder, its pending requests) per live decoder, grouped
 Round = list[tuple[int, Decoder, list[ScoreRequest]]]
 
@@ -422,46 +402,17 @@ def _advance(entries: Round, replies: Iterator[Distribution], errors: list[Decod
     return len(entries)
 
 
-def _score_round(
-    scorer: Scorer, batch: Round, errors: list[DecodeError | None], executor: Executor | None, ahead: int
-) -> None:
-    """Score one round and advance its decoders; see :func:`run_lockstep`."""
-    if executor is None or hasattr(scorer, "score_batch"):
-        # the whole round as one lazy batch; after a failure, what is left of it
-        while batch:
-            handled = _advance(batch, score_batch(scorer, _requests(batch)), errors)
-            batch = [entry for entry in batch[handled:] if errors[entry[0]] is None]
-        return
-    # each group's requests one after another on the executor, ``ahead`` more
-    # groups at a time: a failure sends no later request of its group
-    groups = [list(entries) for _, entries in groupby(batch, key=itemgetter(0))]
-    futures: deque[Future] = deque()
-    for n, entries in enumerate(groups):
-        while len(futures) <= ahead and n + len(futures) < len(groups):
-            queued = groups[n + len(futures)]
-            futures.append(executor.submit(_drain, score_batch(scorer, _requests(queued))))
-        _advance(entries, _replay(*futures.popleft().result()), errors)
-
-
-def run_lockstep(
-    groups: Sequence[Sequence[Decoder]],
-    scorer: Scorer,
-    executor: Executor | None = None,
-    ahead: int = 0,
-) -> list[DecodeError | None]:
+def run_lockstep(groups: Sequence[Sequence[Decoder]], scorer: Scorer) -> list[DecodeError | None]:
     """Run every decoder of ``groups`` to its end, all in lock step.
 
     Each round gathers the pending requests of every live decoder, in group
     then decoder order, and scores them through :func:`score_batch`: a
     scorer with its own ``score_batch`` gets the whole round in one call,
     any other one ``score`` call per request, in order. Each decoder
-    advances as soon as its own replies are in. On ``executor``, a scorer
-    without ``score_batch`` has each group's requests scored one after
-    another as one task, with up to ``ahead`` further groups scored
-    meanwhile. A failed request ends its decoder's whole group: the group
-    sends no later request, and its entry of the returned list is the
-    :class:`DecodeError`. A group that finishes gets None. Exceptions other
-    than a failed request propagate.
+    advances as soon as its own replies are in. A failed request ends its
+    decoder's whole group: the group sends no later request, and its entry
+    of the returned list is the :class:`DecodeError`. A group that finishes
+    gets None. Exceptions other than a failed request propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
@@ -474,7 +425,10 @@ def run_lockstep(
         ]
         if not batch:
             return errors
-        _score_round(scorer, batch, errors, executor, ahead)
+        # the whole round as one batch; after a failed request, the rest of the round as another
+        while batch:
+            handled = _advance(batch, score_batch(scorer, _requests(batch)), errors)
+            batch = [entry for entry in batch[handled:] if errors[entry[0]] is None]
 
 
 def step(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import CallCounter, Scorer
-from .decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, build_streams, decode, run_lockstep
+from .decode_engine import DecodeConfig, DecodeError, Decoder, build_streams, decode, run_lockstep
 from .frame_selection import (
     FrameSelectionPlan,
     bolt_plan,
@@ -54,7 +54,6 @@ __all__ = [
     "item_seed",
     "method_decodes",
     "evaluate_item",
-    "first_decode_trace",
     "run_benchmark",
 ]
 
@@ -69,8 +68,8 @@ DESCRIPTION_SCAFFOLD = "Summarize the video in one sentence."
 
 RITUAL_TAG_POOL = ("hflip", "vflip", "rot180", "color_jitter", "gaussian_blur")
 
-# items whose decodes run_benchmark drives in lock step at a time (at least
-# ``jobs``): it bounds the requests, replies and decoders held at once
+# items whose decodes run_benchmark drives in lock step at a time on a
+# batching scorer: it bounds the requests, replies and decoders held at once
 LOCKSTEP_ITEMS = 16
 
 
@@ -504,16 +503,6 @@ def evaluate_item(
     return _method_result(item, method, _run_decodes(item, backend, decodes))
 
 
-def first_decode_trace(
-    item: EvalItem, method: MethodSpec, backend: Scorer, frames_per_stream: int, seed: int, **options
-) -> DecodeTrace:
-    """The trace of the first decode ``method`` runs on ``item`` (for ``sc:J``,
-    its first sample), decoded on its own. ``seed`` and ``options`` are as
-    for :func:`method_decodes`."""
-    plan, cfg, decode_seed = method_decodes(item, method, frames_per_stream, seed, **options)[0]
-    return decode(item.video_ref, build_prompt(item), plan, backend, cfg, seed=decode_seed)[1]
-
-
 def _method_result(item: EvalItem, method: MethodSpec, outputs: Sequence[str]) -> MethodResult:
     """The answer a method extracts from its decodes' texts: a vote for ``sc:J``."""
     if method.kind == "sc":
@@ -548,48 +537,66 @@ def run_benchmark(
 ) -> tuple[list[MethodResult], dict[str, int]]:
     """Evaluate every method over the dataset; returns results plus call audit.
 
-    The decodes of a method (every item, every ``sc:J`` sample) run in lock
-    step, ``LOCKSTEP_ITEMS`` items at a time: each round scores the pending
-    queries of all of them as one batch (see
-    :func:`vps.decode_engine.run_lockstep`). On a scorer without its own
-    ``score_batch``, up to ``jobs`` items send their queries at once. Results
-    are ordered by (method, item) and do not depend on ``jobs``. The audit maps
-    each method tag to the number of backend calls it issued, for
-    compute-matched comparisons. A failed query fails only its item x method:
-    its result carries the ``error`` and the run goes on. Any other exception
-    aborts the run.
+    On a scorer with its own ``score_batch``, the decodes of a method (every
+    item, every ``sc:J`` sample) run in lock step, ``LOCKSTEP_ITEMS`` items
+    at a time: each round scores the pending queries of all of them in one
+    call (see :func:`vps.decode_engine.run_lockstep`), and ``jobs`` is not
+    used. Any other scorer makes one ``score`` call per query either way, so
+    its items run one by one through :func:`evaluate_item`, up to ``jobs`` of
+    them in parallel. Results are ordered by (method, item) regardless of
+    schedule. The audit maps each method tag to the number of backend calls
+    it issued, for compute-matched comparisons. A failed query fails only
+    its item x method: its result carries the ``error`` and the run goes on.
+    Any other exception aborts the run.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
     indexed = list(enumerate(items))
-    width = max(LOCKSTEP_ITEMS, jobs)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for method in methods:
-            counter = CallCounter(backend)
-            method_results = []
-            for start in range(0, len(indexed), width):
-                chunk = indexed[start:start + width]
-                groups = [
-                    _decoders(item, method_decodes(
-                        item, method, frames_per_stream, item_seed(seed, idx), strategy=strategy, space=space,
-                        temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens,
-                        bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
-                    ))
-                    for idx, item in chunk
-                ]
-                errors = run_lockstep(groups, counter, pool, ahead=jobs - 1)
-                method_results += [
-                    _failed_result(item, method, error) if error is not None
-                    else _method_result(item, method, [tokens_to_text(d.tokens, backend) for d in decoders])
-                    for (_, item), decoders, error in zip(chunk, groups, errors)
-                ]
-            method_results.sort(key=lambda r: r.item_id)
-            results.extend(method_results)
-            audit[method.tag] = counter.calls
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    options = dict(strategy=strategy, space=space, temperature=temperature, max_tokens=max_tokens,
+                   stop_tokens=stop_tokens)
+
+    def bolt(item: EvalItem) -> Sequence[float] | None:
+        return bolt_scores.get(item.video_ref) if bolt_scores else None
+
+    for method in methods:
+        counter = CallCounter(backend)
+
+        def one(indexed_item: tuple[int, EvalItem]) -> MethodResult:
+            idx, item = indexed_item
+            try:
+                return evaluate_item(
+                    item, method, counter, frames_per_stream, item_seed(seed, idx), bolt_scores=bolt(item), **options
+                )
+            except DecodeError as exc:
+                return _failed_result(item, method, exc)
+
+        def lockstep(chunk: Sequence[tuple[int, EvalItem]]) -> list[MethodResult]:
+            groups = [
+                _decoders(item, method_decodes(
+                    item, method, frames_per_stream, item_seed(seed, idx), bolt_scores=bolt(item), **options
+                ))
+                for idx, item in chunk
+            ]
+            return [
+                _failed_result(item, method, error) if error is not None
+                else _method_result(item, method, [tokens_to_text(d.tokens, backend) for d in decoders])
+                for (_, item), decoders, error in zip(chunk, groups, run_lockstep(groups, counter))
+            ]
+
+        if hasattr(backend, "score_batch"):
+            method_results = [
+                result
+                for start in range(0, len(indexed), LOCKSTEP_ITEMS)
+                for result in lockstep(indexed[start:start + LOCKSTEP_ITEMS])
+            ]
+        elif jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                method_results = list(pool.map(one, indexed))
+        else:
+            method_results = [one(pair) for pair in indexed]
+        method_results.sort(key=lambda r: r.item_id)
+        results.extend(method_results)
+        audit[method.tag] = counter.calls
     return results, audit
 
 

@@ -313,6 +313,16 @@ class TestFailures:
         assert [(r.item_id, r.method) for r in failed] == [(items[2].id, "vps:4+ritual")]
         assert failed[0].error == {"type": "ValueError", "stream": 1, "role": "augmented", "message": "bad view"}
 
+    def test_wrong_reply_count_propagates(self):
+        class Short(ScoreOnly):
+            """A batching scorer that drops the last reply of every batch."""
+
+            def score_batch(self, requests):
+                return self.inner.score_batch(requests)[:-1]
+
+        with pytest.raises(ValueError, match="replies for"):
+            toy_run(lambda b, items: Short(b), ("vps:2",))
+
     def test_replies_are_released_once_their_decoder_advanced(self):
         class Holding(ScoreOnly):
             """Counts, at each call, the replies it returned that are still alive."""
