@@ -2,10 +2,11 @@
 
 A scorer implements ``score(ScoreRequest) -> Distribution``; a scorer that
 converts lossily names the conversion in the distribution's ``flags``. A
-scorer may also implement ``score_batch(requests) -> list[Distribution]``,
-one distribution per request in request order; :func:`score_batch` calls it
-when present and falls back to ``score``, one request at a time. Shipped
-scorers:
+scorer may also implement ``score_batch(requests)``: one distribution per
+request in request order, as a list or as an iterator that scores lazily,
+and it may take the most requests to keep in flight as the keyword ``jobs``.
+:func:`score_batch` calls it when present and falls back to ``score``, one
+request at a time. Shipped scorers:
 a deterministic table-driven mock, an exact-Bayes toy video world
 (:mod:`vps.backends.toyworld`), and an HTTP client for external inference
 servers (:mod:`vps.backends.wire`).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -132,25 +133,28 @@ class Scorer(Protocol):
     def score(self, req: ScoreRequest) -> Distribution: ...
 
 
-def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest]) -> Iterator[Distribution]:
+def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterator[Distribution]:
     """One distribution per request, in request order.
 
     A scorer with its own ``score_batch`` scores the whole batch in one call,
-    made here; a reply count other than one per request raises ``ValueError``
-    here too. If that call raises, the batch is scored again one request at a
-    time, so the failure surfaces at the request that caused it. Those calls,
-    and those of a scorer without ``score_batch``, go to ``score`` lazily:
-    each is made only when the caller asks for its reply.
+    made here, and ``jobs`` > 1 is passed on to it as the keyword ``jobs``.
+    When it returns a list, a reply count other than one per request raises
+    ``ValueError`` here; an iterator is passed on as it is, and a failed
+    request raises when its reply is read. If the call itself raises, the
+    batch is scored again one request at a time, so the failure surfaces at
+    the request that caused it. Those calls, and those of a scorer without
+    ``score_batch``, go to ``score`` lazily: each is made only when the
+    caller asks for its reply.
     """
     native = getattr(scorer, "score_batch", None)
     if native is not None:
         try:
-            replies = native(requests)
+            replies = native(requests, jobs=jobs) if jobs > 1 else native(requests)
         except Exception:  # noqa: BLE001 - attributed below, one request at a time
             replies = None
+        if isinstance(replies, list) and len(replies) != len(requests):
+            raise ValueError(f"score_batch returned {len(replies)} replies for {len(requests)} requests")
         if replies is not None:
-            if len(replies) != len(requests):
-                raise ValueError(f"score_batch returned {len(replies)} replies for {len(requests)} requests")
             return iter(replies)
     return (scorer.score(req) for req in requests)
 
@@ -196,9 +200,12 @@ class CallCounter:
     """Wrap a scorer and count its calls (compute-audit helper, thread-safe).
 
     Every ``score`` call counts, failed or not. When the inner scorer has a
-    ``score_batch``, so does the counter: a batch that succeeds counts one
-    call per request, and a batch that raises counts nothing, since
-    :func:`score_batch` then scores its requests again one at a time.
+    ``score_batch``, so does the counter. A batch returned as a list counts
+    one call per request, and a batch that raises counts nothing, since
+    :func:`score_batch` then scores its requests again one at a time. A
+    batch returned as an iterator counts, as ``score`` does, each request
+    whose reply was read or whose query failed, and none that was never
+    read.
     """
 
     def __init__(self, inner: Scorer) -> None:
@@ -206,20 +213,33 @@ class CallCounter:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def score(self, req: ScoreRequest) -> Distribution:
+    def _count(self, n: int) -> None:
         with self._lock:
-            self.calls += 1
+            self.calls += n
+
+    def score(self, req: ScoreRequest) -> Distribution:
+        self._count(1)
         return self.inner.score(req)
+
+    def _counted(self, replies: Iterable[Distribution]) -> Iterator[Distribution]:
+        try:
+            for reply in replies:
+                self._count(1)
+                yield reply
+        except Exception:  # the failed query of the next request
+            self._count(1)
+            raise
 
     def __getattr__(self, name: str):
         attr = getattr(self.inner, name)
         if name != "score_batch":
             return attr
 
-        def score_batch(requests: Sequence[ScoreRequest]) -> list[Distribution]:
-            replies = attr(requests)
-            with self._lock:
-                self.calls += len(requests)
-            return replies
+        def score_batch(requests: Sequence[ScoreRequest], **kwargs) -> Iterable[Distribution]:
+            replies = attr(requests, **kwargs)
+            if isinstance(replies, list):
+                self._count(len(requests))
+                return replies
+            return self._counted(replies)
 
         return score_batch

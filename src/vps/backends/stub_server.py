@@ -57,6 +57,9 @@ class StubServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # a reply goes out as two writes (headers, body); with Nagle's
+            # algorithm on, the body waits ~40 ms for the client's delayed ACK
+            disable_nagle_algorithm = True
 
             def log_message(self, *args) -> None:  # keep test output clean
                 pass

@@ -4,7 +4,8 @@ The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 ``prompt_text``, ``generated``, and ``want`` ("full" or "top:<m>"); the
 response carries ``vocab_size`` plus either a full ``scores`` vector or
 ``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
-travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`.
+travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`; a
+batch keeps up to ``jobs`` of them in flight from the calling thread.
 Transport failures and 429/503 replies are retried idempotently with
 exponential backoff (a 429/503 ``Retry-After`` of whole seconds replaces the
 backoff); other non-success statuses are not retried.
@@ -15,11 +16,20 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..aggregation import Distribution
-from ..jsonhttp import TRANSPORT_ERRORS, BackendError, JsonEndpoint, WireTransportError, auth_headers
+from ..jsonhttp import (
+    TRANSPORT_ERRORS,
+    BackendError,
+    Exchange,
+    JsonEndpoint,
+    Reply,
+    WireTransportError,
+    auth_headers,
+)
 from . import ScoreRequest, ScoreResponse
 
 __all__ = [
@@ -90,20 +100,50 @@ class WireBackend:
     def score_response(self, req: ScoreRequest) -> ScoreResponse:
         """POST the request; retry transport failures and 429/503 replies up
         to the configured limit."""
-        body = {
-            "video_ref": req.video_ref,
-            "frame_set": list(req.frame_set),
-            "view": req.view,
-            "prompt_text": req.prompt_text,
-            "generated": list(req.generated),
-            "want": _encode_want(req.top_m),
-        }
+        body = _body(req)
+        return self._response(lambda: self._endpoint.post(SCORE_PATH, body, auth_headers(TOKEN_ENV)))
+
+    def score(self, req: ScoreRequest) -> Distribution:
+        return self.score_response(req).to_distribution()[0]
+
+    def score_batch(self, requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterator[Distribution]:
+        """One distribution per request, in request order, read lazily.
+
+        The requests go out over at most ``jobs`` pooled connections from the
+        calling thread: the first ``jobs`` when the first reply is asked for,
+        request k+``jobs`` once reply k has been read and parsed. The request
+        bodies and the retry policy are those of :meth:`score_response`. A
+        request that fails raises at its reply; the at most ``jobs`` - 1
+        requests still in flight then are dropped with their connections.
+        """
+        return self._pipelined([_body(req) for req in requests], max(1, jobs))
+
+    def _pipelined(self, bodies: list[dict], jobs: int) -> Iterator[Distribution]:
+        headers = auth_headers(TOKEN_ENV)
+        in_flight: deque[Exchange] = deque()
+        try:
+            in_flight.extend(self._endpoint.send(SCORE_PATH, body, headers) for body in bodies[:jobs])
+            for k, body in enumerate(bodies):
+                sent = in_flight.popleft()
+                response = self._response(sent.reply, lambda: self._endpoint.post(SCORE_PATH, body, headers))
+                if k + jobs < len(bodies):
+                    in_flight.append(self._endpoint.send(SCORE_PATH, bodies[k + jobs], headers))
+                yield response.to_distribution()[0]
+        finally:
+            for sent in in_flight:
+                sent.close()
+
+    def _response(self, attempt: Callable[[], Reply], retry: Callable[[], Reply] | None = None) -> ScoreResponse:
+        """The parsed reply of ``attempt``, made again by ``retry`` (default:
+        ``attempt``) after a transport failure or a 429/503 reply, up to the
+        retry budget. The raw reply is dropped here, so a caller that holds
+        the result holds no reply bytes."""
         cfg = self.config
         retries = 0
         try:
             while True:
                 try:
-                    status, headers, data = self._endpoint.post(SCORE_PATH, body, auth_headers(TOKEN_ENV))
+                    status, headers, data = attempt()
                 except TRANSPORT_ERRORS as exc:
                     if retries >= cfg.max_retries:
                         raise WireTransportError(
@@ -116,6 +156,7 @@ class WireBackend:
                     delay = _retry_after(headers)
                 time.sleep(cfg.backoff * cfg.backoff_factor**retries if delay is None else delay)
                 retries += 1
+                attempt = retry or attempt
         finally:
             with self._lock:
                 self.retries_total += retries
@@ -127,8 +168,16 @@ class WireBackend:
             raise WireParseError(f"malformed response body: {data[:200]!r}") from exc
         return _parse_payload(payload)
 
-    def score(self, req: ScoreRequest) -> Distribution:
-        return self.score_response(req).to_distribution()[0]
+
+def _body(req: ScoreRequest) -> dict:
+    return {
+        "video_ref": req.video_ref,
+        "frame_set": list(req.frame_set),
+        "view": req.view,
+        "prompt_text": req.prompt_text,
+        "generated": list(req.generated),
+        "want": _encode_want(req.top_m),
+    }
 
 
 def _parse_payload(payload: object) -> ScoreResponse:

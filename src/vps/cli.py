@@ -407,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0, help="self-consistency sampling temperature")
     p.add_argument("--max-tokens", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="items scored at once (scorers without score_batch)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="backend queries in flight at once (wire backend); the toy backend ignores it",
+    )
     p.add_argument("--out-dir", default="vps-run")
     p.add_argument("--trace", action="store_true", help="emit a decode trace for the first item")
     p.add_argument("--bolt-scores", help="JSON file mapping video_ref to per-frame scores")

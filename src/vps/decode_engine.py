@@ -4,9 +4,9 @@ Per token: fan out one scoring query per stream (plus a frame-degraded
 negative query per stream when contrastive adjustment is on, plus an
 augmented-view query per stream when view fusion is on), adjust and mix the
 stream distributions, sample a single token, and append that same token to
-every stream. Stream queries within a step may run concurrently; results are
-buffered and reduced in ascending stream order, so traces are bit-identical
-regardless of thread count.
+every stream. Up to ``jobs`` stream queries may be in flight at once;
+results are buffered and reduced in ascending stream order, so traces are
+bit-identical regardless of ``jobs``.
 
 A decode is a :class:`Decoder`: its queries come out of ``pending()`` and
 their replies go back in through ``advance()``, so the caller decides how
@@ -243,8 +243,8 @@ class Decoder:
     streams, samples one token and appends it to every stream. The decode is
     done after a stop token or ``cfg.max_tokens`` steps. Step ``t`` samples
     with a seed derived from (``seed``, ``t``), or with ``step_seed`` when
-    given. With ``keep_trace`` off no step record is built, and ``trace``
-    stays empty.
+    given; a greedy decode (temperature 0) derives none. With ``keep_trace``
+    off no step record is built, and ``trace`` stays empty.
     """
 
     def __init__(
@@ -317,7 +317,9 @@ class Decoder:
 
         w = cfg.resolved_weights()
         mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-        seed = self.step_seed if self.step_seed is not None else _step_seed(self.seed, self.index)
+        seed = self.step_seed
+        if seed is None and cfg.temperature > 0:
+            seed = _step_seed(self.seed, self.index)
         token = sample_token(mixed, cfg.temperature, seed)
 
         for s in self.streams:
@@ -402,17 +404,21 @@ def _advance(entries: Round, replies: Iterator[Distribution], errors: list[Decod
     return len(entries)
 
 
-def run_lockstep(groups: Sequence[Sequence[Decoder]], scorer: Scorer) -> list[DecodeError | None]:
+def run_lockstep(
+    groups: Sequence[Sequence[Decoder]], scorer: Scorer, jobs: int = 1
+) -> list[DecodeError | None]:
     """Run every decoder of ``groups`` to its end, all in lock step.
 
     Each round gathers the pending requests of every live decoder, in group
     then decoder order, and scores them through :func:`score_batch`: a
     scorer with its own ``score_batch`` gets the whole round in one call,
-    any other one ``score`` call per request, in order. Each decoder
-    advances as soon as its own replies are in. A failed request ends its
-    decoder's whole group: the group sends no later request, and its entry
-    of the returned list is the :class:`DecodeError`. A group that finishes
-    gets None. Exceptions other than a failed request propagate.
+    with ``jobs`` as the most requests in flight at once, any other one
+    ``score`` call per request, in order. Each decoder advances as soon as
+    its own replies are in. A failed request ends its decoder's whole group:
+    the group sends no later request (up to ``jobs`` - 1 of them may already
+    be in flight), and its entry of the returned list is the
+    :class:`DecodeError`. A group that finishes gets None. Exceptions other
+    than a failed request propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
@@ -427,7 +433,7 @@ def run_lockstep(groups: Sequence[Sequence[Decoder]], scorer: Scorer) -> list[De
             return errors
         # the whole round as one batch; after a failed request, the rest of the round as another
         while batch:
-            handled = _advance(batch, score_batch(scorer, _requests(batch)), errors)
+            handled = _advance(batch, score_batch(scorer, _requests(batch), jobs), errors)
             batch = [entry for entry in batch[handled:] if errors[entry[0]] is None]
 
 
@@ -435,22 +441,26 @@ def step(
     streams: Sequence[StreamContext],
     backend: Scorer,
     cfg: DecodeConfig,
-    seed: int,
+    seed: int | None,
     executor: Executor | None = None,
     index: int = 0,
+    jobs: int = 1,
 ) -> tuple[int, StepRecord]:
     """Score all streams, mix, sample one token, append it to every stream.
 
-    Backend queries may run on ``executor``; aggregation waits for all of
-    them (the mixture is synchronous) and reduces in ascending stream order.
-    A failed query aborts the step with no token appended anywhere: the
-    first failure in query order is raised once the queries already running
-    have finished, and queries not yet started are dropped.
+    ``seed`` is the sampling seed; a greedy step needs none. A scorer with
+    its own ``score_batch`` gets the step's queries in one call, with
+    ``jobs`` as the most in flight at once; any other scorer's queries may
+    run on ``executor``. Aggregation waits for all of them (the mixture is
+    synchronous) and reduces in ascending stream order. A failed query
+    aborts the step with no token appended anywhere: the first failure in
+    query order is raised once the queries already running have finished,
+    and queries not yet started are dropped.
     """
     decoder = Decoder(streams, cfg, index=index, step_seed=seed)
     requests = decoder.pending()
     if executor is None or hasattr(backend, "score_batch"):
-        replies = score_batch(backend, requests)
+        replies = score_batch(backend, requests, jobs)
     else:
         replies = _fanned_out(backend, requests, executor)
     errors: list[DecodeError | None] = [None]
@@ -491,19 +501,22 @@ def decode(
     Returns the emitted tokens (a terminal stop token is recorded in the
     trace and appended to the streams, per the shared-suffix rule, but not
     included in the returned sequence) and the full trace. Deterministic
-    given (plan, config, seed, backend) for any ``jobs`` count.
+    given (plan, config, seed, backend) for any ``jobs``: the most queries
+    in flight at once, on ``jobs`` threads for a scorer without
+    ``score_batch``.
     """
     if plan.streams != cfg.streams:
         raise ValueError(f"plan has {plan.streams} streams, config expects {cfg.streams}")
     streams = build_streams(video_ref, prompt, plan)
     trace = DecodeTrace()
     tokens: list[int] = []
-    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and not hasattr(backend, "score_batch") else None
     try:
         for t in range(cfg.max_tokens):
             try:
                 token, record = step(
-                    streams, backend, cfg, _step_seed(seed, t), executor=executor, index=t
+                    streams, backend, cfg, _step_seed(seed, t) if cfg.temperature > 0 else None,
+                    executor=executor, index=t, jobs=jobs,
                 )
             except StepError as exc:
                 raise DecodeError(exc, trace, tokens) from exc

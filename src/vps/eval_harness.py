@@ -540,10 +540,10 @@ def run_benchmark(
     On a scorer with its own ``score_batch``, the decodes of a method (every
     item, every ``sc:J`` sample) run in lock step, ``LOCKSTEP_ITEMS`` items
     at a time: each round scores the pending queries of all of them in one
-    call (see :func:`vps.decode_engine.run_lockstep`), and ``jobs`` is not
-    used. Any other scorer makes one ``score`` call per query either way, so
-    its items run one by one through :func:`evaluate_item`, up to ``jobs`` of
-    them in parallel. Results are ordered by (method, item) regardless of
+    call, with up to ``jobs`` queries in flight at once (see
+    :func:`vps.decode_engine.run_lockstep`). Any other scorer makes one
+    ``score`` call per query either way, so its items run one by one through
+    :func:`evaluate_item`, up to ``jobs`` of them in parallel. Results are ordered by (method, item) regardless of
     schedule. The audit maps each method tag to the number of backend calls
     it issued, for compute-matched comparisons. A failed query fails only
     its item x method: its result carries the ``error`` and the run goes on.
@@ -580,7 +580,7 @@ def run_benchmark(
             return [
                 _failed_result(item, method, error) if error is not None
                 else _method_result(item, method, [tokens_to_text(d.tokens, backend) for d in decoders])
-                for (_, item), decoders, error in zip(chunk, groups, run_lockstep(groups, counter))
+                for (_, item), decoders, error in zip(chunk, groups, run_lockstep(groups, counter, jobs))
             ]
 
         if hasattr(backend, "score_batch"):

@@ -3,11 +3,13 @@
 One :class:`JsonEndpoint` serves every HTTP client in vps: the wire scorer
 and the judge and embedding clients. It keeps the idle connections of one
 endpoint in a pool shared by all threads, so N concurrent callers hold at
-most N sockets. An idle connection the server has already closed is dropped
-before reuse by a zero-timeout readability check; a reused connection that
-the server closed between that check and the request is replaced once by a
-fresh one, since every vps endpoint is idempotent. Proxy settings in the
-environment are not read.
+most N sockets. A request may also be sent now and its reply read later
+(:meth:`JsonEndpoint.send`), so that one thread keeps several requests in
+flight, one per connection. An idle connection the server has already closed
+is dropped before reuse by a zero-timeout readability check; a reused
+connection that the server closed between that check and the request is
+replaced once by a fresh one, since every vps endpoint is idempotent. Proxy
+settings in the environment are not read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import weakref
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
 
-__all__ = ["BackendError", "WireTransportError", "JsonEndpoint", "auth_headers"]
+__all__ = ["BackendError", "WireTransportError", "JsonEndpoint", "Exchange", "Reply", "auth_headers"]
 
 
 class BackendError(RuntimeError):
@@ -42,6 +44,9 @@ class WireTransportError(ConnectionError):
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+# a whole reply: status, headers, body
+Reply = tuple[int, http.client.HTTPMessage, bytes]
 
 
 def auth_headers(env_var: str) -> dict[str, str]:
@@ -89,22 +94,18 @@ class JsonEndpoint:
         # an endpoint dropped without close() still closes its idle sockets
         weakref.finalize(self, _close_all, self._idle)
 
-    def post(
-        self, path: str, body: object, headers: Mapping[str, str]
-    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def post(self, path: str, body: object, headers: Mapping[str, str]) -> Reply:
         """Send one request and read the whole reply: (status, headers, body).
 
         Raises one of ``TRANSPORT_ERRORS`` when no complete reply arrives.
         """
+        return self.send(path, body, headers).reply()
+
+    def send(self, path: str, body: object, headers: Mapping[str, str]) -> "Exchange":
+        """Send one request on a connection of its own; read the reply with
+        :meth:`Exchange.reply`, which also raises a failure to send."""
         data = json.dumps(body, allow_nan=False).encode("utf-8")
-        url = self._prefix + path
-        conn = self._take_idle()
-        if conn is not None:
-            try:
-                return self._exchange(conn, url, data, headers)
-            except ConnectionError:
-                pass  # closed by the server after the readability check
-        return self._exchange(self._new_connection(), url, data, headers)
+        return Exchange(self, self._prefix + path, data, headers)
 
     def close(self) -> None:
         """Close the idle connections; later calls open new ones."""
@@ -126,11 +127,9 @@ class JsonEndpoint:
                 return conn
             conn.close()
 
-    def _exchange(
-        self, conn: http.client.HTTPConnection, url: str, data: bytes, headers: Mapping[str, str]
-    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def _receive(self, conn: http.client.HTTPConnection) -> Reply:
+        """Read the reply to the request sent on ``conn``, then pool or close it."""
         try:
-            conn.request("POST", url, body=data, headers=headers)
             resp = conn.getresponse()
             payload = resp.read()
         except BaseException:
@@ -142,3 +141,55 @@ class JsonEndpoint:
             with self._lock:
                 self._idle.append(conn)
         return resp.status, resp.headers, payload
+
+
+class Exchange:
+    """One request sent on a connection that nothing else uses until
+    :meth:`reply` has read the reply (or :meth:`close` dropped it).
+
+    The request goes out on an idle pooled connection when there is one.
+    If the server had closed that connection, which shows as a
+    ``ConnectionError`` when sending or before any reply, :meth:`reply`
+    sends the request once more on a fresh connection. A request that could
+    not be sent otherwise raises its error from :meth:`reply`.
+    """
+
+    def __init__(self, endpoint: JsonEndpoint, url: str, data: bytes, headers: Mapping[str, str]) -> None:
+        self._endpoint = endpoint
+        self._request = (url, data, headers)
+        self._error: Exception | None = None
+        idle = endpoint._take_idle()
+        self._replayable = idle is not None
+        self._conn = idle if idle is not None else endpoint._new_connection()
+        try:
+            self._send()
+        except TRANSPORT_ERRORS as exc:
+            self._error = exc
+
+    def _send(self) -> None:
+        url, data, headers = self._request
+        try:
+            self._conn.request("POST", url, body=data, headers=headers)
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def reply(self) -> Reply:
+        """Read the whole reply: (status, headers, body). Raises one of
+        ``TRANSPORT_ERRORS`` when no complete reply arrives."""
+        try:
+            if self._error is not None:
+                raise self._error
+            return self._endpoint._receive(self._conn)
+        except ConnectionError:
+            if not self._replayable:
+                raise
+        # closed by the server after the readability check
+        self._replayable = False
+        self._conn = self._endpoint._new_connection()
+        self._send()
+        return self._endpoint._receive(self._conn)
+
+    def close(self) -> None:
+        """Drop the connection without reading the reply."""
+        self._conn.close()

@@ -353,3 +353,29 @@ class TestDeterminism:
         ]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1].to_jsonl() == runs[1][1].to_jsonl()
+
+
+class TestGreedySeed:
+    def test_greedy_decodes_derive_no_step_seed(self, monkeypatch, tmp_path):
+        from vps import decode_engine
+        from vps.cli import main
+
+        plan = uniform_offset_plan(64, 4, 4)
+        cfg = DecodeConfig(streams=4, max_tokens=4, tcd=TcdConfig())
+        want = decode("v", "p", plan, HashBackend(6), cfg, seed=3)[1].to_jsonl()
+        argv = ["run", "--backend", "toy", "--toy-episodes", "6", "--methods", "baseline,vps:4,vps:2+tcd+ritual",
+                "--k", "4", "--max-tokens", "2", "--seed", "2", "--out-dir"]
+        assert main(argv + [str(tmp_path / "seeded")]) == 0
+
+        def refuse(seed, index):
+            raise AssertionError("a greedy step derived a sampling seed")
+
+        monkeypatch.setattr(decode_engine, "_step_seed", refuse)
+        for jobs in (1, 2):
+            assert decode("v", "p", plan, HashBackend(6), cfg, seed=3, jobs=jobs)[1].to_jsonl() == want
+        assert main(argv + [str(tmp_path / "greedy")]) == 0
+        for name in ("results.jsonl", "summary.json", "accuracy.csv"):
+            assert (tmp_path / "greedy" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+        sampled = DecodeConfig(streams=4, max_tokens=1, temperature=0.5)
+        with pytest.raises(AssertionError, match="derived a sampling seed"):
+            decode("v", "p", plan, HashBackend(6), sampled, seed=3)

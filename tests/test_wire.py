@@ -1,4 +1,5 @@
-"""Wire client against the bundled stub server: round trips, retries, errors."""
+"""Wire client against the bundled stub server: round trips, retries, errors,
+pipelined batches and `vps run --backend wire`."""
 
 import contextlib
 import http.client
@@ -6,8 +7,10 @@ import json
 import math
 import select
 import threading
+import time
 import types
 import warnings
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 
 from vps import jsonhttp
 from vps.aggregation import TcdConfig
-from vps.backends import ScoreRequest
+from vps.backends import CallCounter, ScoreRequest, score_batch
 from vps.backends.stub_server import StubServer
 from vps.backends.wire import (
     BackendError,
@@ -25,7 +28,8 @@ from vps.backends.wire import (
     WireTransportError,
     wire_score,
 )
-from vps.decode_engine import DecodeConfig, decode
+from vps.cli import main
+from vps.decode_engine import DecodeConfig, DecodeError, decode, negative_view
 from vps.frame_selection import uniform_offset_plan
 
 
@@ -342,3 +346,286 @@ class TestProtocolErrors:
             WireConfig("http://x", max_retries=-1)
         with pytest.raises(ValueError):
             WireConfig("http://x", backoff_factor=0.5)
+
+
+@contextlib.contextmanager
+def keyed_server(reply_of, delay=0.0):
+    """/v1/score answered by ``reply_of(body, n)`` -> (status, headers,
+    payload), where n counts earlier requests with the same body. Yields
+    the URL and a record of the statuses sent (in arrival order), the
+    connections accepted and the most requests handled at once."""
+    seen = {
+        "sent": [], "connections": 0, "active": 0, "max_active": 0, "attempts": {}, "lock": threading.Lock(),
+    }
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True  # the reply's headers and body are two writes
+
+        def log_message(self, *args):
+            pass
+
+        def setup(self):
+            super().setup()
+            with seen["lock"]:
+                seen["connections"] += 1
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            key = json.dumps(body, sort_keys=True)
+            with seen["lock"]:
+                n = seen["attempts"].get(key, 0)
+                seen["attempts"][key] = n + 1
+                seen["active"] += 1
+                seen["max_active"] = max(seen["max_active"], seen["active"])
+            try:
+                time.sleep(delay)
+                status, headers, payload = reply_of(body, n)
+                with seen["lock"]:
+                    seen["sent"].append(status)
+            finally:
+                with seen["lock"]:
+                    seen["active"] -= 1
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", seen
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def hashed_scores(body, vocab=6):
+    """Full scores that differ with every field of the request."""
+    key = json.dumps(body, sort_keys=True).encode()
+    return {"vocab_size": vocab, "scores": np.random.default_rng(zlib.crc32(key)).normal(size=vocab).tolist()}
+
+
+def ok(body, _n):
+    return 200, {}, hashed_scores(body)
+
+
+def batch_requests(n):
+    return [ScoreRequest(f"vid-{k}", (k, k + 8), "identity", "prompt", (1,) * (k % 3)) for k in range(n)]
+
+
+def probs(dists):
+    return [d.probs.tolist() for d in dists]
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The backoff sleeps of the wire backend, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr("vps.backends.wire.time", types.SimpleNamespace(sleep=slept.append))
+    return slept
+
+
+class TestPipeline:
+    """``WireBackend.score_batch``: up to ``jobs`` requests in flight from one thread."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_at_most_jobs_connections_and_requests_in_flight(self, jobs):
+        requests = batch_requests(12)
+        with keyed_server(ok, delay=0.02) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            replies = backend.score_batch(requests, jobs=jobs)
+            assert seen["sent"] == []  # nothing goes out before the first reply is asked for
+            got = list(replies)
+            assert seen["connections"] <= jobs
+            assert seen["max_active"] == jobs
+            assert probs(got) == probs(backend.score(req) for req in requests)
+            assert backend.retries_total == 0
+
+    def test_replies_are_read_lazily(self):
+        requests = batch_requests(6)
+        with keyed_server(ok) as (url, seen):
+            replies = WireBackend(fast_config(url)).score_batch(requests, jobs=2)
+            next(replies)
+            time.sleep(0.05)
+            assert len(seen["sent"]) == 3  # requests 0 and 1, then 2 once reply 0 was read
+            replies.close()
+
+    @pytest.mark.parametrize("status,headers,delay", [(503, {}, 0.01), (429, {"Retry-After": "0"}, 0)])
+    def test_busy_reply_mid_batch_is_retried_once(self, slept, status, headers, delay):
+        def busy_once(body, n):
+            if body["video_ref"] == "vid-3" and n == 0:
+                return status, headers, {"error": "busy"}
+            return ok(body, n)
+
+        requests = batch_requests(8)
+        with keyed_server(busy_once) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            got = list(backend.score_batch(requests, jobs=2))
+            assert backend.retries_total == 1
+            assert slept == [delay]
+            assert sorted(seen["sent"]) == [200] * 8 + [status]
+            assert probs(got) == probs(backend.score(req) for req in requests)
+
+    @pytest.mark.parametrize("check", [True, False], ids=["readability-check", "replay-only"])
+    def test_stale_idle_connection_is_replayed_without_a_retry(self, monkeypatch, check):
+        if not check:
+            monkeypatch.setattr(jsonhttp, "_readable", lambda sock: False)
+        with scripted_server([FULL_REPLY], close_after_reply=True) as (url, sent):
+            backend = WireBackend(fast_config(url))
+            for jobs in (1, 2):
+                got = list(backend.score_batch([req()] * 5, jobs=jobs))
+                assert all(np.array_equal(d.probs, got[0].probs) for d in got)
+            assert backend.retries_total == 0
+            assert sent == [200] * 10
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_404_fails_only_its_own_request(self, jobs):
+        def missing(body, n):
+            return (404, {}, {"error": "no such video"}) if body["video_ref"] == "vid-4" else ok(body, n)
+
+        requests = batch_requests(8)
+        with keyed_server(missing) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            replies = backend.score_batch(requests, jobs=jobs)
+            got = [next(replies) for _ in range(4)]
+            with pytest.raises(BackendError) as err:
+                next(replies)
+            assert err.value.status == 404
+            assert next(replies, None) is None
+            assert backend.retries_total == 0
+            time.sleep(0.05)
+            # requests 0-4, plus at most jobs - 1 sent before reply 4 was read
+            assert 5 <= len(seen["sent"]) <= 4 + jobs
+            assert probs(got) == probs(backend.score(r) for r in requests[:4])
+
+    def test_audit_counts_replies_read_and_the_failed_query(self):
+        def missing(body, n):
+            return (404, {}, {"error": "no such video"}) if body["video_ref"] == "vid-3" else ok(body, n)
+
+        with keyed_server(missing) as (url, _seen):
+            counter = CallCounter(WireBackend(fast_config(url)))
+            replies = score_batch(counter, batch_requests(8), jobs=3)
+            assert counter.calls == 0
+            for _ in range(3):
+                next(replies)
+            with pytest.raises(BackendError):
+                next(replies)
+            # requests 4 and 5 were in flight, but neither reply was read
+            assert counter.calls == 4
+
+    def test_404_fails_the_stream_and_role_of_its_request(self):
+        plan = uniform_offset_plan(32, 2, 3)
+        negative = negative_view(plan.sets[1])
+
+        def missing(body, n):
+            if body["view"] == negative and len(body["generated"]) == 1:
+                return 404, {}, {"error": "no such view"}
+            return ok(body, n)
+
+        cfg = DecodeConfig(streams=3, max_tokens=3, tcd=TcdConfig(), ritual_views=("hflip", "vflip", "rot180"))
+        for jobs in (1, 2, 8):
+            with keyed_server(missing) as (url, _seen):
+                with pytest.raises(DecodeError) as err:
+                    decode("vid", "prompt", plan, WireBackend(fast_config(url)), cfg, jobs=jobs)
+            step_error = err.value.cause
+            assert (step_error.stream_id, step_error.role) == (1, "negative")
+            assert isinstance(step_error.cause, BackendError)
+            assert len(err.value.trace.steps) == 1  # step 0 is done; step 1 failed
+
+    def test_decode_traces_identical_at_any_jobs(self, monkeypatch):
+        monkeypatch.setattr("vps.decode_engine.ThreadPoolExecutor", None)  # a batching scorer needs no pool
+        plan = uniform_offset_plan(64, 4, 4)
+        cfg = DecodeConfig(streams=4, max_tokens=4, temperature=0.7, tcd=TcdConfig(),
+                           ritual_views=("hflip", "vflip", "rot180", "hflip"))
+        traces = []
+        with keyed_server(ok) as (url, seen):
+            for jobs in (1, 2, 8):
+                before = seen["connections"]
+                backend = WireBackend(fast_config(url))
+                traces.append(decode("vid", "prompt", plan, backend, cfg, seed=5, jobs=jobs)[1].to_jsonl())
+                assert seen["connections"] - before <= jobs
+        assert traces[0] == traces[1] == traces[2]
+        assert len(traces[0].splitlines()) == 4
+
+
+WIRE_VOCAB = ["yes", "no", " a", " b", " c", "</s>"]
+
+
+def wire_run(tmp_path, url, jobs, name, methods="baseline,vps:2+tcd,sc:2"):
+    """``vps run --backend wire`` over two binary items and a description
+    item; returns (exit code, run directory)."""
+    dataset, vocab = tmp_path / "items.jsonl", tmp_path / "vocab.json"
+    dataset.write_text("".join(
+        json.dumps({"id": f"i{n}", "video_ref": f"vid-{n}", "total_frames": 16, "task": task,
+                    "question": f"q{n}?", "reference": reference}) + "\n"
+        for n, (task, reference) in enumerate([("binary", "yes"), ("binary", "no"), ("description", " a b")])
+    ))
+    vocab.write_text(json.dumps(WIRE_VOCAB))
+    out = tmp_path / name
+    code = main([
+        "run", "--backend", "wire", "--endpoint", url, "--dataset", str(dataset), "--vocab", str(vocab),
+        "--methods", methods, "--k", "2", "--max-tokens", "3", "--seed", "4", "--jobs", str(jobs),
+        "--out-dir", str(out),
+    ])
+    return code, out
+
+
+def run_files(out):
+    return {name: (out / name).read_bytes() for name in ("results.jsonl", "summary.json", "accuracy.csv", "metrics.csv")}
+
+
+class TestWireRun:
+    """``vps run --backend wire`` pipelined, against the same run scored one request at a time."""
+
+    def per_request(self, monkeypatch, tmp_path, handler):
+        with monkeypatch.context() as patch:
+            patch.delattr(WireBackend, "score_batch")
+            with StubServer(score_handler=handler) as server:
+                code, out = wire_run(tmp_path, server.url, 1, "per-request")
+        return code, run_files(out)
+
+    def test_outputs_and_audit_match_the_per_request_path(self, monkeypatch, tmp_path):
+        def handler(body):
+            return hashed_scores(body, len(WIRE_VOCAB))
+
+        _, want = self.per_request(monkeypatch, tmp_path, handler)
+        for jobs in (1, 2):
+            with StubServer(score_handler=handler) as server:
+                code, out = wire_run(tmp_path, server.url, jobs, f"jobs-{jobs}")
+                assert code == 0
+                assert run_files(out) == want
+                audit = json.loads((out / "summary.json").read_text())["backend_calls"]
+                assert sum(audit.values()) == len(server.requests_seen)
+                assert server.connections <= jobs
+
+    def test_one_failed_query_is_audited_as_on_the_per_request_path(self, monkeypatch, tmp_path):
+        def handler(body):
+            if body["video_ref"] == "vid-1" and body["view"] != "identity" and len(body["generated"]) == 1:
+                raise KeyError("no such view")  # answered 404
+            return hashed_scores(body, len(WIRE_VOCAB))
+
+        code, want = self.per_request(monkeypatch, tmp_path, handler)
+        assert code == 1
+        summary = json.loads(want["summary.json"])
+        assert [(f["item_id"], f["method"]) for f in summary["failed"]] == [("i1", "vps:2+tcd")]
+        for jobs in (1, 2):
+            with StubServer(score_handler=handler) as server:
+                code, out = wire_run(tmp_path, server.url, jobs, f"jobs-{jobs}")
+            assert code == 1
+            assert run_files(out) == want
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hard_down_backend_spends_one_retry_budget_per_evaluation(self, slept, tmp_path, jobs):
+        code, out = wire_run(tmp_path, "http://127.0.0.1:1", jobs, "down", methods="baseline,vps:2")
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["backend_calls"] == {"baseline": 3, "vps:2": 3}
+        assert len(summary["failed"]) == 6
+        assert slept == [0.5, 1.0, 2.0] * 6  # WireConfig's default budget, once per failed evaluation
