@@ -2,11 +2,12 @@
 
 A scorer implements ``score(ScoreRequest) -> Distribution``; a scorer that
 converts lossily names the conversion in the distribution's ``flags``. A
-scorer may also implement ``score_batch(requests)``: one distribution per
-request in request order, as a list or as an iterator that scores lazily,
-and it may take the most requests to keep in flight as the keyword ``jobs``.
-:func:`score_batch` calls it when present and falls back to ``score``, one
-request at a time. Shipped scorers:
+scorer may also implement ``score_batch(requests, jobs)``: one distribution
+per request in request order, as a list or as an iterator that scores
+lazily, with ``jobs`` as the most requests it may keep in flight at once
+(a scorer that does not pipeline ignores it). :func:`score_batch` is the
+one place that calls it, and it falls back to ``score``, one request at a
+time. Shipped scorers:
 a deterministic table-driven mock, an exact-Bayes toy video world
 (:mod:`vps.backends.toyworld`), and an HTTP client for external inference
 servers (:mod:`vps.backends.wire`).
@@ -137,7 +138,7 @@ def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest], jobs: int = 1)
     """One distribution per request, in request order.
 
     A scorer with its own ``score_batch`` scores the whole batch in one call,
-    made here, and ``jobs`` > 1 is passed on to it as the keyword ``jobs``.
+    made here, with ``jobs`` passed on as the keyword ``jobs``.
     When it returns a list, a reply count other than one per request raises
     ``ValueError`` here; an iterator is passed on as it is, and a failed
     request raises when its reply is read. If the call itself raises, the
@@ -149,7 +150,7 @@ def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest], jobs: int = 1)
     native = getattr(scorer, "score_batch", None)
     if native is not None:
         try:
-            replies = native(requests, jobs=jobs) if jobs > 1 else native(requests)
+            replies = native(requests, jobs=jobs)
         except Exception:  # noqa: BLE001 - attributed below, one request at a time
             replies = None
         if isinstance(replies, list) and len(replies) != len(requests):
@@ -235,8 +236,8 @@ class CallCounter:
         if name != "score_batch":
             return attr
 
-        def score_batch(requests: Sequence[ScoreRequest], **kwargs) -> Iterable[Distribution]:
-            replies = attr(requests, **kwargs)
+        def score_batch(requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterable[Distribution]:
+            replies = attr(requests, jobs=jobs)
             if isinstance(replies, list):
                 self._count(len(requests))
                 return replies

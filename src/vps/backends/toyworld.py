@@ -210,8 +210,9 @@ class ToyBackend:
         perm, world = view
         return world, [int(perm[s]) for s in symbols]
 
-    def score_batch(self, requests: Sequence[ScoreRequest]) -> list[Distribution]:
-        """Score every request, one gather-and-sum per view world for the batch."""
+    def score_batch(self, requests: Sequence[ScoreRequest], jobs: int = 1) -> list[Distribution]:
+        """Score every request, one gather-and-sum per view world for the
+        batch. ``jobs`` is ignored: the batch is scored in this one call."""
         probs = np.zeros((len(requests), len(self.world.vocab)))
         groups: dict[ToyWorld, tuple[list[int], list[list[int]]]] = {}
         for i, req in enumerate(requests):

@@ -120,8 +120,8 @@ def _build_toy(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.frames < 1 or args.max_tokens < 1:
-        raise UsageError("--k and --max-tokens must be positive")
+    if args.frames < 1 or args.max_tokens < 1 or args.jobs < 1:
+        raise UsageError("--k, --max-tokens and --jobs must be positive")
     config = _load_config(args.config)
     endpoint = args.endpoint or config.get("endpoint")
 
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="backend queries in flight at once (wire backend); the toy backend ignores it",
+        help="the most backend queries in flight at once (the toy backend scores each round in one call)",
     )
     p.add_argument("--out-dir", default="vps-run")
     p.add_argument("--trace", action="store_true", help="emit a decode trace for the first item")

@@ -1,12 +1,12 @@
 """The parallel-stream decode loop.
 
-Per token: fan out one scoring query per stream (plus a frame-degraded
+Per token: send one scoring query per stream (plus a frame-degraded
 negative query per stream when contrastive adjustment is on, plus an
 augmented-view query per stream when view fusion is on), adjust and mix the
 stream distributions, sample a single token, and append that same token to
-every stream. Up to ``jobs`` stream queries may be in flight at once;
-results are buffered and reduced in ascending stream order, so traces are
-bit-identical regardless of ``jobs``.
+every stream. Every query goes through :func:`vps.backends.score_batch`,
+which may keep up to ``jobs`` of them in flight; replies are reduced in
+ascending stream order, so traces are bit-identical regardless of ``jobs``.
 
 A decode is a :class:`Decoder`: its queries come out of ``pending()`` and
 their replies go back in through ``advance()``, so the caller decides how
@@ -18,7 +18,7 @@ decoders' steps as one batch.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
@@ -47,6 +47,7 @@ __all__ = [
     "StepError",
     "DecodeError",
     "negative_view",
+    "derive_seed",
     "Decoder",
     "run_lockstep",
     "step",
@@ -229,9 +230,13 @@ def _truncate(dist: Distribution, top_m: int | None) -> tuple[np.ndarray | None,
     return None, tuple((int(t), float(dist.probs[t])) for t in order)
 
 
-def _step_seed(seed: int, index: int) -> int:
-    # stable per-step derivation, independent of platform hash randomization
+def derive_seed(seed: int, index: int) -> int:
+    """The ``index``-th child seed of ``seed``: stable across runs and
+    platforms (independent of hash randomization)."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
+_step_seed = derive_seed  # step ``index``'s sampling seed, looked up by this name at each step
 
 
 class Decoder:
@@ -366,20 +371,6 @@ class Decoder:
         return failure
 
 
-def _fanned_out(scorer: Scorer, requests: Sequence[ScoreRequest], executor: Executor) -> Iterator[Distribution]:
-    """Replies to ``requests`` in request order, all submitted at once to
-    ``executor``. After a failure the queued ones are cancelled, and the
-    running ones finish before it is raised."""
-    futures = [executor.submit(scorer.score, req) for req in requests]
-    try:
-        for future in futures:
-            yield future.result()
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-
-
 # one round: (group index, decoder, its pending requests) per live decoder, grouped
 Round = list[tuple[int, Decoder, list[ScoreRequest]]]
 
@@ -412,13 +403,13 @@ def run_lockstep(
     Each round gathers the pending requests of every live decoder, in group
     then decoder order, and scores them through :func:`score_batch`: a
     scorer with its own ``score_batch`` gets the whole round in one call,
-    with ``jobs`` as the most requests in flight at once, any other one
-    ``score`` call per request, in order. Each decoder advances as soon as
-    its own replies are in. A failed request ends its decoder's whole group:
-    the group sends no later request (up to ``jobs`` - 1 of them may already
-    be in flight), and its entry of the returned list is the
-    :class:`DecodeError`. A group that finishes gets None. Exceptions other
-    than a failed request propagate.
+    with ``jobs`` as the most requests it may keep in flight at once, any
+    other one lazy ``score`` call per request, in order. Each decoder
+    advances as soon as its own replies are in. A failed request ends its
+    decoder's whole group: the group sends no later request (up to ``jobs``
+    - 1 of them may already be in flight), and its entry of the returned
+    list is the :class:`DecodeError`. A group that finishes gets None.
+    Exceptions other than a failed request propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
@@ -442,29 +433,24 @@ def step(
     backend: Scorer,
     cfg: DecodeConfig,
     seed: int | None,
-    executor: Executor | None = None,
     index: int = 0,
     jobs: int = 1,
 ) -> tuple[int, StepRecord]:
     """Score all streams, mix, sample one token, append it to every stream.
 
-    ``seed`` is the sampling seed; a greedy step needs none. A scorer with
-    its own ``score_batch`` gets the step's queries in one call, with
-    ``jobs`` as the most in flight at once; any other scorer's queries may
-    run on ``executor``. Aggregation waits for all of them (the mixture is
-    synchronous) and reduces in ascending stream order. A failed query
-    aborts the step with no token appended anywhere: the first failure in
-    query order is raised once the queries already running have finished,
-    and queries not yet started are dropped.
+    ``seed`` is the sampling seed; a greedy step needs none. The step's
+    queries go through :func:`score_batch` as one batch, with ``jobs`` as
+    the most a batching scorer may keep in flight at once. Aggregation
+    waits for all of them (the mixture is synchronous) and reduces in
+    ascending stream order. A failed query aborts the step with no token
+    appended anywhere: the first failure in query order is raised, and no
+    later query is sent (up to ``jobs`` - 1 of them may already be in
+    flight).
     """
     decoder = Decoder(streams, cfg, index=index, step_seed=seed)
     requests = decoder.pending()
-    if executor is None or hasattr(backend, "score_batch"):
-        replies = score_batch(backend, requests, jobs)
-    else:
-        replies = _fanned_out(backend, requests, executor)
     errors: list[DecodeError | None] = [None]
-    _advance([(0, decoder, requests)], replies, errors)
+    _advance([(0, decoder, requests)], score_batch(backend, requests, jobs), errors)
     if errors[0] is not None:
         raise errors[0].cause
     record = decoder.trace.steps[-1]
@@ -501,30 +487,23 @@ def decode(
     Returns the emitted tokens (a terminal stop token is recorded in the
     trace and appended to the streams, per the shared-suffix rule, but not
     included in the returned sequence) and the full trace. Deterministic
-    given (plan, config, seed, backend) for any ``jobs``: the most queries
-    in flight at once, on ``jobs`` threads for a scorer without
-    ``score_batch``.
+    given (plan, config, seed, backend) for any ``jobs``, the most queries a
+    batching scorer may keep in flight at once.
     """
     if plan.streams != cfg.streams:
         raise ValueError(f"plan has {plan.streams} streams, config expects {cfg.streams}")
     streams = build_streams(video_ref, prompt, plan)
     trace = DecodeTrace()
     tokens: list[int] = []
-    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and not hasattr(backend, "score_batch") else None
-    try:
-        for t in range(cfg.max_tokens):
-            try:
-                token, record = step(
-                    streams, backend, cfg, _step_seed(seed, t) if cfg.temperature > 0 else None,
-                    executor=executor, index=t, jobs=jobs,
-                )
-            except StepError as exc:
-                raise DecodeError(exc, trace, tokens) from exc
-            trace.steps.append(record)
-            if token in cfg.stop_tokens:
-                break
-            tokens.append(token)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    for t in range(cfg.max_tokens):
+        try:
+            token, record = step(
+                streams, backend, cfg, _step_seed(seed, t) if cfg.temperature > 0 else None, index=t, jobs=jobs
+            )
+        except StepError as exc:
+            raise DecodeError(exc, trace, tokens) from exc
+        trace.steps.append(record)
+        if token in cfg.stop_tokens:
+            break
+        tokens.append(token)
     return tokens, trace

@@ -13,7 +13,7 @@ import json
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import CallCounter, Scorer
-from .decode_engine import DecodeConfig, DecodeError, Decoder, build_streams, decode, run_lockstep
+from .decode_engine import DecodeConfig, DecodeError, Decoder, build_streams, decode, derive_seed, run_lockstep
 from .frame_selection import (
     FrameSelectionPlan,
     bolt_plan,
@@ -68,8 +68,8 @@ DESCRIPTION_SCAFFOLD = "Summarize the video in one sentence."
 
 RITUAL_TAG_POOL = ("hflip", "vflip", "rot180", "color_jitter", "gaussian_blur")
 
-# items whose decodes run_benchmark drives in lock step at a time on a
-# batching scorer: it bounds the requests, replies and decoders held at once
+# items whose decodes run_benchmark drives in lock step at a time: it bounds
+# the requests, replies and decoders held at once
 LOCKSTEP_ITEMS = 16
 
 
@@ -209,6 +209,10 @@ def tokens_to_text(tokens: Sequence[int], backend: Scorer) -> str:
     return "".join(to_text(t) for t in tokens)
 
 
+# one decode of an item: its frame plan, its settings and its seed
+Decode = tuple[FrameSelectionPlan, DecodeConfig, int]
+
+
 def _sample_decodes(
     plan_same_frames: FrameSelectionPlan,
     streams: int,
@@ -216,7 +220,7 @@ def _sample_decodes(
     temperature: float,
     max_tokens: int,
     stop_tokens: frozenset[int],
-) -> list[tuple[FrameSelectionPlan, DecodeConfig, int]]:
+) -> list[Decode]:
     """Self-consistency's decodes: one single-stream sample per stream."""
     sets = set(plan_same_frames.sets)
     if len(sets) != 1:
@@ -230,33 +234,33 @@ def _sample_decodes(
         (plan_same_frames.sets[0],),
     )
     cfg = DecodeConfig(streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens)
-    return [
-        (single, cfg, int(np.random.SeedSequence([seed, s]).generate_state(1)[0]))
-        for s in range(streams)
-    ]
-
-
-def _decoders(
-    item: EvalItem, decodes: Sequence[tuple[FrameSelectionPlan, DecodeConfig, int]]
-) -> list[Decoder]:
-    """One untraced :class:`Decoder` per (plan, config, seed) decode of ``item``."""
-    prompt = build_prompt(item)
-    return [
-        Decoder(build_streams(item.video_ref, prompt, plan), cfg, decode_seed, keep_trace=False)
-        for plan, cfg, decode_seed in decodes
-    ]
+    return [(single, cfg, derive_seed(seed, s)) for s in range(streams)]
 
 
 def _run_decodes(
-    item: EvalItem, backend: Scorer, decodes: Sequence[tuple[FrameSelectionPlan, DecodeConfig, int]]
-) -> list[str]:
-    """The text each (plan, config, seed) decode of ``item`` emits, decoded in
-    lock step; the first failed decode raises its :class:`DecodeError`."""
-    decoders = _decoders(item, decodes)
-    (error,) = run_lockstep([decoders], backend)
-    if error is not None:
-        raise error
-    return [tokens_to_text(d.tokens, backend) for d in decoders]
+    work: Sequence[tuple[EvalItem, Sequence[Decode]]], backend: Scorer, jobs: int = 1
+) -> list[list[str] | DecodeError]:
+    """Run every item's (plan, config, seed) decodes, untraced, all in lock
+    step (see :func:`vps.decode_engine.run_lockstep`). Per item: the text
+    each of its decodes emits, or the :class:`DecodeError` that ended them."""
+    groups = []
+    for item, decodes in work:
+        prompt = build_prompt(item)
+        groups.append([
+            Decoder(build_streams(item.video_ref, prompt, plan), cfg, s, keep_trace=False) for plan, cfg, s in decodes
+        ])
+    return [
+        error if error is not None else [tokens_to_text(d.tokens, backend) for d in decoders]
+        for decoders, error in zip(groups, run_lockstep(groups, backend, jobs))
+    ]
+
+
+def _item_texts(item: EvalItem, backend: Scorer, decodes: Sequence[Decode]) -> list[str]:
+    """The texts of one item's decodes; a failed decode raises its :class:`DecodeError`."""
+    (outcome,) = _run_decodes([(item, decodes)], backend)
+    if isinstance(outcome, DecodeError):
+        raise outcome
+    return outcome
 
 
 def _vote(item: EvalItem, outputs: Sequence[str]) -> str | None:
@@ -282,8 +286,7 @@ def self_consistency(
     for the votes to differ.
     """
     decodes = _sample_decodes(plan_same_frames, streams, seed, temperature, max_tokens, stop_tokens)
-    return _vote(item, _run_decodes(item, backend, decodes))
-
+    return _vote(item, _item_texts(item, backend, decodes))
 
 
 def _is_correct(item: EvalItem, extracted: str | None) -> bool:
@@ -438,7 +441,7 @@ def _build_plan(
 
 def item_seed(seed: int, index: int) -> int:
     """The seed of the ``index``-th dataset item in a run seeded ``seed``."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+    return derive_seed(seed, index)
 
 
 def method_decodes(
@@ -452,7 +455,7 @@ def method_decodes(
     max_tokens: int = 8,
     stop_tokens: frozenset[int] = frozenset(),
     bolt_scores: Sequence[float] | None = None,
-) -> list[tuple[FrameSelectionPlan, DecodeConfig, int]]:
+) -> list[Decode]:
     """The (plan, config, seed) of every decode ``method`` runs on ``item``.
 
     A mixture method runs one greedy J-stream decode; ``sc:J`` runs J
@@ -500,7 +503,7 @@ def evaluate_item(
         item, method, frames_per_stream, seed, strategy=strategy, space=space, temperature=temperature,
         max_tokens=max_tokens, stop_tokens=stop_tokens, bolt_scores=bolt_scores,
     )
-    return _method_result(item, method, _run_decodes(item, backend, decodes))
+    return _method_result(item, method, _item_texts(item, backend, decodes))
 
 
 def _method_result(item: EvalItem, method: MethodSpec, outputs: Sequence[str]) -> MethodResult:
@@ -537,63 +540,37 @@ def run_benchmark(
 ) -> tuple[list[MethodResult], dict[str, int]]:
     """Evaluate every method over the dataset; returns results plus call audit.
 
-    On a scorer with its own ``score_batch``, the decodes of a method (every
-    item, every ``sc:J`` sample) run in lock step, ``LOCKSTEP_ITEMS`` items
-    at a time: each round scores the pending queries of all of them in one
-    call, with up to ``jobs`` queries in flight at once (see
-    :func:`vps.decode_engine.run_lockstep`). Any other scorer makes one
-    ``score`` call per query either way, so its items run one by one through
-    :func:`evaluate_item`, up to ``jobs`` of them in parallel. Results are ordered by (method, item) regardless of
-    schedule. The audit maps each method tag to the number of backend calls
-    it issued, for compute-matched comparisons. A failed query fails only
-    its item x method: its result carries the ``error`` and the run goes on.
-    Any other exception aborts the run.
+    The decodes of a method (every item, every ``sc:J`` sample) run in lock
+    step, ``LOCKSTEP_ITEMS`` items at a time: each round's pending queries
+    of all of them go to the scorer as one batch, with up to ``jobs`` in
+    flight at once on a batching scorer, and one lazy ``score`` call per
+    query on any other (see :func:`vps.decode_engine.run_lockstep`).
+    Results are ordered by (method, item) regardless of schedule. The audit
+    maps each method tag to the number of backend calls it issued, for
+    compute-matched comparisons. A failed query fails only its item x
+    method: its result carries the ``error`` and the run goes on. Any other
+    exception aborts the run.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
-    indexed = list(enumerate(items))
     options = dict(strategy=strategy, space=space, temperature=temperature, max_tokens=max_tokens,
                    stop_tokens=stop_tokens)
-
-    def bolt(item: EvalItem) -> Sequence[float] | None:
-        return bolt_scores.get(item.video_ref) if bolt_scores else None
-
     for method in methods:
         counter = CallCounter(backend)
-
-        def one(indexed_item: tuple[int, EvalItem]) -> MethodResult:
-            idx, item = indexed_item
-            try:
-                return evaluate_item(
-                    item, method, counter, frames_per_stream, item_seed(seed, idx), bolt_scores=bolt(item), **options
-                )
-            except DecodeError as exc:
-                return _failed_result(item, method, exc)
-
-        def lockstep(chunk: Sequence[tuple[int, EvalItem]]) -> list[MethodResult]:
-            groups = [
-                _decoders(item, method_decodes(
-                    item, method, frames_per_stream, item_seed(seed, idx), bolt_scores=bolt(item), **options
+        method_results = []
+        for start in range(0, len(items), LOCKSTEP_ITEMS):
+            work = [
+                (item, method_decodes(
+                    item, method, frames_per_stream, item_seed(seed, idx),
+                    bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None, **options,
                 ))
-                for idx, item in chunk
+                for idx, item in enumerate(items[start:start + LOCKSTEP_ITEMS], start)
             ]
-            return [
-                _failed_result(item, method, error) if error is not None
-                else _method_result(item, method, [tokens_to_text(d.tokens, backend) for d in decoders])
-                for (_, item), decoders, error in zip(chunk, groups, run_lockstep(groups, counter, jobs))
-            ]
-
-        if hasattr(backend, "score_batch"):
-            method_results = [
-                result
-                for start in range(0, len(indexed), LOCKSTEP_ITEMS)
-                for result in lockstep(indexed[start:start + LOCKSTEP_ITEMS])
-            ]
-        elif jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                method_results = list(pool.map(one, indexed))
-        else:
-            method_results = [one(pair) for pair in indexed]
+            method_results.extend(
+                _failed_result(item, method, outcome) if isinstance(outcome, DecodeError)
+                else _method_result(item, method, outcome)
+                for (item, _), outcome in zip(work, _run_decodes(work, counter, jobs))
+            )
         method_results.sort(key=lambda r: r.item_id)
         results.extend(method_results)
         audit[method.tag] = counter.calls
@@ -609,8 +586,7 @@ def toy_benchmark(
     backend = ToyBackend(world)
     items = []
     for e in range(n_episodes):
-        ep_seed = int(np.random.SeedSequence([seed, e]).generate_state(1)[0])
-        episode = toy_episode(world, total_frames, ep_seed)
+        episode = toy_episode(world, total_frames, derive_seed(seed, e))
         backend.add_episode(episode)
         items.append(
             EvalItem(

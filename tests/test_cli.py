@@ -140,8 +140,8 @@ class TestRunCommand:
             "--toy-total-frames", "8", "--methods", "vps:4", "--k", "4",
             "--out-dir", str(tmp_path / "x"),
         ]) == 2
-        # zero frames per stream or zero tokens are usage errors too, caught before any run directory exists
-        for flag in ("--k", "--max-tokens"):
+        # zero frames per stream, tokens or jobs are usage errors too, caught before any run directory exists
+        for flag in ("--k", "--max-tokens", "--jobs"):
             assert main([
                 "run", "--backend", "toy", "--toy-episodes", "4", "--methods", "baseline",
                 flag, "0", "--out-dir", str(tmp_path / "y"),

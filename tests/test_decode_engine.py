@@ -2,7 +2,6 @@
 
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -116,15 +115,14 @@ class TestStep:
         assert err.value.stream_id == 0
         assert backend.calls == 1
 
-    def test_threaded_step_raises_the_first_failure_in_query_order(self):
+    def test_step_raises_the_first_failure_in_query_order(self):
         plan = uniform_offset_plan(8, 2, 4)
         backend = MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4))
         for j in (1, 3):
             del backend.fixtures[(plan.sets[j], "identity", ())]
         streams = build_streams("v", "p", plan)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(StepError) as err:
-                step(streams, backend, DecodeConfig(streams=4), seed=0, executor=pool)
+        with pytest.raises(StepError) as err:
+            step(streams, backend, DecodeConfig(streams=4), seed=0)
         assert (err.value.stream_id, err.value.role) == (1, "positive")
         assert all(s.generated == [] for s in streams)
 

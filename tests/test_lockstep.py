@@ -1,6 +1,7 @@
 """Lock-step decoding: batched toy scoring, equivalence with decoding one
 decode at a time, and what a failed query does to a lock-step run."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -189,6 +190,37 @@ class TestLockstepEquivalence:
         assert any(len(r.raw_output) > 1 for r in results)  # some decodes ran several steps
 
 
+class TestOneSchedulingPath:
+    def test_toy_run_scores_in_batches_at_every_job_count(self, monkeypatch):
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 6, total_frames=64, seed=8)
+        methods = [MethodSpec.parse(tag) for tag in ("vps:4+tcd+ritual", "sc:4")]
+        kw = dict(max_tokens=2, stop_tokens=frozenset({world.stop_token}))
+        serial = run_benchmark(items, backend, methods, 4, seed=3, **kw)
+
+        def refuse(self, req):
+            raise AssertionError("ToyBackend.score called: a round was scored query by query")
+
+        monkeypatch.setattr(ToyBackend, "score", refuse)
+        assert run_benchmark(items, backend, methods, 4, seed=3, jobs=2, **kw) == serial
+
+    def test_no_thread_is_started(self, monkeypatch):
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 4, total_frames=64, seed=8)
+        methods = [MethodSpec.parse(tag) for tag in ("vps:4+tcd", "sc:2")]
+        plan = uniform_offset_plan(64, 4, 4)
+        cfg = DecodeConfig(streams=4, max_tokens=3, temperature=0.7, tcd=TcdConfig())
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results, _ = run_benchmark(items, ScoreOnly(backend), methods, 4, seed=3, jobs=4)
+        assert len(results) == 8 and all(r.error is None for r in results)
+        _, trace = decode("v", "p", plan, HashBackend(6), cfg, seed=5, jobs=8)
+        assert len(trace.steps) == 3
+
+
 def manual_decode(video_ref, prompt, plan, scorer, cfg, seed):
     """The decode loop driven by hand, one ``score`` call per request."""
     decoder = Decoder(build_streams(video_ref, prompt, plan), cfg, seed)
@@ -295,7 +327,7 @@ class TestFailures:
         class BatchRefusing(Failing):
             """Scores natively, but refuses a whole batch that holds a bad request."""
 
-            def score_batch(self, requests):
+            def score_batch(self, requests, jobs=1):
                 if any(self.bad(req) for req in requests):
                     raise RuntimeError("batch refused")
                 return self.inner.score_batch(requests)
@@ -317,7 +349,7 @@ class TestFailures:
         class Short(ScoreOnly):
             """A batching scorer that drops the last reply of every batch."""
 
-            def score_batch(self, requests):
+            def score_batch(self, requests, jobs=1):
                 return self.inner.score_batch(requests)[:-1]
 
         with pytest.raises(ValueError, match="replies for"):
