@@ -353,27 +353,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    results = []
-    items_meta: dict[str, dict] = {}
+    accuracy: dict[str, dict] = {}
+    reported_by: dict[str, str] = {}  # method tag -> the run directory whose accuracy it is
     desc_rows = []
     for run_dir in args.run_dirs:
         run_path = Path(run_dir)
-        results_file = run_path / "results.jsonl"
         summary_file = run_path / "summary.json"
-        if not results_file.exists() or not summary_file.exists():
+        if not (run_path / "results.jsonl").exists() or not summary_file.exists():
             raise UsageError(f"{run_dir} is not a run directory (missing results.jsonl/summary.json)")
         summary = json.loads(summary_file.read_text(encoding="utf-8"))
-        for line in results_file.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                results.append((summary["frames_per_stream"], eval_harness.MethodResult.from_json(line)))
-        for row in summary.get("description_metrics") or []:
-            desc_rows.append(row)
+        desc_rows.extend(summary.get("description_metrics") or [])
         for method, cats in summary.get("accuracy", {}).items():
-            items_meta.setdefault(method, {}).update(cats)
+            if method in reported_by:
+                raise UsageError(f"method {method!r} is reported by both {reported_by[method]} and {run_dir}")
+            reported_by[method] = run_dir
+            accuracy[method] = cats
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_tables(out_dir, items_meta, desc_rows)
+    _write_tables(out_dir, accuracy, desc_rows)
     print(f"report written to {out_dir}", file=sys.stderr)
     return 0
 

@@ -3,15 +3,17 @@
 Per token: send one scoring query per stream (plus a frame-degraded
 negative query per stream when contrastive adjustment is on, plus an
 augmented-view query per stream when view fusion is on), adjust and mix the
-stream distributions, sample a single token, and append that same token to
-every stream. Every query goes through :func:`vps.backends.score_batch`,
-which may keep up to ``jobs`` of them in flight; replies are reduced in
-ascending stream order, so traces are bit-identical regardless of ``jobs``.
+stream distributions, sample a single token, and append it to the one
+generated suffix all streams share. Every query goes through
+:func:`vps.backends.score_batch`, which may keep up to ``jobs`` of them in
+flight; replies are reduced in ascending stream order, so traces are
+bit-identical regardless of ``jobs``.
 
-A decode is a :class:`Decoder`: its queries come out of ``pending()`` and
-their replies go back in through ``advance()``, so the caller decides how
-they are scored. :func:`step` scores one step of one decoder, and
-:func:`decode` loops over it; :func:`run_lockstep` scores a round of many
+A decode is one :class:`Decoder`, built from the frame plan, and its
+``tokens`` are that suffix. Its queries come out of ``pending()`` and their
+replies go back in through ``advance()``, so the caller decides how they
+are scored. :func:`step` scores one step of one decoder, and :func:`decode`
+runs one decoder with it; :func:`run_lockstep` scores a round of many
 decoders' steps as one batch.
 """
 
@@ -39,7 +41,6 @@ from .frame_selection import FrameSelectionPlan
 from .views import IDENTITY, augmented_view, zero_view
 
 __all__ = [
-    "StreamContext",
     "DecodeConfig",
     "StreamStepRecord",
     "StepRecord",
@@ -53,19 +54,6 @@ __all__ = [
     "step",
     "decode",
 ]
-
-
-@dataclass
-class StreamContext:
-    """One stream's conditioning: its frame subset, view, prompt, and the
-    shared generated suffix (identical across streams at step boundaries)."""
-
-    stream_id: int
-    frame_set: tuple[int, ...]
-    view: str
-    prompt: str
-    generated: list[int]
-    video_ref: str = ""
 
 
 @dataclass(frozen=True)
@@ -236,41 +224,37 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-_step_seed = derive_seed  # step ``index``'s sampling seed, looked up by this name at each step
-
-
 class Decoder:
-    """One decode as a state machine.
+    """One decode as a state machine, and the whole state of it.
 
-    :meth:`pending` returns the score requests of the next step, and none
-    once the decode is ``done``. :meth:`advance` takes their distributions,
-    in request order, and finishes the step: it adjusts and mixes the
-    streams, samples one token and appends it to every stream. The decode is
-    done after a stop token or ``cfg.max_tokens`` steps. Step ``t`` samples
-    with a seed derived from (``seed``, ``t``), or with ``step_seed`` when
-    given; a greedy decode (temperature 0) derives none. With ``keep_trace``
-    off no step record is built, and ``trace`` stays empty.
+    Stream ``j`` sees ``plan.sets[j]``; every stream conditions on the one
+    generated suffix, ``tokens``. :meth:`pending` returns the score requests
+    of the next step, and none once the decode is ``done``. :meth:`advance`
+    takes their distributions, in request order, and finishes the step: it
+    adjusts and mixes the streams and samples one token. The decode is done
+    after a stop token (recorded in the trace, not appended to ``tokens``)
+    or ``cfg.max_tokens`` steps. Step ``t`` samples with a seed derived from
+    (``seed``, ``t``); a greedy decode (temperature 0) derives none. With
+    ``keep_trace`` off no step record is built, and ``trace`` stays empty.
     """
 
     def __init__(
         self,
-        streams: Sequence[StreamContext],
+        video_ref: str,
+        prompt: str,
+        plan: FrameSelectionPlan,
         cfg: DecodeConfig,
         seed: int = 0,
         *,
-        index: int = 0,
-        step_seed: int | None = None,
         keep_trace: bool = True,
     ) -> None:
-        if not streams:
-            raise ValueError("need at least one stream")
-        if len(streams) != cfg.streams:
-            raise ValueError(f"{len(streams)} stream contexts for streams={cfg.streams}")
-        self.streams = list(streams)
+        if plan.streams != cfg.streams:
+            raise ValueError(f"plan has {plan.streams} streams, config expects {cfg.streams}")
+        self.video_ref = video_ref
+        self.prompt = prompt
+        self.plan = plan
         self.cfg = cfg
         self.seed = seed
-        self.index = index
-        self.step_seed = step_seed
         self.keep_trace = keep_trace
         self.trace = DecodeTrace()
         self.tokens: list[int] = []
@@ -286,52 +270,44 @@ class Decoder:
         cfg = self.cfg
         requests: list[ScoreRequest] = []
         self._queries = []
-        for s in self.streams:
-            base = dict(
-                video_ref=s.video_ref,
-                frame_set=s.frame_set,
-                prompt_text=s.prompt,
-                generated=tuple(s.generated),
-                top_m=cfg.score_top_m,
-            )
-            views = [("positive", s.view)]
+        generated = tuple(self.tokens)  # a stop token ends the decode, so the suffix is the emitted tokens
+        for j, frame_set in enumerate(self.plan.sets):
+            views = [("positive", IDENTITY)]
             if cfg.ritual_views is not None:
-                views.append(("augmented", augmented_view(cfg.ritual_views[s.stream_id])))
+                views.append(("augmented", augmented_view(cfg.ritual_views[j])))
             if cfg.tcd is not None:
-                views.append(("negative", negative_view(s.frame_set)))
+                views.append(("negative", negative_view(frame_set)))
             for role, view in views:
-                self._queries.append((s.stream_id, role))
-                requests.append(ScoreRequest(view=view, **base))
+                self._queries.append((j, role))
+                requests.append(ScoreRequest(
+                    video_ref=self.video_ref, frame_set=frame_set, view=view, prompt_text=self.prompt,
+                    generated=generated, top_m=cfg.score_top_m,
+                ))
         return requests
 
     def advance(self, replies: Sequence[Distribution]) -> int:
         """Finish the pending step with one distribution per request; returns its token."""
         cfg = self.cfg
-        if len(replies) != len(self._queries):
+        if not self._queries or len(replies) != len(self._queries):
             raise ValueError(f"{len(replies)} replies for {len(self._queries)} pending requests")
         results = dict(zip(self._queries, replies))
         self._queries = []
         per_stream: list[Distribution] = []
-        for s in self.streams:
-            dist = results[(s.stream_id, "positive")]
+        for j in range(cfg.streams):
+            dist = results[(j, "positive")]
             if cfg.ritual_views is not None:
-                dist = ritual_combine(dist, results[(s.stream_id, "augmented")], space=cfg.space)
+                dist = ritual_combine(dist, results[(j, "augmented")], space=cfg.space)
             if cfg.tcd is not None:
-                dist = tcd_adjust(dist, results[(s.stream_id, "negative")], cfg.tcd)
+                dist = tcd_adjust(dist, results[(j, "negative")], cfg.tcd)
             per_stream.append(dist)
 
         w = cfg.resolved_weights()
         mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-        seed = self.step_seed
-        if seed is None and cfg.temperature > 0:
-            seed = _step_seed(self.seed, self.index)
+        seed = derive_seed(self.seed, self.steps) if cfg.temperature > 0 else None
         token = sample_token(mixed, cfg.temperature, seed)
 
-        for s in self.streams:
-            s.generated.append(token)
         if self.keep_trace:
             self.trace.steps.append(self._record(token, mixed, per_stream, results))
-        self.index += 1
         self.steps += 1
         if token in cfg.stop_tokens:
             self.done = True
@@ -348,16 +324,16 @@ class Decoder:
         results: dict[tuple[int, str], Distribution],
     ) -> StepRecord:
         stream_records = []
-        for s, dist in zip(self.streams, per_stream):
+        for j, (frame_set, dist) in enumerate(zip(self.plan.sets, per_stream)):
             flags: list[str] = []
-            if self.cfg.tcd is not None and len(s.frame_set) == 1:
+            if self.cfg.tcd is not None and len(frame_set) == 1:
                 flags.append("tcd_negative_degenerate")
             for role in ("positive", "augmented", "negative"):
-                if (s.stream_id, role) in results:
-                    flags.extend(results[(s.stream_id, role)].flags)
+                if (j, role) in results:
+                    flags.extend(results[(j, role)].flags)
             probs, top = _truncate(dist, self.cfg.trace_top_m)
-            stream_records.append(StreamStepRecord(s.stream_id, probs, top, flags=tuple(dict.fromkeys(flags))))
-        return StepRecord(index=self.index, token=token, aggregated=mixed.probs, streams=tuple(stream_records))
+            stream_records.append(StreamStepRecord(j, probs, top, flags=tuple(dict.fromkeys(flags))))
+        return StepRecord(index=self.steps, token=token, aggregated=mixed.probs, streams=tuple(stream_records))
 
     def fail(self, k: int, cause: Exception) -> DecodeError:
         """End the decode because its ``k``-th pending request raised ``cause``."""
@@ -371,28 +347,17 @@ class Decoder:
         return failure
 
 
-# one round: (group index, decoder, its pending requests) per live decoder, grouped
-Round = list[tuple[int, Decoder, list[ScoreRequest]]]
-
-
-def _requests(entries: Round) -> list[ScoreRequest]:
-    return [req for _, _, requests in entries for req in requests]
-
-
-def _advance(entries: Round, replies: Iterator[Distribution], errors: list[DecodeError | None]) -> int:
-    """Advance the decoders of ``entries`` in order, each as soon as its own
-    replies are in. A failed reply ends that decoder's group, and nothing
-    more is read. Returns how many entries were handled."""
-    for n, (g, decoder, requests) in enumerate(entries):
-        got: list[Distribution] = []
-        try:
-            for _ in requests:
-                got.append(next(replies))
-        except Exception as exc:  # noqa: BLE001 - recorded as the group's DecodeError
-            errors[g] = decoder.fail(len(got), exc)
-            return n + 1
-        decoder.advance(got)
-    return len(entries)
+def _advance(decoder: Decoder, count: int, replies: Iterator[Distribution]) -> int | DecodeError:
+    """Finish ``decoder``'s pending step with the next ``count`` of
+    ``replies``: its token, or, after a failed reply, the decoder's
+    :class:`DecodeError` (and nothing more is read)."""
+    got: list[Distribution] = []
+    try:
+        for _ in range(count):
+            got.append(next(replies))
+    except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
+        return decoder.fail(len(got), exc)
+    return decoder.advance(got)
 
 
 def run_lockstep(
@@ -413,6 +378,7 @@ def run_lockstep(
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
+        # the round: (group index, decoder, its pending requests) per live decoder, grouped
         batch = [
             (g, decoder, decoder.pending())
             for g, group in enumerate(groups)
@@ -424,53 +390,32 @@ def run_lockstep(
             return errors
         # the whole round as one batch; after a failed request, the rest of the round as another
         while batch:
-            handled = _advance(batch, score_batch(scorer, _requests(batch), jobs), errors)
-            batch = [entry for entry in batch[handled:] if errors[entry[0]] is None]
+            replies = score_batch(scorer, [req for _, _, requests in batch for req in requests], jobs)
+            for n, (g, decoder, requests) in enumerate(batch):
+                outcome = _advance(decoder, len(requests), replies)
+                if isinstance(outcome, DecodeError):
+                    errors[g] = outcome
+                    break
+            batch = [entry for entry in batch[n + 1:] if errors[entry[0]] is None]
 
 
-def step(
-    streams: Sequence[StreamContext],
-    backend: Scorer,
-    cfg: DecodeConfig,
-    seed: int | None,
-    index: int = 0,
-    jobs: int = 1,
-) -> tuple[int, StepRecord]:
-    """Score all streams, mix, sample one token, append it to every stream.
+def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
+    """Score, mix and sample the next step of ``decoder``; returns its token.
 
-    ``seed`` is the sampling seed; a greedy step needs none. The step's
-    queries go through :func:`score_batch` as one batch, with ``jobs`` as
-    the most a batching scorer may keep in flight at once. Aggregation
-    waits for all of them (the mixture is synchronous) and reduces in
-    ascending stream order. A failed query aborts the step with no token
-    appended anywhere: the first failure in query order is raised, and no
-    later query is sent (up to ``jobs`` - 1 of them may already be in
-    flight).
+    The step's queries go through :func:`score_batch` as one batch, with
+    ``jobs`` as the most a batching scorer may keep in flight at once.
+    Aggregation waits for all of them (the mixture is synchronous) and
+    reduces in ascending stream order. A failed query ends the decode with
+    nothing appended: the decoder's :class:`DecodeError` is raised, its
+    ``cause`` the :class:`StepError` of the first failure in query order,
+    and no later query is sent (up to ``jobs`` - 1 of them may already be
+    in flight).
     """
-    decoder = Decoder(streams, cfg, index=index, step_seed=seed)
     requests = decoder.pending()
-    errors: list[DecodeError | None] = [None]
-    _advance([(0, decoder, requests)], score_batch(backend, requests, jobs), errors)
-    if errors[0] is not None:
-        raise errors[0].cause
-    record = decoder.trace.steps[-1]
-    return record.token, record
-
-
-def build_streams(
-    video_ref: str, prompt: str, plan: FrameSelectionPlan
-) -> list[StreamContext]:
-    return [
-        StreamContext(
-            stream_id=j,
-            frame_set=plan.sets[j],
-            view=IDENTITY,
-            prompt=prompt,
-            generated=[],
-            video_ref=video_ref,
-        )
-        for j in range(plan.streams)
-    ]
+    outcome = _advance(decoder, len(requests), score_batch(scorer, requests, jobs))
+    if isinstance(outcome, DecodeError):
+        raise outcome
+    return outcome
 
 
 def decode(
@@ -482,28 +427,17 @@ def decode(
     seed: int = 0,
     jobs: int = 1,
 ) -> tuple[list[int], DecodeTrace]:
-    """Run the decode loop until a stop token or ``max_tokens``.
+    """Run one :class:`Decoder` to a stop token or ``max_tokens``, a
+    :func:`step` per token.
 
     Returns the emitted tokens (a terminal stop token is recorded in the
-    trace and appended to the streams, per the shared-suffix rule, but not
-    included in the returned sequence) and the full trace. Deterministic
-    given (plan, config, seed, backend) for any ``jobs``, the most queries a
-    batching scorer may keep in flight at once.
+    trace but not included in the returned sequence) and the full trace. A
+    failed query raises the decoder's :class:`DecodeError`, which carries
+    the partial trace and tokens. Deterministic given (plan, config, seed,
+    backend) for any ``jobs``, the most queries a batching scorer may keep
+    in flight at once.
     """
-    if plan.streams != cfg.streams:
-        raise ValueError(f"plan has {plan.streams} streams, config expects {cfg.streams}")
-    streams = build_streams(video_ref, prompt, plan)
-    trace = DecodeTrace()
-    tokens: list[int] = []
-    for t in range(cfg.max_tokens):
-        try:
-            token, record = step(
-                streams, backend, cfg, _step_seed(seed, t) if cfg.temperature > 0 else None, index=t, jobs=jobs
-            )
-        except StepError as exc:
-            raise DecodeError(exc, trace, tokens) from exc
-        trace.steps.append(record)
-        if token in cfg.stop_tokens:
-            break
-        tokens.append(token)
-    return tokens, trace
+    decoder = Decoder(video_ref, prompt, plan, cfg, seed)
+    while not decoder.done:
+        step(decoder, backend, jobs)
+    return decoder.tokens, decoder.trace

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import CallCounter, Scorer
-from .decode_engine import DecodeConfig, DecodeError, Decoder, build_streams, decode, derive_seed, run_lockstep
+from .decode_engine import DecodeConfig, DecodeError, Decoder, decode, derive_seed, run_lockstep
 from .frame_selection import (
     FrameSelectionPlan,
     bolt_plan,
@@ -246,9 +246,7 @@ def _run_decodes(
     groups = []
     for item, decodes in work:
         prompt = build_prompt(item)
-        groups.append([
-            Decoder(build_streams(item.video_ref, prompt, plan), cfg, s, keep_trace=False) for plan, cfg, s in decodes
-        ])
+        groups.append([Decoder(item.video_ref, prompt, plan, cfg, s, keep_trace=False) for plan, cfg, s in decodes])
     return [
         error if error is not None else [tokens_to_text(d.tokens, backend) for d in decoders]
         for decoders, error in zip(groups, run_lockstep(groups, backend, jobs))

@@ -110,6 +110,11 @@ def _mixture_loss(irreducible_entropy, capacity_term, correlation, mean_bias, J)
     return irreducible_entropy + capacity_term * ((1.0 + (J - 1) * correlation) / J) + mean_bias
 
 
+def _size_loss(irreducible_entropy, capacity_coeff, capacity_exponent, mean_bias, N):
+    """E + A / N**alpha + mean(B), for scalar or array model size ``N``."""
+    return irreducible_entropy + capacity_coeff / N**capacity_exponent + mean_bias
+
+
 def vps_loss(params: ScalingParams, streams: int) -> float:
     """Expected cross-entropy of the J-stream uniform mixture (closed form)."""
     if len(params.biases) != streams:
@@ -390,7 +395,7 @@ class FitResult:
         p = self.params
         if self.mode == "streams":
             return _mixture_loss(p.irreducible_entropy, p.capacity_term, p.correlation, p.mean_bias, float(x))
-        return p.irreducible_entropy + p.capacity_coeff / float(x) ** p.capacity_exponent + p.mean_bias
+        return _size_loss(p.irreducible_entropy, p.capacity_coeff, p.capacity_exponent, p.mean_bias, float(x))
 
 
 # bounds of the fields solved linearly
@@ -535,7 +540,7 @@ def fit_params(
             c["capacity_coeff"] = C * c["model_size"] ** c["capacity_exponent"]
         else:
             A, alpha = c["capacity_coeff"], c["capacity_exponent"]
-            residuals = E + A / x**alpha + b - y
+            residuals = _size_loss(E, A, alpha, b, x) - y
             slopes = {"capacity_coeff": x**-alpha, "capacity_exponent": -A * np.log(x) * x**-alpha}
         # degeneracy: the Jacobian of the residuals in the free fields, at the solution
         jac = np.column_stack([slopes.get(f, np.ones_like(x)) for f in free])

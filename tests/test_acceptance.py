@@ -26,7 +26,7 @@ from vps.aggregation import (
 from vps.backends import ScoreRequest
 from vps.backends.stub_server import StubServer
 from vps.backends.toyworld import ToyWorld
-from vps.decode_engine import DecodeConfig, build_streams, decode, step
+from vps.decode_engine import DecodeConfig, Decoder, decode, step
 from vps.eval_harness import MethodResult, MethodSpec, accuracy, run_benchmark, toy_benchmark
 from vps.frame_selection import BoltConfig, bolt_plan, sharpen_scores, uniform_offset_plan, validate_plan
 from vps.metrics import HttpJudgeClient, judge_score, rouge_l
@@ -147,17 +147,20 @@ def test_criterion_02_aggregation_algebra():
 
 
 class _FuzzBackend:
-    """Deterministic procedural scorer that audits the context-length bound."""
+    """Deterministic procedural scorer that audits the context-length bound
+    and records the generated suffix of every request it receives."""
 
     def __init__(self, vocab_size, frames_per_stream, prompt, salt):
         self.vocab_size = vocab_size
         self.frames_per_stream = frames_per_stream
         self.prompt = prompt
         self.salt = salt
+        self.suffixes = []
 
     def score(self, req: ScoreRequest):
         assert len(req.frame_set) == self.frames_per_stream, "context grew beyond k frames"
         assert req.prompt_text == self.prompt
+        self.suffixes.append(req.generated)
         key = f"{self.salt}|{req.frame_set}|{req.view}|{req.generated}".encode()
         rng = np.random.default_rng(zlib.crc32(key))
         return Distribution.from_logits(rng.normal(size=self.vocab_size))
@@ -184,18 +187,21 @@ def test_criterion_03_decode_invariants_and_replay():
             tcd=TcdConfig() if with_tcd else None,
         )
 
-        # token-identity invariant checked at every step boundary
-        streams = build_streams("vid", "prompt", plan)
-        for t in range(steps):
-            step(streams, backend, cfg, seed=salt + t, index=t)
-            assert len({tuple(s.generated) for s in streams}) == 1
+        # token identity at every step: each request the backend receives
+        # carries the same suffix, the tokens emitted so far
+        decoder = Decoder("vid", "prompt", plan, cfg, salt)
+        while not decoder.done:
+            emitted = tuple(rec.token for rec in decoder.trace.steps)
+            backend.suffixes = []
+            step(decoder, backend)
+            assert backend.suffixes == [emitted] * (J * (2 if with_tcd else 1))
 
         # bit-identical replay: two runs, and thread counts 1 vs 8
         texts = {
             decode("vid", "prompt", plan, backend, cfg, seed=salt, jobs=jobs)[1].to_jsonl()
             for jobs in (1, 1, 8)
         }
-        assert len(texts) == 1
+        assert texts == {decoder.trace.to_jsonl()}
         decodes += 1
     announce(3, "10^3 fuzzed decodes: token identity, bounded context, bit-identical replay at 1 and 8 threads")
 

@@ -460,21 +460,37 @@ class TestFitCommand:
 
 
 class TestReportCommand:
-    def test_merges_run_directories(self, tmp_path):
+    @staticmethod
+    def toy_runs(tmp_path, *methods):
+        """One toy run directory per method list, the n-th at seed n and k=2n."""
         runs = []
-        for k, seed in ((2, 1), (4, 2)):
-            out = tmp_path / f"run-k{k}"
+        for seed, tags in enumerate(methods, 1):
+            out = tmp_path / f"run-{seed}"
             assert main([
                 "run", "--backend", "toy", "--toy-episodes", "10",
-                "--methods", "baseline,vps:2", "--k", str(k),
+                "--methods", tags, "--k", str(2 * seed),
                 "--seed", str(seed), "--out-dir", str(out),
             ]) == 0
-            runs.append(str(out))
+            runs.append(out)
+        return runs
+
+    def test_merges_run_directories(self, tmp_path):
+        runs = self.toy_runs(tmp_path, "baseline,vps:2", "vps:4,sc:2")
         report = tmp_path / "report"
-        assert main(["report", *runs, "--out", str(report)]) == 0
+        assert main(["report", *map(str, runs), "--out", str(report)]) == 0
         rows = read_csv(report / "accuracy.csv")
-        assert rows[0][0] == "method"
-        assert {r[0] for r in rows[1:]} == {"baseline", "vps:2"}
+        run_rows = [read_csv(run / "accuracy.csv") for run in runs]
+        assert rows[0] == run_rows[0][0] == run_rows[1][0]
+        assert {r[0] for r in rows[1:]} == {"baseline", "vps:2", "vps:4", "sc:2"}
+        assert sorted(rows[1:]) == sorted(run_rows[0][1:] + run_rows[1][1:])
+
+    def test_refuses_a_method_reported_by_two_runs(self, tmp_path, capsys):
+        runs = self.toy_runs(tmp_path, "baseline,vps:2", "vps:2")
+        capsys.readouterr()
+        assert main(["report", *map(str, runs), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "'vps:2'" in err and str(runs[0]) in err and str(runs[1]) in err
+        assert not (tmp_path / "report").exists()
 
     def test_single_run_report_reproduces_the_run_tables(self, tmp_path):
         from vps.backends.stub_server import StubServer

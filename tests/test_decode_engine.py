@@ -13,8 +13,8 @@ from vps.decode_engine import (
     DecodeConfig,
     DecodeError,
     DecodeTrace,
+    Decoder,
     StepError,
-    build_streams,
     decode,
     negative_view,
     step,
@@ -61,24 +61,31 @@ class TestNegativeView:
             negative_view(())
 
 
+def step_once(plan, backend, cfg):
+    """The first step of a fresh decoder: its token and its step record."""
+    decoder = Decoder("v", "p", plan, cfg)
+    token = step(decoder, backend)
+    return token, decoder.trace.steps[-1]
+
+
 class TestStep:
     def test_single_stream_matches_backend(self):
         plan = uniform_offset_plan(8, 2, 1)
         probs = [[0.1, 0.7, 0.2]]
         backend = MockBackend(fixtures_for_plan(plan, probs))
-        streams = build_streams("v", "p", plan)
-        token, record = step(streams, backend, DecodeConfig(streams=1), seed=0)
-        assert token == 1
-        assert np.allclose(record.aggregated, probs[0])
-        assert streams[0].generated == [1]
+        decoder = Decoder("v", "p", plan, DecodeConfig(streams=1, max_tokens=2))
+        assert step(decoder, backend) == 1
+        assert np.allclose(decoder.trace.steps[0].aggregated, probs[0])
+        assert decoder.tokens == [1]
+        assert [req.generated for req in decoder.pending()] == [(1,)]
 
     def test_identical_frame_sets_match_single_stream(self):
         plan1 = uniform_offset_plan(64, 4, 1)
         plan4 = FrameSelectionPlan(64, 4, 4, plan1.sets * 4)
         probs = [0.2, 0.5, 0.3]
         backend = MockBackend({(plan1.sets[0], "identity", ()): Distribution.from_probs(probs)})
-        t1, _ = step(build_streams("v", "p", plan1), backend, DecodeConfig(streams=1), seed=0)
-        t4, rec4 = step(build_streams("v", "p", plan4), backend, DecodeConfig(streams=4), seed=0)
+        t1, _ = step_once(plan1, backend, DecodeConfig(streams=1))
+        t4, rec4 = step_once(plan4, backend, DecodeConfig(streams=4))
         assert t1 == t4
         assert np.allclose(rec4.aggregated, probs)
 
@@ -86,9 +93,7 @@ class TestStep:
         plan = uniform_offset_plan(8, 2, 2)
         probs = [[0.8, 0.1, 0.1], [0.0, 0.2, 0.8]]
         backend = MockBackend(fixtures_for_plan(plan, probs))
-        token, record = step(
-            build_streams("v", "p", plan), backend, DecodeConfig(streams=2), seed=0
-        )
+        token, record = step_once(plan, backend, DecodeConfig(streams=2))
         expected = mix_probs(
             [Distribution.from_probs(p) for p in probs], Weights.uniform(2)
         )
@@ -100,19 +105,19 @@ class TestStep:
         backend = MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 2))
         # second stream's fixture removed: its query must fail
         del backend.fixtures[(plan.sets[1], "identity", ())]
-        streams = build_streams("v", "p", plan)
-        with pytest.raises(StepError) as err:
-            step(streams, backend, DecodeConfig(streams=2), seed=0)
-        assert err.value.stream_id == 1
-        assert all(s.generated == [] for s in streams)
+        decoder = Decoder("v", "p", plan, DecodeConfig(streams=2))
+        with pytest.raises(DecodeError) as err:
+            step(decoder, backend)
+        assert isinstance(err.value.cause, StepError) and err.value.cause.stream_id == 1
+        assert decoder.tokens == [] and decoder.trace.steps == []
 
     def test_failed_query_stops_the_step(self):
         plan = uniform_offset_plan(8, 2, 4)
         backend = CallCounter(MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4)))
         del backend.inner.fixtures[(plan.sets[0], "identity", ())]
-        with pytest.raises(StepError) as err:
-            step(build_streams("v", "p", plan), backend, DecodeConfig(streams=4), seed=0)
-        assert err.value.stream_id == 0
+        with pytest.raises(DecodeError) as err:
+            step_once(plan, backend, DecodeConfig(streams=4))
+        assert err.value.cause.stream_id == 0
         assert backend.calls == 1
 
     def test_step_raises_the_first_failure_in_query_order(self):
@@ -120,11 +125,19 @@ class TestStep:
         backend = MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4))
         for j in (1, 3):
             del backend.fixtures[(plan.sets[j], "identity", ())]
-        streams = build_streams("v", "p", plan)
-        with pytest.raises(StepError) as err:
-            step(streams, backend, DecodeConfig(streams=4), seed=0)
-        assert (err.value.stream_id, err.value.role) == (1, "positive")
-        assert all(s.generated == [] for s in streams)
+        decoder = Decoder("v", "p", plan, DecodeConfig(streams=4))
+        with pytest.raises(DecodeError) as err:
+            step(decoder, backend)
+        assert (err.value.cause.stream_id, err.value.cause.role) == (1, "positive")
+        assert decoder.tokens == [] and decoder.trace.steps == []
+
+    def test_step_of_a_finished_decode_raises(self):
+        plan = uniform_offset_plan(8, 2, 1)
+        decoder = Decoder("v", "p", plan, DecodeConfig(streams=1))
+        step(decoder, HashBackend(3))
+        with pytest.raises(ValueError, match="0 pending requests"):
+            step(decoder, HashBackend(3))
+        assert decoder.steps == 1 and len(decoder.trace.steps) == 1
 
     def test_tcd_negative_query_per_stream(self):
         plan = uniform_offset_plan(8, 2, 2)
@@ -135,7 +148,7 @@ class TestStep:
             )
         backend = CallCounter(MockBackend(fixtures))
         cfg = DecodeConfig(streams=2, tcd=TcdConfig(0.5, 0.1))
-        token, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        token, record = step_once(plan, backend, cfg)
         assert backend.calls == 4  # J * (1 + tcd)
         assert token == 0
 
@@ -146,7 +159,7 @@ class TestStep:
             fixtures[(plan.sets[j], "aug:hflip", ())] = Distribution.from_probs([0.0, 1.0])
         backend = CallCounter(MockBackend(fixtures))
         cfg = DecodeConfig(streams=2, ritual_views=("hflip", "hflip"))
-        _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        _, record = step_once(plan, backend, cfg)
         assert backend.calls == 4  # J * (1 + ritual)
         assert np.allclose(record.aggregated, [0.5, 0.5])
 
@@ -154,7 +167,7 @@ class TestStep:
         plan = uniform_offset_plan(16, 2, 2)
         backend = CallCounter(HashBackend(4))
         cfg = DecodeConfig(streams=2, tcd=TcdConfig(), ritual_views=("hflip", "vflip"))
-        step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        step_once(plan, backend, cfg)
         assert backend.calls == 2 * (1 + 1 + 1)
 
     def test_logit_space_mixing_uses_geometric_mean(self):
@@ -165,14 +178,14 @@ class TestStep:
         }
         backend = MockBackend(fixtures)
         cfg = DecodeConfig(streams=2, space="logit")
-        _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        _, record = step_once(plan, backend, cfg)
         assert np.allclose(record.aggregated, [0.75, 0.25], atol=1e-12)
 
     def test_score_top_m_adds_no_flag_the_backend_did_not_set(self):
         plan = uniform_offset_plan(16, 2, 2)
         backend = MockBackend(fixtures_for_plan(plan, [[0.6, 0.4], [0.3, 0.7]]))
         cfg = DecodeConfig(streams=2, score_top_m=3)
-        _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        _, record = step_once(plan, backend, cfg)
         for srec in record.streams:
             assert srec.flags == ()
 
@@ -180,7 +193,7 @@ class TestStep:
         plan = uniform_offset_plan(4, 1, 2)
         backend = HashBackend(4)
         cfg = DecodeConfig(streams=2, tcd=TcdConfig())
-        _, record = step(build_streams("v", "p", plan), backend, cfg, seed=0)
+        _, record = step_once(plan, backend, cfg)
         for srec in record.streams:
             assert "tcd_negative_degenerate" in srec.flags
 
@@ -228,14 +241,21 @@ class TestDecode:
                 decode("v", "p", plan, DisjointBackend(), cfg)
 
     def test_token_identity_across_streams(self):
+        seen = []
+
+        class AuditBackend(HashBackend):
+            def score(self, req):
+                seen.append(req.generated)
+                return super().score(req)
+
         plan = uniform_offset_plan(64, 4, 4)
-        backend = HashBackend(6)
-        streams = build_streams("v", "p", plan)
-        cfg = DecodeConfig(streams=4, max_tokens=5, temperature=0.7)
-        for t in range(cfg.max_tokens):
-            step(streams, backend, cfg, seed=t, index=t)
-            suffixes = {tuple(s.generated) for s in streams}
-            assert len(suffixes) == 1
+        decoder = Decoder("v", "p", plan, DecodeConfig(streams=4, max_tokens=5, temperature=0.7))
+        while not decoder.done:
+            emitted = tuple(rec.token for rec in decoder.trace.steps)
+            seen.clear()
+            step(decoder, AuditBackend(6))
+            assert seen == [emitted] * 4
+        assert decoder.steps == 5
 
     def test_context_never_exceeds_frames_per_stream(self):
         seen = []
@@ -354,7 +374,7 @@ class TestDeterminism:
 
 
 class TestGreedySeed:
-    def test_greedy_decodes_derive_no_step_seed(self, monkeypatch, tmp_path):
+    def test_greedy_decodes_derive_no_sampling_seed(self, monkeypatch, tmp_path):
         from vps import decode_engine
         from vps.cli import main
 
@@ -368,7 +388,7 @@ class TestGreedySeed:
         def refuse(seed, index):
             raise AssertionError("a greedy step derived a sampling seed")
 
-        monkeypatch.setattr(decode_engine, "_step_seed", refuse)
+        monkeypatch.setattr(decode_engine, "derive_seed", refuse)
         for jobs in (1, 2):
             assert decode("v", "p", plan, HashBackend(6), cfg, seed=3, jobs=jobs)[1].to_jsonl() == want
         assert main(argv + [str(tmp_path / "greedy")]) == 0

@@ -1,0 +1,29 @@
+"""The per-layer instrument of ``perfbench/`` still sees a decode: the names
+it patches on vps exist, its spans fire, and leaving it restores them."""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+from vps import decode_engine
+from vps.decode_engine import DecodeConfig
+from vps.frame_selection import uniform_offset_plan
+
+from test_decode_engine import HashBackend
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import NAME, Tracer, instrument  # noqa: E402
+
+
+def test_decode_records_one_step_span_per_token():
+    plan = uniform_offset_plan(16, 2, 2)
+    cfg = DecodeConfig(streams=2, max_tokens=2)
+    tracer = Tracer()
+    step, mix = decode_engine.step, decode_engine.mix_probs
+    with instrument(tracer):
+        _, trace = decode_engine.decode("v", "p", plan, HashBackend(5), cfg)
+    names = Counter(span[NAME] for span in tracer.spans)
+    assert len(trace.steps) == 2
+    assert names["decode_engine.step"] == 2
+    assert names["aggregation.mix"] >= 1
+    assert (decode_engine.step, decode_engine.mix_probs) == (step, mix)

@@ -11,7 +11,7 @@ from vps.aggregation import TcdConfig
 from vps.backends import CallCounter, ScoreRequest
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
-from vps.decode_engine import DecodeConfig, Decoder, build_streams, decode, negative_view
+from vps.decode_engine import DecodeConfig, Decoder, decode, negative_view
 from vps.eval_harness import (
     RITUAL_TAG_POOL,
     EvalItem,
@@ -223,7 +223,7 @@ class TestOneSchedulingPath:
 
 def manual_decode(video_ref, prompt, plan, scorer, cfg, seed):
     """The decode loop driven by hand, one ``score`` call per request."""
-    decoder = Decoder(build_streams(video_ref, prompt, plan), cfg, seed)
+    decoder = Decoder(video_ref, prompt, plan, cfg, seed)
     while not decoder.done:
         decoder.advance([scorer.score(req) for req in decoder.pending()])
     return decoder.tokens, decoder.trace.to_jsonl()
