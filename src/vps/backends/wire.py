@@ -4,8 +4,9 @@ The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 ``prompt_text``, ``generated``, and ``want`` ("full" or "top:<m>"); the
 response carries ``vocab_size`` plus either a full ``scores`` vector or
 ``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
-travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`; a
-batch keeps up to ``jobs`` of them in flight from the calling thread.
+travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`, each
+in one socket write, with replies read by its lean HTTP/1.1 parser; a batch
+keeps up to ``jobs`` of them in flight from the calling thread.
 Transport failures and 429/503 replies are retried idempotently with
 exponential backoff (a 429/503 ``Retry-After`` of whole seconds replaces the
 backoff); other non-success statuses are not retried.
@@ -70,7 +71,7 @@ def _encode_want(top_m: int | None) -> str:
 
 def _retry_after(headers) -> int | None:
     """The ``Retry-After`` header when it is a whole number of seconds."""
-    value = (headers.get("Retry-After") or "").strip()
+    value = headers.get("retry-after", "").strip()
     return int(value) if value.isascii() and value.isdigit() else None
 
 

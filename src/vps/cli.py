@@ -24,6 +24,7 @@ import numpy as np
 from . import eval_harness, scaling_law
 from .backends.toyworld import ToyWorld
 from .backends.wire import WireBackend, WireConfig
+from .decode_engine import DecodeTrace
 from .frame_selection import BoltConfig, InfeasiblePlanError, plan_to_text, validate_plan
 
 __all__ = ["main"]
@@ -175,6 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    trace = DecodeTrace() if args.trace else None
     try:
         results, audit = eval_harness.run_benchmark(
             items,
@@ -189,6 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             stop_tokens=stop_tokens,
             bolt_scores=bolt_scores,
             jobs=args.jobs,
+            trace=trace,
         )
     except Exception as exc:  # noqa: BLE001 - preserve whatever was written, report hard-down
         print(f"run failed: {exc}", file=sys.stderr)
@@ -238,29 +241,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         status = 1
 
-    if args.trace:
-        trace_text = _example_trace(items[0], methods[0], backend, args, stop_tokens, bolt_scores)
-        _write_atomic(out_dir / "trace.jsonl", trace_text)
+    if trace is not None:
+        _write_atomic(out_dir / "trace.jsonl", trace.to_jsonl())
     return status
-
-
-def _example_trace(item, method, backend, args, stop_tokens, bolt_scores) -> str:
-    """Re-decode the first item as the run decoded it under the first method,
-    recording the trace (for ``sc:J``, of its first sample)."""
-    plan, cfg, seed = eval_harness.method_decodes(
-        item,
-        method,
-        args.frames,
-        eval_harness.item_seed(args.seed, 0),
-        strategy=args.strategy,
-        space=args.space,
-        temperature=args.temperature,
-        max_tokens=args.max_tokens,
-        stop_tokens=stop_tokens,
-        bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None,
-    )[0]
-    _tokens, trace = eval_harness.decode(item.video_ref, eval_harness.build_prompt(item), plan, backend, cfg, seed=seed)
-    return trace.to_jsonl()
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -354,19 +337,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     accuracy: dict[str, dict] = {}
-    reported_by: dict[str, str] = {}  # method tag -> the run directory whose accuracy it is
     desc_rows = []
+    # a table row -> the run directory that reports it: a method tag for
+    # accuracy.csv, a (method tag, nframe) pair for metrics.csv
+    reported_by: dict[object, str] = {}
+
+    def claim(row: object, what: str, run_dir: str) -> None:
+        if row in reported_by:
+            raise UsageError(f"{what} is reported by both {reported_by[row]} and {run_dir}")
+        reported_by[row] = run_dir
+
     for run_dir in args.run_dirs:
         run_path = Path(run_dir)
         summary_file = run_path / "summary.json"
         if not (run_path / "results.jsonl").exists() or not summary_file.exists():
             raise UsageError(f"{run_dir} is not a run directory (missing results.jsonl/summary.json)")
         summary = json.loads(summary_file.read_text(encoding="utf-8"))
-        desc_rows.extend(summary.get("description_metrics") or [])
+        for row in summary.get("description_metrics") or []:
+            claim((row["method"], row["nframe"]), f"description metrics of {row['method']!r} at nframe "
+                  f"{row['nframe']}", run_dir)
+            desc_rows.append(row)
         for method, cats in summary.get("accuracy", {}).items():
-            if method in reported_by:
-                raise UsageError(f"method {method!r} is reported by both {reported_by[method]} and {run_dir}")
-            reported_by[method] = run_dir
+            claim(method, f"method {method!r}", run_dir)
             accuracy[method] = cats
 
     out_dir = Path(args.out)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -100,25 +101,59 @@ class DecodeConfig:
 
 @dataclass(frozen=True, eq=False)
 class StreamStepRecord:
-    """One stream's contribution to a step: the distribution that entered the
-    mixture (after any adjustment), top-m truncated for storage if configured.
-    ``flags`` name lossy conversions by the engine or the backend."""
+    """One stream's contribution to a step: ``dist``, the distribution that
+    entered the mixture (after any adjustment). The trace stores it as
+    ``probs``, its dense vector, or, when ``top_m`` is below the vocabulary
+    size, as ``top``, its ``top_m`` most probable (token, probability)
+    pairs; the other one is None. Both are built on first read, so a record
+    nobody reads costs no vocabulary-length array. ``flags`` name lossy
+    conversions by the engine or the backend."""
 
     stream_id: int
-    probs: np.ndarray | None
-    top: tuple[tuple[int, float], ...] | None
+    dist: Distribution | None = field(repr=False)
+    top_m: int | None = None
     flags: tuple[str, ...] = ()
+
+    @classmethod
+    def stored(
+        cls, stream_id: int, probs: np.ndarray | None, top: tuple[tuple[int, float], ...] | None, flags=()
+    ) -> "StreamStepRecord":
+        """A record of what a trace stored, without the distribution (see
+        :meth:`DecodeTrace.from_jsonl`)."""
+        record = cls(stream_id, None, flags=tuple(flags))
+        vars(record).update(probs=probs, top=top)  # fills both cached properties
+        return record
+
+    @cached_property
+    def probs(self) -> np.ndarray | None:
+        return self.dist.probs if self._whole else None
+
+    @cached_property
+    def top(self) -> tuple[tuple[int, float], ...] | None:
+        if self._whole:
+            return None
+        p = self.dist.probs
+        return tuple((int(t), float(p[t])) for t in np.argsort(-p, kind="stable")[: self.top_m])
+
+    @property
+    def _whole(self) -> bool:
+        return self.top_m is None or self.top_m >= len(self.dist)
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One step: the sampled token, the mixture it was sampled from, and the
-    stream records. Vectors stay arrays until :meth:`DecodeTrace.to_jsonl`."""
+    """One step: the sampled token, ``mixed``, the distribution it was
+    sampled from, and the stream records. ``aggregated``, the dense vector of
+    ``mixed``, is built on first read."""
 
     index: int
     token: int
-    aggregated: np.ndarray
+    mixed: Distribution = field(repr=False)
     streams: tuple[StreamStepRecord, ...]
+
+    @property
+    def aggregated(self) -> np.ndarray:
+        return self.mixed.probs
 
 
 @dataclass
@@ -155,11 +190,11 @@ class DecodeTrace:
                 continue
             raw = json.loads(line)
             streams = tuple(
-                StreamStepRecord(
-                    stream_id=s["stream"],
-                    probs=np.array(s["probs"], dtype=np.float64) if "probs" in s else None,
-                    top=tuple((t, p) for t, p in s["top"]) if "top" in s else None,
-                    flags=tuple(s.get("flags", ())),
+                StreamStepRecord.stored(
+                    s["stream"],
+                    np.array(s["probs"], dtype=np.float64) if "probs" in s else None,
+                    tuple((t, p) for t, p in s["top"]) if "top" in s else None,
+                    s.get("flags", ()),
                 )
                 for s in raw["streams"]
             )
@@ -167,7 +202,7 @@ class DecodeTrace:
                 StepRecord(
                     index=raw["step"],
                     token=raw["token"],
-                    aggregated=np.array(raw["aggregated"], dtype=np.float64),
+                    mixed=Distribution(np.array(raw["aggregated"], dtype=np.float64)),
                     streams=streams,
                 )
             )
@@ -209,13 +244,6 @@ def negative_view(frame_set: Sequence[int], scheme: str = "interleaved_zero") ->
     if len(frames) == 1:
         return zero_view(())
     return zero_view(frames[1::2])
-
-
-def _truncate(dist: Distribution, top_m: int | None) -> tuple[np.ndarray | None, tuple[tuple[int, float], ...] | None]:
-    if top_m is None or top_m >= len(dist):
-        return dist.probs, None
-    order = np.argsort(-dist.probs, kind="stable")[:top_m]
-    return None, tuple((int(t), float(dist.probs[t])) for t in order)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -331,9 +359,8 @@ class Decoder:
             for role in ("positive", "augmented", "negative"):
                 if (j, role) in results:
                     flags.extend(results[(j, role)].flags)
-            probs, top = _truncate(dist, self.cfg.trace_top_m)
-            stream_records.append(StreamStepRecord(j, probs, top, flags=tuple(dict.fromkeys(flags))))
-        return StepRecord(index=self.steps, token=token, aggregated=mixed.probs, streams=tuple(stream_records))
+            stream_records.append(StreamStepRecord(j, dist, self.cfg.trace_top_m, tuple(dict.fromkeys(flags))))
+        return StepRecord(index=self.steps, token=token, mixed=mixed, streams=tuple(stream_records))
 
     def fail(self, k: int, cause: Exception) -> DecodeError:
         """End the decode because its ``k``-th pending request raised ``cause``."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import CallCounter, Scorer
-from .decode_engine import DecodeConfig, DecodeError, Decoder, decode, derive_seed, run_lockstep
+from .decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, derive_seed, run_lockstep
+from .decode_engine import decode  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from .frame_selection import (
     FrameSelectionPlan,
     bolt_plan,
@@ -238,18 +239,29 @@ def _sample_decodes(
 
 
 def _run_decodes(
-    work: Sequence[tuple[EvalItem, Sequence[Decode]]], backend: Scorer, jobs: int = 1
+    work: Sequence[tuple[EvalItem, Sequence[Decode]]],
+    backend: Scorer,
+    jobs: int = 1,
+    trace: DecodeTrace | None = None,
 ) -> list[list[str] | DecodeError]:
-    """Run every item's (plan, config, seed) decodes, untraced, all in lock
-    step (see :func:`vps.decode_engine.run_lockstep`). Per item: the text
-    each of its decodes emits, or the :class:`DecodeError` that ended them."""
+    """Run every item's (plan, config, seed) decodes, all in lock step (see
+    :func:`vps.decode_engine.run_lockstep`). Per item: the text each of its
+    decodes emits, or the :class:`DecodeError` that ended them. Only the
+    first item's first decode is traced, and only when ``trace`` is given:
+    its steps are appended to ``trace``, up to a failure."""
     groups = []
     for item, decodes in work:
         prompt = build_prompt(item)
-        groups.append([Decoder(item.video_ref, prompt, plan, cfg, s, keep_trace=False) for plan, cfg, s in decodes])
+        groups.append([
+            Decoder(item.video_ref, prompt, plan, cfg, s, keep_trace=trace is not None and not groups and k == 0)
+            for k, (plan, cfg, s) in enumerate(decodes)
+        ])
+    errors = run_lockstep(groups, backend, jobs)
+    if trace is not None:
+        trace.steps.extend(groups[0][0].trace.steps)
     return [
         error if error is not None else [tokens_to_text(d.tokens, backend) for d in decoders]
-        for decoders, error in zip(groups, run_lockstep(groups, backend, jobs))
+        for decoders, error in zip(groups, errors)
     ]
 
 
@@ -535,6 +547,7 @@ def run_benchmark(
     stop_tokens: frozenset[int] = frozenset(),
     bolt_scores: Mapping[str, Sequence[float]] | None = None,
     jobs: int = 1,
+    trace: DecodeTrace | None = None,
 ) -> tuple[list[MethodResult], dict[str, int]]:
     """Evaluate every method over the dataset; returns results plus call audit.
 
@@ -547,7 +560,9 @@ def run_benchmark(
     maps each method tag to the number of backend calls it issued, for
     compute-matched comparisons. A failed query fails only its item x
     method: its result carries the ``error`` and the run goes on. Any other
-    exception aborts the run.
+    exception aborts the run. Given a ``trace``, the run records into it
+    the steps of its first decode: the first item under the first method
+    (for ``sc:J``, its first sample), up to a failure.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
@@ -567,8 +582,9 @@ def run_benchmark(
             method_results.extend(
                 _failed_result(item, method, outcome) if isinstance(outcome, DecodeError)
                 else _method_result(item, method, outcome)
-                for (item, _), outcome in zip(work, _run_decodes(work, counter, jobs))
+                for (item, _), outcome in zip(work, _run_decodes(work, counter, jobs, trace))
             )
+            trace = None  # only the run's first decode is traced
         method_results.sort(key=lambda r: r.item_id)
         results.extend(method_results)
         audit[method.tag] = counter.calls

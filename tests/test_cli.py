@@ -110,23 +110,48 @@ class TestRunCommand:
     @pytest.mark.parametrize("method", ["vps:2+tcd+ritual", "sc:2"])
     def test_trace_records_the_runs_own_first_decode(self, tmp_path, monkeypatch, method):
         from vps import eval_harness
+        from vps.backends.toyworld import ToyWorld
+        from vps.decode_engine import decode
 
-        traces = []
-        run_decode = eval_harness.decode
+        decoders = []
 
-        def recording_decode(*args, **kwargs):
-            tokens, trace = run_decode(*args, **kwargs)
-            traces.append(trace)
-            return tokens, trace
+        class RecordingDecoder(eval_harness.Decoder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                decoders.append(self)
 
-        monkeypatch.setattr(eval_harness, "decode", recording_decode)
+        monkeypatch.setattr(eval_harness, "Decoder", RecordingDecoder)
         out = tmp_path / "run"
         assert main([
             "run", "--backend", "toy", "--toy-episodes", "3", "--methods", method, "--k", "4",
             "--max-tokens", "2", "--seed", "5", "--jobs", "1", "--out-dir", str(out), "--trace",
         ]) == 0
-        # with one job, the run's first decode is item 0's (for sc:2, its first sample)
-        assert (out / "trace.jsonl").read_text() == traces[0].to_jsonl()
+        # only the run's first decode keeps a trace: item 0's (for sc:2, its first sample)
+        assert [d for d in decoders if d.keep_trace] == [decoders[0]]
+        text = (out / "trace.jsonl").read_text()
+        assert text == decoders[0].trace.to_jsonl()
+        assert len(text.splitlines()) == len(decoders[0].trace.steps) > 0
+        # the same trace as one decode() of that item's plan, config and seed
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = eval_harness.toy_benchmark(world, 3, 64, 5)
+        plan, cfg, seed = eval_harness.method_decodes(
+            items[0], eval_harness.MethodSpec.parse(method), 4, eval_harness.item_seed(5, 0),
+            max_tokens=2, stop_tokens=frozenset({world.stop_token}),
+        )[0]
+        assert decode(items[0].video_ref, eval_harness.build_prompt(items[0]), plan, backend, cfg,
+                      seed=seed)[1].to_jsonl() == text
+
+    def test_trace_is_the_same_at_any_jobs(self, tmp_path):
+        texts = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs-{jobs}"
+            assert main([
+                "run", "--backend", "toy", "--toy-episodes", "20", "--methods", "vps:4+tcd,sc:2", "--k", "4",
+                "--max-tokens", "2", "--seed", "3", "--jobs", str(jobs), "--out-dir", str(out), "--trace",
+            ]) == 0
+            texts.append((out / "trace.jsonl").read_bytes())
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) >= 1
 
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         assert main([
@@ -490,6 +515,29 @@ class TestReportCommand:
         assert main(["report", *map(str, runs), "--out", str(tmp_path / "report")]) == 2
         err = capsys.readouterr().err
         assert "'vps:2'" in err and str(runs[0]) in err and str(runs[1]) in err
+        assert not (tmp_path / "report").exists()
+
+    def test_refuses_description_rows_reported_by_two_runs(self, tmp_path, capsys):
+        from vps.backends.stub_server import StubServer
+
+        vocab = [" a", " cat", "</s>"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({"id": "d1", "video_ref": "vid-desc", "total_frames": 8, "task": "description",
+                                       "question": "", "reference": "a cat"}) + "\n")
+        vocab_file = tmp_path / "vocab.json"
+        vocab_file.write_text(json.dumps(vocab))
+        runs = [tmp_path / "run-a", tmp_path / "run-b"]
+        with StubServer(score_handler=lambda body: {"vocab_size": 3, "scores": [0.0, -1.0, -2.0]}) as server:
+            for run in runs:
+                assert main([
+                    "run", "--backend", "wire", "--endpoint", server.url, "--dataset", str(dataset),
+                    "--vocab", str(vocab_file), "--methods", "baseline", "--k", "2", "--max-tokens", "2",
+                    "--out-dir", str(run),
+                ]) == 0
+        capsys.readouterr()
+        assert main(["report", *map(str, runs), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "'baseline'" in err and str(runs[0]) in err and str(runs[1]) in err
         assert not (tmp_path / "report").exists()
 
     def test_single_run_report_reproduces_the_run_tables(self, tmp_path):

@@ -1,6 +1,9 @@
 """The per-layer instrument of ``perfbench/`` still sees a decode: the names
-it patches on vps exist, its spans fire, and leaving it restores them."""
+it patches on vps exist, its spans fire, and leaving it restores them; and
+one short traced benchmark run of the wire-topm workload passes its checks."""
 
+import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +14,8 @@ from vps.frame_selection import uniform_offset_plan
 
 from test_decode_engine import HashBackend
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 from tracer import NAME, Tracer, instrument  # noqa: E402
 
 
@@ -27,3 +31,17 @@ def test_decode_records_one_step_span_per_token():
     assert names["decode_engine.step"] == 2
     assert names["aggregation.mix"] >= 1
     assert (decode_engine.step, decode_engine.mix_probs) == (step, mix)
+
+
+def test_traced_wire_topm_benchmark_run_is_correct():
+    # one short traced run of the benchmark's wire-topm workload, fixture server included
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "wire-topm", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout.splitlines()[-1])
+    assert verdict["correct"] is True
+    assert verdict["failed"] == 0
+    assert verdict["attempted"] > 0

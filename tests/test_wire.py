@@ -6,6 +6,10 @@ import http.client
 import json
 import math
 import select
+import shutil
+import socket
+import ssl
+import subprocess
 import threading
 import time
 import types
@@ -29,7 +33,7 @@ from vps.backends.wire import (
     wire_score,
 )
 from vps.cli import main
-from vps.decode_engine import DecodeConfig, DecodeError, decode, negative_view
+from vps.decode_engine import DecodeConfig, DecodeError, DecodeTrace, decode, negative_view
 from vps.frame_selection import uniform_offset_plan
 
 
@@ -558,9 +562,9 @@ class TestPipeline:
 WIRE_VOCAB = ["yes", "no", " a", " b", " c", "</s>"]
 
 
-def wire_run(tmp_path, url, jobs, name, methods="baseline,vps:2+tcd,sc:2"):
+def wire_run(tmp_path, url, jobs, name, methods="baseline,vps:2+tcd,sc:2", *options):
     """``vps run --backend wire`` over two binary items and a description
-    item; returns (exit code, run directory)."""
+    item, with any further ``options``; returns (exit code, run directory)."""
     dataset, vocab = tmp_path / "items.jsonl", tmp_path / "vocab.json"
     dataset.write_text("".join(
         json.dumps({"id": f"i{n}", "video_ref": f"vid-{n}", "total_frames": 16, "task": task,
@@ -572,7 +576,7 @@ def wire_run(tmp_path, url, jobs, name, methods="baseline,vps:2+tcd,sc:2"):
     code = main([
         "run", "--backend", "wire", "--endpoint", url, "--dataset", str(dataset), "--vocab", str(vocab),
         "--methods", methods, "--k", "2", "--max-tokens", "3", "--seed", "4", "--jobs", str(jobs),
-        "--out-dir", str(out),
+        "--out-dir", str(out), *options,
     ])
     return code, out
 
@@ -605,6 +609,30 @@ class TestWireRun:
                 assert sum(audit.values()) == len(server.requests_seen)
                 assert server.connections <= jobs
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_costs_no_extra_request(self, tmp_path, jobs):
+        with StubServer(score_handler=lambda body: hashed_scores(body, len(WIRE_VOCAB))) as server:
+            code, out = wire_run(tmp_path, server.url, jobs, "traced", "vps:2+tcd,baseline", "--trace")
+            assert code == 0
+            audit = json.loads((out / "summary.json").read_text())["backend_calls"]
+            assert len(server.requests_seen) == sum(audit.values())
+        trace = DecodeTrace.from_jsonl((out / "trace.jsonl").read_text())
+        assert len(trace.steps) >= 1
+        assert [s.stream_id for s in trace.steps[0].streams] == [0, 1]
+
+    def test_trace_of_a_failed_first_decode_keeps_its_steps(self, tmp_path):
+        def handler(body):
+            if body["video_ref"] == "vid-0" and len(body["generated"]) == 1:
+                raise KeyError("no such video")  # answered 404 at step 1
+            return hashed_scores(body, len(WIRE_VOCAB))
+
+        with StubServer(score_handler=handler) as server:
+            code, out = wire_run(tmp_path, server.url, 2, "failed", "vps:2", "--trace")
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["item_id"], f["method"]) for f in summary["failed"]] == [("i0", "vps:2")]
+        assert [step.index for step in DecodeTrace.from_jsonl((out / "trace.jsonl").read_text()).steps] == [0]
+
     def test_one_failed_query_is_audited_as_on_the_per_request_path(self, monkeypatch, tmp_path):
         def handler(body):
             if body["video_ref"] == "vid-1" and body["view"] != "identity" and len(body["generated"]) == 1:
@@ -629,3 +657,319 @@ class TestWireRun:
         assert summary["backend_calls"] == {"baseline": 3, "vps:2": 3}
         assert len(summary["failed"]) == 6
         assert slept == [0.5, 1.0, 2.0] * 6  # WireConfig's default budget, once per failed evaluation
+
+
+def _read_request(conn):
+    """One request off ``conn`` (head and Content-Length body), or None at EOF."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return None
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1]) for line in head.split(b"\r\n") if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return None
+        body += chunk
+    return head + b"\r\n\r\n" + body
+
+
+@contextlib.contextmanager
+def raw_server(replies, tls=None):
+    """A server scripted over a raw socket: each request, read whole, gets
+    the next of ``replies`` (the last repeating) as raw bytes, or, for None,
+    the connection closed without a reply. A reply that ends with CLOSE is
+    followed by closing the connection. Each connection is served on a
+    thread of its own, over TLS with the server context ``tls`` when given.
+    Yields the URL and a record of the requests read and the connections
+    accepted."""
+    seen = {"requests": [], "connections": 0}
+    lock = threading.Lock()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+    accepted: list[socket.socket] = []
+    threads: list[threading.Thread] = []
+
+    def answer(conn):
+        with contextlib.suppress(OSError):
+            if tls is not None:
+                conn = tls.wrap_socket(conn, server_side=True)
+                accepted.append(conn)
+            with conn:
+                while (request := _read_request(conn)) is not None:
+                    with lock:
+                        reply = replies[min(len(seen["requests"]), len(replies) - 1)]
+                        seen["requests"].append(request)
+                    if reply is None:
+                        break
+                    conn.sendall(reply.removesuffix(CLOSE))
+                    if reply.endswith(CLOSE):
+                        break
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with lock:
+                seen["connections"] += 1
+            accepted.append(conn)
+            threads.append(threading.Thread(target=answer, args=(conn,), daemon=True))
+            threads[-1].start()
+
+    threads.append(threading.Thread(target=serve, daemon=True))
+    threads[0].start()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{listener.getsockname()[1]}", seen
+    finally:
+        stop.set()
+        threads[0].join(timeout=5)
+        for conn in accepted:  # ends a read on a connection the client keeps idle
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        for thread in threads:
+            thread.join(timeout=5)
+        listener.close()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+CLOSE = b"<close>"
+BODY = json.dumps(FULL_REPLY[2]).encode()
+
+
+def reply(status_line=b"HTTP/1.1 200 OK", headers=(), body=BODY, length=True):
+    lines = [status_line, *headers] + ([b"Content-Length: %d" % len(body)] if length else [])
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+def chunked(body, sizes):
+    out, at = [], 0
+    for size in sizes:
+        out.append(b"%x;ext=1\r\n%s\r\n" % (size, body[at:at + size]))
+        at += size
+    return b"".join(out) + b"0\r\nX-Trailer: 1\r\n\r\n"
+
+
+def outcome(call):
+    """('ok', status, body) of ``call()``, or the type of what it raised."""
+    try:
+        status, _headers, body = call()
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+    return "ok", status, body
+
+
+class TestRawReplies:
+    """The lean reply reader against a server scripted byte by byte."""
+
+    def post(self, url, n=1):
+        endpoint = jsonhttp.JsonEndpoint(url, timeout=5.0)
+        replies = [endpoint.post("/v1/score", {"k": k}, {"Content-Type": "application/json"}) for k in range(n)]
+        return endpoint, replies
+
+    @pytest.mark.parametrize("raw", [
+        reply(),
+        reply(headers=[b"Transfer-Encoding: chunked"], body=chunked(BODY, [5, 1, len(BODY) - 6]), length=False),
+        reply(headers=[b"transfer-encoding: Chunked", b"Content-Length: 3"], body=chunked(BODY, [len(BODY)]),
+              length=False),
+        b"HTTP/1.1 100 Continue\r\nX-Skip: 1\r\n\r\n" + reply(),
+    ], ids=["content-length", "chunked", "chunked-over-length", "100-continue"])
+    def test_body_is_read_and_the_connection_kept(self, raw):
+        with raw_server([raw]) as (url, seen):
+            endpoint, replies = self.post(url, 3)
+            assert [(status, body) for status, _, body in replies] == [(200, BODY)] * 3
+            assert seen["connections"] == 1
+            assert len(endpoint._idle) == 1
+
+    @pytest.mark.parametrize("raw", [
+        reply(b"HTTP/1.0 200 OK", length=False) + CLOSE,
+        reply(b"HTTP/1.1 200 OK", length=False) + CLOSE,
+        reply(b"HTTP/1.0 200 OK") + CLOSE,
+        reply(headers=[b"Connection: close"]) + CLOSE,
+    ], ids=["http10-to-eof", "http11-to-eof", "http10-with-length", "connection-close"])
+    def test_a_closing_reply_closes_the_connection(self, raw):
+        with raw_server([raw]) as (url, seen):
+            endpoint, replies = self.post(url, 3)
+            assert [(status, body) for status, _, body in replies] == [(200, BODY)] * 3
+            assert seen["connections"] == 3
+            assert endpoint._idle == []
+
+    def test_http10_keep_alive_keeps_the_connection(self):
+        with raw_server([reply(b"HTTP/1.0 200 OK", headers=[b"Connection: Keep-Alive"])]) as (url, seen):
+            endpoint, _ = self.post(url, 3)
+            assert seen["connections"] == 1
+
+    def test_204_has_no_body(self):
+        with raw_server([reply(b"HTTP/1.1 204 No Content", body=b"", length=False), reply()]) as (url, seen):
+            _, replies = self.post(url, 2)
+            assert [(status, body) for status, _, body in replies] == [(204, b""), (200, BODY)]
+            assert seen["connections"] == 1
+
+    def test_headers_are_found_whatever_their_case(self):
+        raw = reply(headers=[b"X-Request-ID: abc", b"retry-AFTER:  7 ", b"X-Folded: one", b"\ttwo", b"X-Request-Id: x"])
+        with raw_server([raw]) as (url, _seen):
+            (_, headers, _), = self.post(url)[1]
+            assert headers["x-request-id"] == "abc"
+            assert headers["retry-after"] == "7 "
+            assert headers["x-folded"] == "one two"
+
+    @pytest.mark.parametrize("name", ["Retry-After", "retry-after", "RETRY-AFTER"])
+    def test_retry_after_is_found_case_insensitively(self, slept, name):
+        busy = reply(b"HTTP/1.1 503 Service Unavailable", headers=[name.encode() + b": 3"])
+        with raw_server([busy, reply()]) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            assert np.array_equal(backend.score_response(req()).scores, (0.0, 1.0, -1.0))
+            assert slept == [3]
+            assert backend.retries_total == 1
+
+    def test_truncated_body_is_a_transport_error_and_retried(self, slept):
+        truncated = reply(headers=[b"Content-Length: 500"], length=False) + CLOSE
+        with raw_server([truncated]) as (url, _seen):
+            with pytest.raises(http.client.IncompleteRead):
+                jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, {})
+        with raw_server([truncated, reply()]) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            assert np.array_equal(backend.score_response(req()).scores, (0.0, 1.0, -1.0))
+            assert backend.retries_total == 1
+            assert slept == [0.01]
+
+    def test_truncated_chunked_body_is_incomplete(self):
+        raw = reply(headers=[b"Transfer-Encoding: chunked"], body=b"10\r\nshort", length=False) + CLOSE
+        with raw_server([raw]) as (url, _seen):
+            with pytest.raises(http.client.IncompleteRead):
+                jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, {})
+
+    def test_empty_status_line_on_a_reused_socket_is_replayed_without_a_retry(self, slept):
+        # the server reads the second request, then closes without a reply
+        with raw_server([reply(), None, reply()]) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            for _ in range(2):
+                assert np.array_equal(backend.score_response(req()).scores, (0.0, 1.0, -1.0))
+            assert backend.retries_total == 0
+            assert slept == []
+            assert len(seen["requests"]) == 3
+            assert seen["connections"] == 2
+
+    def test_empty_status_line_on_a_fresh_socket_is_a_retried_transport_error(self, slept):
+        with raw_server([None, reply()]) as (url, seen):
+            with pytest.raises(http.client.RemoteDisconnected):
+                jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, {})
+        with raw_server([None, reply()]) as (url, seen):
+            backend = WireBackend(fast_config(url))
+            assert np.array_equal(backend.score_response(req()).scores, (0.0, 1.0, -1.0))
+            assert backend.retries_total == 1
+
+    @pytest.mark.parametrize("raw", [
+        reply(b"HTTP/1.1 200 " + b"O" * 65536),
+        reply(b"HTTP/1.1 200 " + b"O" * 65520),
+        reply(headers=[b"X-Long: " + b"v" * 65536]),
+        reply(headers=[b"X-Long: " + b"v" * 65520]),
+        *(reply(headers=[b"X-H%d: %d" % (i, i) for i in range(n)]) for n in (98, 99, 100, 101)),
+        reply(b"ICY 200 OK"),
+        reply(b"HTTP/1.1 2x0 OK"),
+        reply(b"HTTP/1.1 99 Low"),
+        reply(b"HTTP/2.0 200 OK"),
+        reply(b"HTTP/1.1"),
+        reply(headers=[b"Transfer-Encoding: chunked"], body=b"zz\r\n", length=False) + CLOSE,
+    ])
+    def test_limits_and_malformed_replies_as_http_client(self, raw):
+        with raw_server([raw]) as (url, _seen):
+            ours = outcome(lambda: jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, {}))
+
+        def stdlib():
+            conn = http.client.HTTPConnection("127.0.0.1", int(url.rsplit(":", 1)[1]), timeout=5.0)
+            try:
+                conn.request("POST", "/v1/score", body=b"{}")
+                resp = conn.getresponse()
+                return resp.status, resp.headers, resp.read()
+            finally:
+                conn.close()
+
+        with raw_server([raw]) as (url, _seen):
+            assert ours == outcome(stdlib)
+
+    def test_one_socket_write_per_request(self, monkeypatch):
+        writes = []
+        with raw_server([reply()]) as (url, seen):
+            port = int(url.rsplit(":", 1)[1])
+            for name in ("send", "sendall", "sendmsg"):
+                original = getattr(socket.socket, name)
+
+                def counted(sock, *args, _original=original, _name=name, **kwargs):
+                    if sock.getpeername()[1] == port:  # the client's writes, not the server's
+                        writes.append(_name)
+                    return _original(sock, *args, **kwargs)
+
+                monkeypatch.setattr(socket.socket, name, counted)
+            backend = WireBackend(fast_config(url))
+            backend.score_response(req())  # a fresh connection
+            list(backend.score_batch([req()] * 4, jobs=2))  # pooled and fresh, pipelined
+            assert len(seen["requests"]) == 5
+            assert writes == ["sendall"] * 5
+
+    def test_request_head(self, monkeypatch):
+        monkeypatch.setenv("VPS_BACKEND_TOKEN", "sekrit")
+        with raw_server([reply()]) as (url, seen):
+            WireBackend(fast_config(url + "/api")).score_response(req())
+        head, _, body = seen["requests"][0].partition(b"\r\n\r\n")
+        port = url.rsplit(":", 1)[1]
+        assert head.split(b"\r\n") == [
+            b"POST /api/v1/score HTTP/1.1", b"Host: 127.0.0.1:" + port.encode(), b"Accept-Encoding: identity",
+            b"Content-Length: %d" % len(body), b"Content-Type: application/json", b"Authorization: Bearer sekrit",
+        ]
+        assert json.loads(body)["want"] == "full"
+
+    @pytest.mark.parametrize("headers", [{"X-Bad": "a\r\nInjected: 1"}, {"Bad:Name": "x"}, {"X-é": "x"}])
+    def test_bad_header_is_refused_before_sending(self, headers):
+        with raw_server([reply()]) as (url, seen):
+            with pytest.raises(ValueError):
+                jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, headers)
+            assert seen["requests"] == []
+
+
+@pytest.fixture(scope="module")
+def tls_context(tmp_path_factory):
+    """A server context whose self-signed certificate names only localhost."""
+    openssl = shutil.which("openssl") or pytest.skip("needs the openssl command")
+    where = tmp_path_factory.mktemp("tls")
+    cert, key = where / "cert.pem", where / "key.pem"
+    subprocess.run([
+        openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+        "-keyout", str(key), "-out", str(cert), "-days", "1", "-subj", "/CN=localhost",
+        "-addext", "subjectAltName=DNS:localhost",
+    ], check=True, capture_output=True, timeout=60)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    return context, cert
+
+
+class TestTls:
+    """https:// endpoints: the lean exchange runs on the verified TLS socket."""
+
+    def test_round_trip_on_one_verified_connection(self, tls_context, monkeypatch):
+        context, cert = tls_context
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # trust the test certificate
+        with raw_server([reply()], tls=context) as (url, seen):
+            endpoint = jsonhttp.JsonEndpoint(url.replace("127.0.0.1", "localhost"), timeout=5.0)
+            replies = [endpoint.post("/v1/score", {"k": k}, {}) for k in range(3)]
+            assert [(status, body) for status, _, body in replies] == [(200, BODY)] * 3
+            assert seen["connections"] == 1
+            assert seen["requests"][0].split(b"\r\n")[1] == b"Host: localhost:" + url.rsplit(":", 1)[1].encode()
+            endpoint.close()
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["wrong-host-name", "untrusted-certificate"])
+    def test_certificate_checks_hold(self, tls_context, monkeypatch, trusted):
+        context, cert = tls_context
+        if trusted:  # trusted, but issued to localhost, not 127.0.0.1
+            monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        with raw_server([reply()], tls=context) as (url, seen):
+            with pytest.raises(ssl.SSLCertVerificationError):
+                jsonhttp.JsonEndpoint(url, timeout=5.0).post("/v1/score", {}, {})
+            assert seen["requests"] == []
