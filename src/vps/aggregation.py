@@ -75,13 +75,7 @@ class Distribution:
     def __post_init__(self) -> None:
         p = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", p)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if (p < 0).any():
-            raise ValueError("probs must be non-negative")
-        # written so that a NaN or infinite sum fails too
-        if not abs(p.sum() - 1.0) <= PROB_TOL:
-            raise ValueError(f"probs sum to {p.sum()!r}, expected 1 within {PROB_TOL}")
+        _check_probs(p)
         if self.support is None:
             if self.size is not None and self.size != p.size:
                 raise ValueError(f"{p.size} probabilities for a vocabulary of {self.size}")
@@ -127,6 +121,32 @@ class Distribution:
         dist = cls(softmax(z))
         object.__setattr__(dist, "_logits", z)
         return dist
+
+    @classmethod
+    def from_rows(cls, probs: np.ndarray) -> list["Distribution"]:
+        """One dense distribution per row of the ``(n, V)`` matrix ``probs``
+        (a view of it), all checked at once by the constructor's rule."""
+        p = np.asarray(probs, dtype=np.float64)
+        _check_probs(p, ndim=2)
+        rows = []
+        for row in p:
+            dist = cls.__new__(cls)
+            vars(dist).update(values=row, support=None, size=row.size, flags=(), probs=row)
+            rows.append(dist)
+        return rows
+
+
+def _check_probs(p: np.ndarray, ndim: int = 1) -> None:
+    """Raise ``ValueError`` unless each vector along the last axis of the ``ndim``-D
+    ``p`` is non-empty, non-negative and sums to 1 within ``PROB_TOL``."""
+    if p.ndim != ndim or p.shape[-1] == 0:
+        raise ValueError("probs must be a non-empty vector")
+    if (p < 0).any():
+        raise ValueError("probs must be non-negative")
+    sums = p.sum(axis=-1)
+    ok = abs(sums - 1.0) <= PROB_TOL  # written so that a NaN or infinite sum fails too
+    if not (ok if ndim == 1 else ok.all()):
+        raise ValueError(f"probs sum to {sums if ndim == 1 else sums[~ok][0]!r}, expected 1 within {PROB_TOL}")
 
 
 def _probs_at(d: Distribution, ids: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Pluggable scorers turning one stream's context into a next-token distribution.
+"""Pluggable scorers turning a decoder step's queries into next-token distributions.
 
-A scorer implements ``score(ScoreRequest) -> Distribution``; a scorer that
-converts lossily names the conversion in the distribution's ``flags``. A
-scorer may also implement ``score_batch(requests, jobs)``: one distribution
-per request in request order, as a list or as an iterator that scores
-lazily, with ``jobs`` as the most requests it may keep in flight at once
-(a scorer that does not pipeline ignores it). :func:`score_batch` is the
-one place that calls it, and it falls back to ``score``, one request at a
-time. Shipped scorers:
+A scorer implements ``score(ScoreRequest) -> Distribution`` for one query; a
+scorer that converts lossily names the conversion in the distribution's
+``flags``. A scorer may also implement ``score_batch(steps, jobs)``: for a
+round of :class:`ScoreStep` s, one distribution per query in step then query
+order, as a list or as an iterator that scores lazily, with ``jobs`` as the
+most queries it may keep in flight at once (a scorer that does not pipeline
+ignores it). :func:`score_batch` is the one place that calls it, and it falls
+back to ``score``, one :class:`ScoreRequest` per query. Shipped scorers:
 a deterministic table-driven mock, an exact-Bayes toy video world
 (:mod:`vps.backends.toyworld`), and an HTTP client for external inference
 servers (:mod:`vps.backends.wire`).
@@ -25,6 +25,7 @@ from ..aggregation import Distribution
 
 __all__ = [
     "ScoreRequest",
+    "ScoreStep",
     "ScoreResponse",
     "Scorer",
     "score_batch",
@@ -52,10 +53,40 @@ class ScoreRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "frame_set", tuple(int(i) for i in self.frame_set))
         object.__setattr__(self, "generated", tuple(int(t) for t in self.generated))
-        if any(a >= b for a, b in zip(self.frame_set, self.frame_set[1:])):
-            raise ValueError(f"frame_set must be ascending, got {self.frame_set}")
-        if self.top_m is not None and self.top_m < 1:
-            raise ValueError("top_m must be positive when given")
+        check_query(self.frame_set, self.top_m)
+
+
+def check_query(frame_set: tuple[int, ...], top_m: int | None) -> None:
+    """Raise ``ValueError`` unless ``frame_set`` ascends and ``top_m`` is None or positive."""
+    if any(a >= b for a, b in zip(frame_set, frame_set[1:])):
+        raise ValueError(f"frame_set must be ascending, got {frame_set}")
+    if top_m is not None and top_m < 1:
+        raise ValueError("top_m must be positive when given")
+
+
+@dataclass(frozen=True)
+class ScoreStep:
+    """One decoder step: its queries' ``(frame_set, view)`` pairs in query order, and what
+    they share, held once. Whoever builds a step has checked it with :func:`check_query`."""
+
+    video_ref: str
+    prompt_text: str
+    generated: tuple[int, ...]
+    top_m: int | None
+    queries: tuple[tuple[tuple[int, ...], str], ...]
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def requests(self) -> Iterator[ScoreRequest]:
+        """One single-query request per query, in query order."""
+        for frame_set, view in self.queries:
+            yield ScoreRequest(self.video_ref, frame_set, view, self.prompt_text, self.generated, self.top_m)
+
+    @classmethod
+    def of(cls, req: ScoreRequest) -> "ScoreStep":
+        """The one-query step of ``req``."""
+        return cls(req.video_ref, req.prompt_text, req.generated, req.top_m, ((req.frame_set, req.view),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,30 +165,30 @@ class Scorer(Protocol):
     def score(self, req: ScoreRequest) -> Distribution: ...
 
 
-def score_batch(scorer: Scorer, requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterator[Distribution]:
-    """One distribution per request, in request order.
+def score_batch(scorer: Scorer, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
+    """One distribution per query of ``steps``, in step then query order.
 
-    A scorer with its own ``score_batch`` scores the whole batch in one call,
+    A scorer with its own ``score_batch`` scores the whole round in one call,
     made here, with ``jobs`` passed on as the keyword ``jobs``.
-    When it returns a list, a reply count other than one per request raises
+    When it returns a list, a reply count other than one per query raises
     ``ValueError`` here; an iterator is passed on as it is, and a failed
-    request raises when its reply is read. If the call itself raises, the
-    batch is scored again one request at a time, so the failure surfaces at
-    the request that caused it. Those calls, and those of a scorer without
-    ``score_batch``, go to ``score`` lazily: each is made only when the
-    caller asks for its reply.
+    query raises when its reply is read. If the call itself raises, the
+    round is scored again one query at a time, so the failure surfaces at
+    the query that caused it. Those calls, and those of a scorer without
+    ``score_batch``, go to ``score`` with one :class:`ScoreRequest` per
+    query, lazily: each is made only when the caller asks for its reply.
     """
     native = getattr(scorer, "score_batch", None)
     if native is not None:
         try:
-            replies = native(requests, jobs=jobs)
-        except Exception:  # noqa: BLE001 - attributed below, one request at a time
+            replies = native(steps, jobs=jobs)
+        except Exception:  # noqa: BLE001 - attributed below, one query at a time
             replies = None
-        if isinstance(replies, list) and len(replies) != len(requests):
-            raise ValueError(f"score_batch returned {len(replies)} replies for {len(requests)} requests")
+        if isinstance(replies, list) and len(replies) != (queries := sum(map(len, steps))):
+            raise ValueError(f"score_batch returned {len(replies)} replies for {queries} queries")
         if replies is not None:
             return iter(replies)
-    return (scorer.score(req) for req in requests)
+    return (scorer.score(req) for step in steps for req in step.requests())
 
 
 class FixtureMissError(KeyError):
@@ -202,9 +233,9 @@ class CallCounter:
 
     Every ``score`` call counts, failed or not. When the inner scorer has a
     ``score_batch``, so does the counter. A batch returned as a list counts
-    one call per request, and a batch that raises counts nothing, since
-    :func:`score_batch` then scores its requests again one at a time. A
-    batch returned as an iterator counts, as ``score`` does, each request
+    one call per query, and a batch that raises counts nothing, since
+    :func:`score_batch` then scores its queries again one at a time. A
+    batch returned as an iterator counts, as ``score`` does, each query
     whose reply was read or whose query failed, and none that was never
     read.
     """
@@ -227,7 +258,7 @@ class CallCounter:
             for reply in replies:
                 self._count(1)
                 yield reply
-        except Exception:  # the failed query of the next request
+        except Exception:  # the next query failed
             self._count(1)
             raise
 
@@ -236,10 +267,10 @@ class CallCounter:
         if name != "score_batch":
             return attr
 
-        def score_batch(requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterable[Distribution]:
-            replies = attr(requests, jobs=jobs)
+        def score_batch(steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
+            replies = attr(steps, jobs=jobs)
             if isinstance(replies, list):
-                self._count(len(requests))
+                self._count(sum(map(len, steps)))
                 return replies
             return self._counted(replies)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..aggregation import Distribution
 from ..views import parse_view
-from . import ScoreRequest
+from . import ScoreRequest, ScoreStep
 
 __all__ = ["ToyWorld", "ToyEpisode", "ToyBackend", "toy_posterior", "toy_episode"]
 
@@ -175,7 +175,7 @@ class ToyBackend:
     them under the correspondingly permuted emission, which leaves the
     posterior unchanged, mirroring augmentations that preserve content. Once
     an answer token has been generated the backend emits the stop token.
-    ``score`` is ``score_batch`` of one request.
+    ``score`` is ``score_batch`` of the request's one-query step.
     """
 
     def __init__(self, world: ToyWorld) -> None:
@@ -187,48 +187,45 @@ class ToyBackend:
         self._episodes[episode.video_ref] = episode
         return episode.video_ref
 
-    def episode(self, video_ref: str) -> ToyEpisode:
-        return self._episodes[video_ref]
-
-    def _observation(self, req: ScoreRequest) -> tuple[ToyWorld, list[int]]:
-        """The world a request's view is scored under and its symbols in slot order."""
-        episode = self._episodes[req.video_ref]
-        kind, payload = parse_view(req.view)
-        slots = [t for t in req.frame_set if t not in payload] if kind == "zero" else req.frame_set
+    def _observation(self, episode: ToyEpisode, frame_set: tuple[int, ...], view: str) -> tuple[ToyWorld, list[int]]:
+        """The world a query's view is scored under and its symbols in slot order."""
+        kind, payload = parse_view(view)
+        slots = [t for t in frame_set if t not in payload] if kind == "zero" else frame_set
         symbols = [episode.frames[t] for t in slots]
         if kind != "aug":
             return self.world, symbols
         # permutation derived from the tag; the model "knows" the augmentation,
         # so the same permutation reindexes the emission columns. Both are
         # built once per tag; concurrent first queries build equal copies.
-        view = self._augmented.get(payload)
-        if view is None:
+        cached = self._augmented.get(payload)
+        if cached is None:
             perm = np.random.default_rng(zlib.crc32(payload.encode())).permutation(self.world.n_symbols)
             emission = self.world.emission[:, np.argsort(perm)]
             world = ToyWorld(emission, self.world.prior, self.world.answer_tokens, self.world.vocab)
-            view = self._augmented.setdefault(payload, (perm, world))
-        perm, world = view
+            cached = self._augmented.setdefault(payload, (perm, world))
+        perm, world = cached
         return world, [int(perm[s]) for s in symbols]
 
-    def score_batch(self, requests: Sequence[ScoreRequest], jobs: int = 1) -> list[Distribution]:
-        """Score every request, one gather-and-sum per view world for the
-        batch. ``jobs`` is ignored: the batch is scored in this one call."""
-        probs = np.zeros((len(requests), len(self.world.vocab)))
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> list[Distribution]:
+        """Score every query of the round, one gather-and-sum per view world and one
+        check of all its probabilities. ``jobs`` is ignored: the round is scored in this one call."""
+        queries = [(step, query) for step in steps for query in step.queries]
+        probs = np.zeros((len(queries), len(self.world.vocab)))
         groups: dict[ToyWorld, tuple[list[int], list[list[int]]]] = {}
-        for i, req in enumerate(requests):
-            if req.generated:
+        for i, (step, (frame_set, view)) in enumerate(queries):
+            if step.generated:
                 probs[i, self.world.stop_token] = 1.0
                 continue
-            world, symbols = self._observation(req)
+            world, symbols = self._observation(self._episodes[step.video_ref], frame_set, view)
             rows, lists = groups.setdefault(world, ([], []))
             rows.append(i)
             lists.append(symbols)
         for world, (rows, lists) in groups.items():
             probs[rows] = _answer_probs(world, lists)
-        return [Distribution(row) for row in probs]
+        return Distribution.from_rows(probs)
 
     def score(self, req: ScoreRequest) -> Distribution:
-        return self.score_batch([req])[0]
+        return self.score_batch([ScoreStep.of(req)])[0]
 
     def token_text(self, token: int) -> str:
         return self.world.vocab[token]

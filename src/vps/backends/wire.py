@@ -5,8 +5,8 @@ The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 response carries ``vocab_size`` plus either a full ``scores`` vector or
 ``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
 travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`, each
-in one socket write, with replies read by its lean HTTP/1.1 parser; a batch
-keeps up to ``jobs`` of them in flight from the calling thread.
+in one socket write, with replies read by its lean HTTP/1.1 parser; a round
+of decoder steps is one request per query, ``jobs`` in flight at a time.
 Transport failures and 429/503 replies are retried idempotently with
 exponential backoff (a 429/503 ``Retry-After`` of whole seconds replaces the
 backoff); other non-success statuses are not retried.
@@ -31,7 +31,7 @@ from ..jsonhttp import (
     WireTransportError,
     auth_headers,
 )
-from . import ScoreRequest, ScoreResponse
+from . import ScoreRequest, ScoreResponse, ScoreStep
 
 __all__ = [
     "WireConfig",
@@ -101,26 +101,24 @@ class WireBackend:
     def score_response(self, req: ScoreRequest) -> ScoreResponse:
         """POST the request; retry transport failures and 429/503 replies up
         to the configured limit."""
-        body = _body(req)
+        (body,) = _bodies(ScoreStep.of(req))
         return self._response(lambda: self._endpoint.post(SCORE_PATH, body, auth_headers(TOKEN_ENV)))
 
     def score(self, req: ScoreRequest) -> Distribution:
         return self.score_response(req).to_distribution()[0]
 
-    def score_batch(self, requests: Sequence[ScoreRequest], jobs: int = 1) -> Iterator[Distribution]:
-        """One distribution per request, in request order, read lazily.
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
+        """One distribution per query of ``steps``, in step then query order, read lazily.
 
-        The requests go out over at most ``jobs`` pooled connections from the
-        calling thread: the first ``jobs`` when the first reply is asked for,
-        request k+``jobs`` once reply k has been read and parsed. The request
-        bodies and the retry policy are those of :meth:`score_response`. A
-        request that fails raises at its reply; the at most ``jobs`` - 1
+        Each query is one request, with the body and the retry policy of
+        :meth:`score_response`, sent over at most ``jobs`` pooled connections
+        from the calling thread: the first ``jobs`` when the first reply is
+        asked for, request k+``jobs`` once reply k has been read and parsed.
+        A request that fails raises at its reply; the at most ``jobs`` - 1
         requests still in flight then are dropped with their connections.
         """
-        return self._pipelined([_body(req) for req in requests], max(1, jobs))
-
-    def _pipelined(self, bodies: list[dict], jobs: int) -> Iterator[Distribution]:
-        headers = auth_headers(TOKEN_ENV)
+        bodies = [body for step in steps for body in _bodies(step)]
+        jobs, headers = max(1, jobs), auth_headers(TOKEN_ENV)
         in_flight: deque[Exchange] = deque()
         try:
             in_flight.extend(self._endpoint.send(SCORE_PATH, body, headers) for body in bodies[:jobs])
@@ -170,15 +168,11 @@ class WireBackend:
         return _parse_payload(payload)
 
 
-def _body(req: ScoreRequest) -> dict:
-    return {
-        "video_ref": req.video_ref,
-        "frame_set": list(req.frame_set),
-        "view": req.view,
-        "prompt_text": req.prompt_text,
-        "generated": list(req.generated),
-        "want": _encode_want(req.top_m),
-    }
+def _bodies(step: ScoreStep) -> list[dict]:
+    """The request body of each query of ``step``, in query order."""
+    generated, want = list(step.generated), _encode_want(step.top_m)
+    return [{"video_ref": step.video_ref, "frame_set": list(frame_set), "view": view, "prompt_text": step.prompt_text,
+             "generated": generated, "want": want} for frame_set, view in step.queries]
 
 
 def _parse_payload(payload: object) -> ScoreResponse:

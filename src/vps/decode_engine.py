@@ -10,7 +10,8 @@ flight; replies are reduced in ascending stream order, so traces are
 bit-identical regardless of ``jobs``.
 
 A decode is one :class:`Decoder`, built from the frame plan, and its
-``tokens`` are that suffix. Its queries come out of ``pending()`` and their
+``tokens`` are that suffix. Its queries, fixed at construction, come out of
+``pending()`` as one :class:`~vps.backends.ScoreStep` per step, and their
 replies go back in through ``advance()``, so the caller decides how they
 are scored. :func:`step` scores one step of one decoder, and :func:`decode`
 runs one decoder with it; :func:`run_lockstep` scores a round of many
@@ -37,7 +38,7 @@ from .aggregation import (
     sample_token,
     tcd_adjust,
 )
-from .backends import ScoreRequest, Scorer, score_batch
+from .backends import Scorer, ScoreStep, check_query, score_batch
 from .frame_selection import FrameSelectionPlan
 from .views import IDENTITY, augmented_view, zero_view
 
@@ -256,14 +257,15 @@ class Decoder:
     """One decode as a state machine, and the whole state of it.
 
     Stream ``j`` sees ``plan.sets[j]``; every stream conditions on the one
-    generated suffix, ``tokens``. :meth:`pending` returns the score requests
-    of the next step, and none once the decode is ``done``. :meth:`advance`
-    takes their distributions, in request order, and finishes the step: it
-    adjusts and mixes the streams and samples one token. The decode is done
-    after a stop token (recorded in the trace, not appended to ``tokens``)
-    or ``cfg.max_tokens`` steps. Step ``t`` samples with a seed derived from
-    (``seed``, ``t``); a greedy decode (temperature 0) derives none. With
-    ``keep_trace`` off no step record is built, and ``trace`` stays empty.
+    generated suffix, ``tokens``. :meth:`pending` returns the next step, its
+    queries fixed at construction (none once the decode is ``done``), and
+    :meth:`advance` takes their distributions, in query order, and finishes
+    the step: it adjusts and mixes the streams and samples one token. The
+    decode is done after a stop token (recorded in the trace, not appended
+    to ``tokens``) or ``cfg.max_tokens`` steps. Step ``t`` samples with a
+    seed derived from (``seed``, ``t``); a greedy decode (temperature 0)
+    derives none. With ``keep_trace`` off no step record is built, and
+    ``trace`` stays empty.
     """
 
     def __init__(
@@ -288,38 +290,34 @@ class Decoder:
         self.tokens: list[int] = []
         self.steps = 0
         self.done = False
-        self._queries: list[tuple[int, str]] = []  # (stream id, role) of each pending request
-
-    def pending(self) -> list[ScoreRequest]:
-        """One positive query per stream, plus its augmented and negative
-        queries when view fusion and contrastive adjustment are on."""
-        if self.done:
-            return []
-        cfg = self.cfg
-        requests: list[ScoreRequest] = []
-        self._queries = []
-        generated = tuple(self.tokens)  # a stop token ends the decode, so the suffix is the emitted tokens
-        for j, frame_set in enumerate(self.plan.sets):
+        # one positive query per stream, plus its augmented and negative ones under view fusion and TCD
+        self._roles: list[tuple[int, str]] = []  # (stream id, role) of each query
+        self._queries: tuple[tuple[tuple[int, ...], str], ...] = ()
+        for j, frame_set in enumerate(plan.sets):
+            check_query(frame_set, cfg.score_top_m)
             views = [("positive", IDENTITY)]
             if cfg.ritual_views is not None:
                 views.append(("augmented", augmented_view(cfg.ritual_views[j])))
             if cfg.tcd is not None:
                 views.append(("negative", negative_view(frame_set)))
-            for role, view in views:
-                self._queries.append((j, role))
-                requests.append(ScoreRequest(
-                    video_ref=self.video_ref, frame_set=frame_set, view=view, prompt_text=self.prompt,
-                    generated=generated, top_m=cfg.score_top_m,
-                ))
-        return requests
+            self._roles += [(j, role) for role, _ in views]
+            self._queries += tuple((frame_set, view) for _, view in views)
+        self._pending = 0  # queries of the step handed out and not yet finished
+
+    def pending(self) -> ScoreStep:
+        """The next step; it has no query once the decode is done."""
+        self._pending = 0 if self.done else len(self._queries)
+        # a stop token ends the decode, so the suffix is the emitted tokens
+        return ScoreStep(self.video_ref, self.prompt, tuple(self.tokens), self.cfg.score_top_m,
+                         self._queries[:self._pending])
 
     def advance(self, replies: Sequence[Distribution]) -> int:
-        """Finish the pending step with one distribution per request; returns its token."""
+        """Finish the pending step with one distribution per query; returns its token."""
         cfg = self.cfg
-        if not self._queries or len(replies) != len(self._queries):
-            raise ValueError(f"{len(replies)} replies for {len(self._queries)} pending requests")
-        results = dict(zip(self._queries, replies))
-        self._queries = []
+        if not self._pending or len(replies) != self._pending:
+            raise ValueError(f"{len(replies)} replies for {self._pending} pending requests")
+        results = dict(zip(self._roles, replies))
+        self._pending = 0
         per_stream: list[Distribution] = []
         for j in range(cfg.streams):
             dist = results[(j, "positive")]
@@ -363,9 +361,9 @@ class Decoder:
         return StepRecord(index=self.steps, token=token, mixed=mixed, streams=tuple(stream_records))
 
     def fail(self, k: int, cause: Exception) -> DecodeError:
-        """End the decode because its ``k``-th pending request raised ``cause``."""
-        stream_id, role = self._queries[k]
-        self._queries = []
+        """End the decode because its ``k``-th pending query raised ``cause``."""
+        stream_id, role = self._roles[k]
+        self._pending = 0
         self.done = True
         error = StepError(stream_id, role, cause)
         error.__cause__ = cause
@@ -392,20 +390,20 @@ def run_lockstep(
 ) -> list[DecodeError | None]:
     """Run every decoder of ``groups`` to its end, all in lock step.
 
-    Each round gathers the pending requests of every live decoder, in group
+    Each round gathers the pending step of every live decoder, in group
     then decoder order, and scores them through :func:`score_batch`: a
-    scorer with its own ``score_batch`` gets the whole round in one call,
-    with ``jobs`` as the most requests it may keep in flight at once, any
-    other one lazy ``score`` call per request, in order. Each decoder
-    advances as soon as its own replies are in. A failed request ends its
-    decoder's whole group: the group sends no later request (up to ``jobs``
+    scorer with its own ``score_batch`` gets the whole round of steps in one
+    call, with ``jobs`` as the most queries it may keep in flight at once,
+    any other one lazy ``score`` call per query, in order. Each decoder
+    advances as soon as its own replies are in. A failed query ends its
+    decoder's whole group: the group sends no later query (up to ``jobs``
     - 1 of them may already be in flight), and its entry of the returned
     list is the :class:`DecodeError`. A group that finishes gets None.
-    Exceptions other than a failed request propagate.
+    Exceptions other than a failed query propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
-        # the round: (group index, decoder, its pending requests) per live decoder, grouped
+        # the round: (group index, decoder, its pending step) per live decoder, grouped
         batch = [
             (g, decoder, decoder.pending())
             for g, group in enumerate(groups)
@@ -415,11 +413,11 @@ def run_lockstep(
         ]
         if not batch:
             return errors
-        # the whole round as one batch; after a failed request, the rest of the round as another
+        # the whole round as one batch; after a failed query, the rest of the round as another
         while batch:
-            replies = score_batch(scorer, [req for _, _, requests in batch for req in requests], jobs)
-            for n, (g, decoder, requests) in enumerate(batch):
-                outcome = _advance(decoder, len(requests), replies)
+            replies = score_batch(scorer, [pending for _, _, pending in batch], jobs)
+            for n, (g, decoder, pending) in enumerate(batch):
+                outcome = _advance(decoder, len(pending), replies)
                 if isinstance(outcome, DecodeError):
                     errors[g] = outcome
                     break
@@ -429,7 +427,7 @@ def run_lockstep(
 def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
     """Score, mix and sample the next step of ``decoder``; returns its token.
 
-    The step's queries go through :func:`score_batch` as one batch, with
+    The step's queries go through :func:`score_batch` as one step, with
     ``jobs`` as the most a batching scorer may keep in flight at once.
     Aggregation waits for all of them (the mixture is synchronous) and
     reduces in ascending stream order. A failed query ends the decode with
@@ -438,8 +436,8 @@ def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
     and no later query is sent (up to ``jobs`` - 1 of them may already be
     in flight).
     """
-    requests = decoder.pending()
-    outcome = _advance(decoder, len(requests), score_batch(scorer, requests, jobs))
+    pending = decoder.pending()
+    outcome = _advance(decoder, len(pending), score_batch(scorer, [pending], jobs))
     if isinstance(outcome, DecodeError):
         raise outcome
     return outcome

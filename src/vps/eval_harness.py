@@ -143,18 +143,6 @@ class MethodResult:
             record["error"] = self.error
         return json.dumps(record, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "MethodResult":
-        raw = json.loads(line)
-        return cls(
-            item_id=raw["item_id"],
-            method=raw["method"],
-            raw_output=raw["raw_output"],
-            extracted=raw["extracted"],
-            scores=dict(raw["scores"]),
-            error=raw.get("error"),
-        )
-
 
 def build_prompt(item: EvalItem) -> str:
     """Question (plus lettered options) followed by the task's exact scaffold."""
@@ -568,13 +556,14 @@ def run_benchmark(
     results: list[MethodResult] = []
     options = dict(strategy=strategy, space=space, temperature=temperature, max_tokens=max_tokens,
                    stop_tokens=stop_tokens)
+    seeds = [item_seed(seed, idx) for idx in range(len(items))]
     for method in methods:
         counter = CallCounter(backend)
         method_results = []
         for start in range(0, len(items), LOCKSTEP_ITEMS):
             work = [
                 (item, method_decodes(
-                    item, method, frames_per_stream, item_seed(seed, idx),
+                    item, method, frames_per_stream, seeds[idx],
                     bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None, **options,
                 ))
                 for idx, item in enumerate(items[start:start + LOCKSTEP_ITEMS], start)

@@ -28,6 +28,7 @@ import json
 import os
 import re
 import select
+import ssl
 import threading
 import weakref
 from typing import BinaryIO, Iterable, Mapping
@@ -224,7 +225,12 @@ class JsonEndpoint:
         self._port = parts.port or self._connection_class.default_port
         self._host_header = _host_header(self._host, self._port, self._connection_class.default_port)
         self._prefix = parts.path.rstrip("/")
-        self._timeout = timeout
+        self._options: dict = {"timeout": timeout}
+        if parts.scheme == "https":  # one TLS context for every connection, as http.client would set it up
+            context = self._options["context"] = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
         # an endpoint dropped without close() still closes its idle sockets
@@ -266,7 +272,7 @@ class JsonEndpoint:
         return "\r\n".join(lines).encode("latin-1")
 
     def _new_connection(self) -> http.client.HTTPConnection:
-        return self._connection_class(self._host, self._port, timeout=self._timeout)
+        return self._connection_class(self._host, self._port, **self._options)
 
     def _take_idle(self) -> http.client.HTTPConnection | None:
         while True:

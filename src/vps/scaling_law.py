@@ -183,11 +183,6 @@ class SimResult:
         """Empirical mixture cross-entropy (irreducible part included)."""
         return self.entropy_mean + self.mixture_excess
 
-    @property
-    def stream_ce(self) -> np.ndarray:
-        """Empirical per-stream cross-entropies (irreducible part included)."""
-        return self.entropy_mean + self.stream_excess
-
 
 class _Accumulator:
     """Float64 sum / sum-of-squares over per-sample values, batch by batch."""

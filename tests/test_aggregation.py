@@ -74,6 +74,56 @@ class TestDistribution:
         assert np.abs(softmax(d.raw_scores) - d.probs).max() < 1e-12
 
 
+class TestBatchCheck:
+    """``Distribution.from_rows`` checks a whole matrix by the constructor's rule."""
+
+    GOOD = [0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("row", [
+        [0.5, -0.1, 0.6],
+        [-np.inf, 0.5, 0.5],
+        [np.nan, 0.5, 0.5],
+        [np.inf, 0.0, 0.0],
+        [0.5, 0.5, 1e-8],
+        [0.5, 0.5 - 1e-8, 0.0],
+    ], ids=["negative", "minus-inf", "nan", "inf", "sum-high", "sum-low"])
+    def test_each_bad_row_raises_the_constructors_error(self, row):
+        with pytest.raises(ValueError) as single:
+            Distribution(np.array(row))
+        with pytest.raises(ValueError) as batch:
+            Distribution.from_rows(np.array([self.GOOD, row, self.GOOD]))
+        assert str(batch.value) == str(single.value)
+
+    def test_empty_and_two_dimensional_rows(self):
+        with pytest.raises(ValueError) as single:
+            Distribution(np.zeros(0))
+        with pytest.raises(ValueError) as batch:
+            Distribution.from_rows(np.zeros((3, 0)))
+        assert str(batch.value) == str(single.value)
+        row = np.array([self.GOOD, self.GOOD])
+        with pytest.raises(ValueError) as single:
+            Distribution(row)
+        with pytest.raises(ValueError) as batch:
+            Distribution.from_rows(np.array([row, row]))
+        assert str(batch.value) == str(single.value)
+
+    def test_rows_equal_single_constructions(self):
+        rng = np.random.default_rng(5)
+        matrix = rng.dirichlet(np.ones(7), size=4)
+        assert Distribution.from_rows(matrix[:0]) == []
+        for rows in (matrix[:1], matrix):
+            for got, row in zip(Distribution.from_rows(rows), rows, strict=True):
+                want = Distribution(row)
+                assert vars(got).keys() == vars(want).keys()
+                for key, value in vars(want).items():
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(getattr(got, key), value), key
+                    else:
+                        assert getattr(got, key) == value, key
+                assert got.probs is got.values and len(got) == len(want)
+                assert np.array_equal(got.raw_scores, want.raw_scores)
+
+
 class TestWeights:
     def test_uniform(self):
         assert np.allclose(Weights.uniform(4).w, [0.25] * 4)

@@ -77,7 +77,7 @@ class TestStep:
         assert step(decoder, backend) == 1
         assert np.allclose(decoder.trace.steps[0].aggregated, probs[0])
         assert decoder.tokens == [1]
-        assert [req.generated for req in decoder.pending()] == [(1,)]
+        assert [req.generated for req in decoder.pending().requests()] == [(1,)]
 
     def test_identical_frame_sets_match_single_stream(self):
         plan1 = uniform_offset_plan(64, 4, 1)
@@ -138,6 +138,12 @@ class TestStep:
         with pytest.raises(ValueError, match="0 pending requests"):
             step(decoder, HashBackend(3))
         assert decoder.steps == 1 and len(decoder.trace.steps) == 1
+
+    def test_decoder_checks_its_queries_once(self):
+        with pytest.raises(ValueError, match="ascending"):
+            Decoder("v", "p", FrameSelectionPlan(8, 2, 1, ((5, 2),)), DecodeConfig(streams=1))
+        with pytest.raises(ValueError, match="top_m"):
+            Decoder("v", "p", uniform_offset_plan(8, 2, 1), DecodeConfig(streams=1, score_top_m=0))
 
     def test_tcd_negative_query_per_stream(self):
         plan = uniform_offset_plan(8, 2, 2)

@@ -338,6 +338,22 @@ class TestRunBenchmark:
         threaded, _ = run_benchmark(items, backend, methods, jobs=8, **kw)
         assert serial == threaded
 
+    def test_item_seeds_are_derived_once_per_run(self, monkeypatch):
+        from vps import eval_harness
+
+        world = ToyWorld.symmetric(4, 0.6)
+        items, backend = toy_benchmark(world, 20, total_frames=64, seed=1)
+        methods = [MethodSpec.parse(tag) for tag in ("vps:4", "sc:3", "vps:2+tcd")]
+        kw = dict(frames_per_stream=4, seed=9, max_tokens=2, stop_tokens=frozenset({world.stop_token}))
+        expected = run_benchmark(items, backend, methods, **kw)
+        calls = []
+        derive = eval_harness.derive_seed
+        monkeypatch.setattr(eval_harness, "derive_seed", lambda seed, index: calls.append(seed) or derive(seed, index))
+        assert run_benchmark(items, backend, methods, **kw) == expected
+        # one seed per item for the whole run, plus one per sc:3 sample, derived from its item's seed
+        assert calls.count(9) == len(items)
+        assert len(calls) == len(items) + 3 * len(items)
+
     def test_vps_beats_baseline_on_toy_world(self):
         world = ToyWorld.symmetric(4, 0.55)
         items, backend = toy_benchmark(world, 150, total_frames=64, seed=3)

@@ -1,6 +1,7 @@
 """The per-layer instrument of ``perfbench/`` still sees a decode: the names
 it patches on vps exist, its spans fire, and leaving it restores them; and
-one short traced benchmark run of the wire-topm workload passes its checks."""
+one short traced benchmark run of the toy-eval and of the wire-topm
+workload each passes its checks."""
 
 import json
 import subprocess
@@ -31,6 +32,20 @@ def test_decode_records_one_step_span_per_token():
     assert names["decode_engine.step"] == 2
     assert names["aggregation.mix"] >= 1
     assert (decode_engine.step, decode_engine.mix_probs) == (step, mix)
+
+
+def test_traced_toy_eval_benchmark_run_is_correct():
+    # one short traced run of the benchmark's toy-eval workload
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "toy-eval", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout.splitlines()[-1])
+    assert verdict["correct"] is True
+    assert verdict["failed"] == 0
+    assert verdict["attempted"] > 0
 
 
 def test_traced_wire_topm_benchmark_run_is_correct():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vps.aggregation import TcdConfig
-from vps.backends import CallCounter, ScoreRequest
+from vps.backends import CallCounter, ScoreRequest, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
 from vps.decode_engine import DecodeConfig, Decoder, decode, negative_view
@@ -27,6 +27,7 @@ from vps.eval_harness import (
     toy_benchmark,
 )
 from vps.frame_selection import uniform_offset_plan
+from vps.views import IDENTITY, augmented_view
 
 from test_decode_engine import HashBackend
 
@@ -58,6 +59,11 @@ class Failing(ScoreOnly):
         return self.inner.score(req)
 
 
+def steps_of(requests):
+    """One single-query step per request, in request order."""
+    return [ScoreStep.of(req) for req in requests]
+
+
 def oracle_posterior(world, symbols):
     """The answer-token posterior, one frame's log likelihood added at a time."""
     log_post = world.log_prior
@@ -81,7 +87,7 @@ class TestToyScoreBatch:
         episodes = [toy_episode(world, 32, seed) for seed in (3, 4)]
         for ep in episodes:
             backend.add_episode(ep)
-        requests, oracle = [], []
+        steps, oracle = [], []
         for ep in episodes:
             for frames in ((5,), (0, 9), (1, 8, 16, 30), (2, 3, 5, 7, 11, 13, 17)):
                 # view -> the frames it drops (None: an augmentation, checked below)
@@ -89,14 +95,15 @@ class TestToyScoreBatch:
                 views["zero:" + ",".join(map(str, frames))] = frames
                 views.update({f"aug:{tag}": None for tag in RITUAL_TAG_POOL})
                 for view, dropped in views.items():
-                    requests.append(ScoreRequest(ep.video_ref, frames, view, "q", ()))
                     kept = None if dropped is None else [ep.frames[t] for t in frames if t not in dropped]
                     oracle.append(None if kept is None else oracle_posterior(world, kept))
-                requests.append(ScoreRequest(ep.video_ref, frames, "identity", "q", (2,)))
+                steps.append(ScoreStep(ep.video_ref, "q", (), None, tuple((frames, view) for view in views)))
+                steps.append(ScoreStep(ep.video_ref, "q", (2,), None, ((frames, "identity"),)))
                 stop = np.zeros(len(world.vocab))
                 stop[world.stop_token] = 1.0
                 oracle.append(stop)
-        batch = backend.score_batch(requests)
+        requests = [req for step in steps for req in step.requests()]
+        batch = backend.score_batch(steps)
         assert len(batch) == len(requests)
         for req, got, want in zip(requests, batch, oracle):
             assert np.array_equal(got.probs, backend.score(req).probs), req
@@ -114,13 +121,13 @@ class TestToyScoreBatch:
         ep = toy_episode(world, 16, 1)
         backend.add_episode(ep)
         requests = [ScoreRequest(ep.video_ref, (t, t + 4), "identity", "q", ()) for t in range(8)]
-        forward = backend.score_batch(requests)
-        backward = backend.score_batch(requests[::-1])
+        forward = backend.score_batch(steps_of(requests))
+        backward = backend.score_batch(steps_of(requests[::-1]))
         for a, b in zip(forward, backward[::-1]):
             assert np.array_equal(a.probs, b.probs)
         assert backend.score_batch([]) == []
         with pytest.raises(KeyError):
-            backend.score_batch(requests + [ScoreRequest("toy:missing", (0,), "identity", "q", ())])
+            backend.score_batch(steps_of(requests + [ScoreRequest("toy:missing", (0,), "identity", "q", ())]))
 
     def test_counter_counts_batched_requests(self):
         world = ToyWorld.symmetric(4, 0.6)
@@ -129,7 +136,7 @@ class TestToyScoreBatch:
         backend.add_episode(ep)
         counter = CallCounter(backend)
         requests = [ScoreRequest(ep.video_ref, (t,), "identity", "q", ()) for t in range(5)]
-        counter.score_batch(requests)
+        counter.score_batch(steps_of(requests))
         counter.score(requests[0])
         assert counter.calls == 6
         assert not hasattr(CallCounter(ScoreOnly(backend)), "score_batch")
@@ -221,11 +228,90 @@ class TestOneSchedulingPath:
         assert len(trace.steps) == 3
 
 
+def parent_requests(decoder):
+    """The requests of the decoder's next step as they were built one by one
+    before steps existed, in the same order."""
+    cfg, requests = decoder.cfg, []
+    for j, frame_set in enumerate(decoder.plan.sets):
+        views = [IDENTITY]
+        if cfg.ritual_views is not None:
+            views.append(augmented_view(cfg.ritual_views[j]))
+        if cfg.tcd is not None:
+            views.append(negative_view(frame_set))
+        requests += [
+            ScoreRequest(decoder.video_ref, frame_set, view, decoder.prompt, tuple(decoder.tokens), cfg.score_top_m)
+            for view in views
+        ]
+    return requests
+
+
+class Recording(ScoreOnly):
+    """Records every request it is sent."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.sent = []
+
+    def score(self, req):
+        self.sent.append(req)
+        return self.inner.score(req)
+
+
+class TestStepPath:
+    def test_toy_round_is_one_native_call_and_builds_no_request(self, monkeypatch):
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 6, total_frames=64, seed=8)
+        methods = [MethodSpec.parse("vps:4+tcd+ritual")]
+        expected = run_benchmark(items, ScoreOnly(backend), methods, 4, seed=3, max_tokens=1)
+        rounds = []
+        native = ToyBackend.score_batch
+
+        def recording(self, steps, jobs=1):
+            rounds.append([len(step) for step in steps])
+            return native(self, steps, jobs)
+
+        def refuse(self):
+            raise AssertionError("a ScoreRequest was built")
+
+        monkeypatch.setattr(ToyBackend, "score_batch", recording)
+        monkeypatch.setattr(ScoreRequest, "__post_init__", refuse)
+        assert run_benchmark(items, backend, methods, 4, seed=3, max_tokens=1) == expected
+        assert rounds == [[12] * 6]  # one round: a step of 4 x 3 queries per item, in one call
+        assert expected[1] == {"vps:4+tcd+ritual": 6 * 12}
+
+    @pytest.mark.parametrize("tags", [("vps:4+tcd+ritual", "sc:3", "baseline"), ("vps:2+ritual", "vps:3+tcd")])
+    def test_score_only_scorer_gets_the_requests_sent_one_by_one(self, monkeypatch, tags):
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 5, total_frames=64, seed=8)
+        expected = []
+        pending = Decoder.pending
+
+        def noting(decoder):
+            if not decoder.done:
+                expected.extend(parent_requests(decoder))
+            return pending(decoder)
+
+        monkeypatch.setattr(Decoder, "pending", noting)
+        scorer = Recording(backend)
+        methods = [MethodSpec.parse(tag) for tag in tags]
+        run_benchmark(items, scorer, methods, 4, seed=3, temperature=0.7, max_tokens=3,
+                      stop_tokens=frozenset({world.stop_token}))
+        cfg = DecodeConfig(streams=3, max_tokens=3, tcd=TcdConfig(), ritual_views=RITUAL_TAG_POOL[:3], score_top_m=2)
+        decode(items[0].video_ref, "q", uniform_offset_plan(64, 4, 3), scorer, cfg)
+        assert any(req.top_m == 2 and req.generated for req in expected)
+        assert scorer.sent == expected
+
+    def test_one_query_step_round_trip(self):
+        req = ScoreRequest("v", (1, 5), "zero:5", "p", (3, 4), top_m=7)
+        assert list(ScoreStep.of(req).requests()) == [req]
+        assert len(ScoreStep.of(req)) == 1
+
+
 def manual_decode(video_ref, prompt, plan, scorer, cfg, seed):
     """The decode loop driven by hand, one ``score`` call per request."""
     decoder = Decoder(video_ref, prompt, plan, cfg, seed)
     while not decoder.done:
-        decoder.advance([scorer.score(req) for req in decoder.pending()])
+        decoder.advance([scorer.score(req) for req in decoder.pending().requests()])
     return decoder.tokens, decoder.trace.to_jsonl()
 
 
@@ -327,10 +413,10 @@ class TestFailures:
         class BatchRefusing(Failing):
             """Scores natively, but refuses a whole batch that holds a bad request."""
 
-            def score_batch(self, requests, jobs=1):
-                if any(self.bad(req) for req in requests):
+            def score_batch(self, steps, jobs=1):
+                if any(self.bad(req) for step in steps for req in step.requests()):
                     raise RuntimeError("batch refused")
-                return self.inner.score_batch(requests)
+                return self.inner.score_batch(steps)
 
         def bad(items):
             return lambda req: req.video_ref == items[2].video_ref and req.view == "aug:vflip"
@@ -349,8 +435,8 @@ class TestFailures:
         class Short(ScoreOnly):
             """A batching scorer that drops the last reply of every batch."""
 
-            def score_batch(self, requests, jobs=1):
-                return self.inner.score_batch(requests)[:-1]
+            def score_batch(self, steps, jobs=1):
+                return self.inner.score_batch(steps)[:-1]
 
         with pytest.raises(ValueError, match="replies for"):
             toy_run(lambda b, items: Short(b), ("vps:2",))

@@ -22,7 +22,7 @@ import pytest
 
 from vps import jsonhttp
 from vps.aggregation import TcdConfig
-from vps.backends import CallCounter, ScoreRequest, score_batch
+from vps.backends import CallCounter, ScoreRequest, ScoreStep, score_batch
 from vps.backends.stub_server import StubServer
 from vps.backends.wire import (
     BackendError,
@@ -424,6 +424,11 @@ def batch_requests(n):
     return [ScoreRequest(f"vid-{k}", (k, k + 8), "identity", "prompt", (1,) * (k % 3)) for k in range(n)]
 
 
+def steps_of(requests):
+    """One single-query step per request, in request order."""
+    return [ScoreStep.of(r) for r in requests]
+
+
 def probs(dists):
     return [d.probs.tolist() for d in dists]
 
@@ -444,7 +449,7 @@ class TestPipeline:
         requests = batch_requests(12)
         with keyed_server(ok, delay=0.02) as (url, seen):
             backend = WireBackend(fast_config(url))
-            replies = backend.score_batch(requests, jobs=jobs)
+            replies = backend.score_batch(steps_of(requests), jobs=jobs)
             assert seen["sent"] == []  # nothing goes out before the first reply is asked for
             got = list(replies)
             assert seen["connections"] <= jobs
@@ -455,7 +460,7 @@ class TestPipeline:
     def test_replies_are_read_lazily(self):
         requests = batch_requests(6)
         with keyed_server(ok) as (url, seen):
-            replies = WireBackend(fast_config(url)).score_batch(requests, jobs=2)
+            replies = WireBackend(fast_config(url)).score_batch(steps_of(requests), jobs=2)
             next(replies)
             time.sleep(0.05)
             assert len(seen["sent"]) == 3  # requests 0 and 1, then 2 once reply 0 was read
@@ -471,7 +476,7 @@ class TestPipeline:
         requests = batch_requests(8)
         with keyed_server(busy_once) as (url, seen):
             backend = WireBackend(fast_config(url))
-            got = list(backend.score_batch(requests, jobs=2))
+            got = list(backend.score_batch(steps_of(requests), jobs=2))
             assert backend.retries_total == 1
             assert slept == [delay]
             assert sorted(seen["sent"]) == [200] * 8 + [status]
@@ -484,7 +489,7 @@ class TestPipeline:
         with scripted_server([FULL_REPLY], close_after_reply=True) as (url, sent):
             backend = WireBackend(fast_config(url))
             for jobs in (1, 2):
-                got = list(backend.score_batch([req()] * 5, jobs=jobs))
+                got = list(backend.score_batch(steps_of([req()] * 5), jobs=jobs))
                 assert all(np.array_equal(d.probs, got[0].probs) for d in got)
             assert backend.retries_total == 0
             assert sent == [200] * 10
@@ -497,7 +502,7 @@ class TestPipeline:
         requests = batch_requests(8)
         with keyed_server(missing) as (url, seen):
             backend = WireBackend(fast_config(url))
-            replies = backend.score_batch(requests, jobs=jobs)
+            replies = backend.score_batch(steps_of(requests), jobs=jobs)
             got = [next(replies) for _ in range(4)]
             with pytest.raises(BackendError) as err:
                 next(replies)
@@ -515,7 +520,7 @@ class TestPipeline:
 
         with keyed_server(missing) as (url, _seen):
             counter = CallCounter(WireBackend(fast_config(url)))
-            replies = score_batch(counter, batch_requests(8), jobs=3)
+            replies = score_batch(counter, steps_of(batch_requests(8)), jobs=3)
             assert counter.calls == 0
             for _ in range(3):
                 next(replies)
@@ -910,7 +915,7 @@ class TestRawReplies:
                 monkeypatch.setattr(socket.socket, name, counted)
             backend = WireBackend(fast_config(url))
             backend.score_response(req())  # a fresh connection
-            list(backend.score_batch([req()] * 4, jobs=2))  # pooled and fresh, pipelined
+            list(backend.score_batch(steps_of([req()] * 4), jobs=2))  # pooled and fresh, pipelined
             assert len(seen["requests"]) == 5
             assert writes == ["sendall"] * 5
 
@@ -962,6 +967,26 @@ class TestTls:
             assert [(status, body) for status, _, body in replies] == [(200, BODY)] * 3
             assert seen["connections"] == 1
             assert seen["requests"][0].split(b"\r\n")[1] == b"Host: localhost:" + url.rsplit(":", 1)[1].encode()
+            endpoint.close()
+
+    def test_new_connections_share_one_context(self, tls_context, monkeypatch):
+        _, cert = tls_context
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        server.load_cert_chain(cert, cert.parent / "key.pem")
+        server.set_alpn_protocols(["http/1.1"])
+        built = []
+        default = ssl._create_default_https_context
+        monkeypatch.setattr(ssl, "_create_default_https_context", lambda: built.append(default()) or built[-1])
+        with raw_server([reply() + CLOSE], tls=server) as (url, seen):
+            endpoint = jsonhttp.JsonEndpoint(url.replace("127.0.0.1", "localhost"), timeout=5.0)
+            for k in range(2):
+                assert endpoint.post("/v1/score", {"k": k}, {})[2] == BODY
+                (conn,) = endpoint._idle  # the server closed the previous one: this is a new connection
+                assert conn._context is built[0]
+                assert conn.sock.selected_alpn_protocol() == "http/1.1"
+            assert seen["connections"] == 2
+            assert len(built) == 1 and built[0].post_handshake_auth in (True, None)
             endpoint.close()
 
     @pytest.mark.parametrize("trusted", [True, False], ids=["wrong-host-name", "untrusted-certificate"])
