@@ -9,8 +9,8 @@ frames to more streams measurable and checkable without a real model.
 from __future__ import annotations
 
 import string
-import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -97,15 +97,18 @@ def _answer_probs(world: ToyWorld, symbols: Sequence[Sequence[int]]) -> np.ndarr
     gather, padded to a common length with a column of ``+0.0``, and the log
     likelihoods are added to the log prior frame by frame in list order.
     Adding ``+0.0`` changes no value, so a row does not depend on the other
-    lists scored with it.
+    lists scored with it. Every symbol must lie in ``[0, n_symbols)``; one
+    equal to ``n_symbols`` would silently read the padding column.
     """
     pad = world.n_symbols  # the index of the padding column
-    for row in symbols:
-        for s in row:
-            if not 0 <= s < pad:
-                raise ValueError(f"symbol {s} outside emission support")
-    width = max(map(len, symbols), default=0)
-    index = np.array([[*row, *[pad] * (width - len(row))] for row in symbols], dtype=np.intp)
+    lengths = np.fromiter(map(len, symbols), dtype=np.intp, count=len(symbols))
+    flat = np.fromiter(chain.from_iterable(symbols), dtype=np.intp, count=int(lengths.sum()))
+    bad = (flat < 0) | (flat >= pad)
+    if bad.any():
+        raise ValueError(f"symbol {int(flat[bad.argmax()])} outside emission support")
+    width = int(lengths.max(initial=0))
+    index = np.full((len(symbols), width), pad, dtype=np.intp)
+    index[np.arange(width) < lengths[:, None]] = flat
     gathered = np.concatenate([world.log_emission, np.zeros((world.n_labels, 1))], axis=1).T[index]
     log_post = np.repeat(world.log_prior[None, :], len(symbols), axis=0)
     for frame in range(width):
@@ -170,58 +173,38 @@ class ToyBackend:
     """Scores requests against registered episodes with the exact posterior.
 
     View handling: ``zero:...`` drops the masked frames from the observation
-    (the negative stream sees strictly less evidence); ``aug:<tag>`` applies
-    a label-preserving symbol permutation to the stored frames and scores
-    them under the correspondingly permuted emission, which leaves the
-    posterior unchanged, mirroring augmentations that preserve content. Once
-    an answer token has been generated the backend emits the stop token.
-    ``score`` is ``score_batch`` of the request's one-query step.
+    (the negative stream sees strictly less evidence). ``aug:<tag>`` scores
+    exactly as the identity view: it stands for a label-preserving
+    augmentation that the model recognises, i.e. a symbol permutation applied
+    to the frames and to the emission columns alike, and that leaves every
+    log-likelihood, hence the posterior, unchanged. Once an answer token has
+    been generated the backend emits the stop token. ``score`` is
+    ``score_batch`` of the request's one-query step.
     """
 
     def __init__(self, world: ToyWorld) -> None:
         self.world = world
         self._episodes: dict[str, ToyEpisode] = {}
-        self._augmented: dict[str, tuple[np.ndarray, ToyWorld]] = {}
 
     def add_episode(self, episode: ToyEpisode) -> str:
         self._episodes[episode.video_ref] = episode
         return episode.video_ref
 
-    def _observation(self, episode: ToyEpisode, frame_set: tuple[int, ...], view: str) -> tuple[ToyWorld, list[int]]:
-        """The world a query's view is scored under and its symbols in slot order."""
-        kind, payload = parse_view(view)
-        slots = [t for t in frame_set if t not in payload] if kind == "zero" else frame_set
-        symbols = [episode.frames[t] for t in slots]
-        if kind != "aug":
-            return self.world, symbols
-        # permutation derived from the tag; the model "knows" the augmentation,
-        # so the same permutation reindexes the emission columns. Both are
-        # built once per tag; concurrent first queries build equal copies.
-        cached = self._augmented.get(payload)
-        if cached is None:
-            perm = np.random.default_rng(zlib.crc32(payload.encode())).permutation(self.world.n_symbols)
-            emission = self.world.emission[:, np.argsort(perm)]
-            world = ToyWorld(emission, self.world.prior, self.world.answer_tokens, self.world.vocab)
-            cached = self._augmented.setdefault(payload, (perm, world))
-        perm, world = cached
-        return world, [int(perm[s]) for s in symbols]
-
     def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> list[Distribution]:
-        """Score every query of the round, one gather-and-sum per view world and one
-        check of all its probabilities. ``jobs`` is ignored: the round is scored in this one call."""
+        """Score every query of the round with one gather-and-sum and one check of
+        all its probabilities. ``jobs`` is ignored: the round is scored in this one call."""
         queries = [(step, query) for step in steps for query in step.queries]
         probs = np.zeros((len(queries), len(self.world.vocab)))
-        groups: dict[ToyWorld, tuple[list[int], list[list[int]]]] = {}
+        rows, symbols = [], []
         for i, (step, (frame_set, view)) in enumerate(queries):
             if step.generated:
                 probs[i, self.world.stop_token] = 1.0
                 continue
-            world, symbols = self._observation(self._episodes[step.video_ref], frame_set, view)
-            rows, lists = groups.setdefault(world, ([], []))
+            kind, payload = parse_view(view)
+            frames = self._episodes[step.video_ref].frames
             rows.append(i)
-            lists.append(symbols)
-        for world, (rows, lists) in groups.items():
-            probs[rows] = _answer_probs(world, lists)
+            symbols.append([frames[t] for t in frame_set if kind != "zero" or t not in payload])
+        probs[rows] = _answer_probs(self.world, symbols)
         return Distribution.from_rows(probs)
 
     def score(self, req: ScoreRequest) -> Distribution:

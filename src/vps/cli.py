@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", "--total-frames", dest="total_frames", type=int, required=True)
     p.add_argument("--k", "--frames", dest="frames", type=int, required=True)
     p.add_argument("--J", "--streams", dest="streams", type=int, required=True)
-    p.add_argument("--strategy", choices=("uniform", "dense", "bolt"), default="uniform")
+    p.add_argument("--strategy", choices=eval_harness.STRATEGIES, default="uniform")
     p.add_argument("--scores", help="JSON file with per-frame relevance scores (bolt)")
     p.add_argument("--sharpen", type=float, default=3.0, help="bolt sharpening exponent")
     p.add_argument("--seed", type=int, default=0)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--methods", default="baseline,vps:4", help="comma list, e.g. baseline,vps:4,sc:4,vps:4+tcd")
     p.add_argument("--k", "--frames", dest="frames", type=int, default=4)
-    p.add_argument("--strategy", choices=("uniform", "dense", "bolt"), default="uniform")
+    p.add_argument("--strategy", choices=eval_harness.STRATEGIES, default="uniform")
     p.add_argument("--space", choices=("probability", "logit"), default="probability")
     p.add_argument("--temperature", type=float, default=1.0, help="self-consistency sampling temperature")
     p.add_argument("--max-tokens", type=int, default=1)

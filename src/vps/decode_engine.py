@@ -60,18 +60,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Settings for one decode: stream count, weights, fusion space, sampling.
+    """Settings for one decode: stream count, fusion space, sampling.
 
-    ``temperature`` 0 decodes greedily. ``tcd`` switches on contrastive
-    adjustment per stream; ``ritual_views`` (one augmentation tag per stream)
-    switches on per-stream view fusion. ``trace_top_m`` truncates per-stream
-    distributions in the trace for storage; ``score_top_m`` asks backends for
-    truncated score vectors (the flags a backend puts on its distributions
-    reach the trace).
+    The streams are mixed with equal weights. ``temperature`` 0 decodes
+    greedily. ``tcd`` switches on contrastive adjustment per stream;
+    ``ritual_views`` (one augmentation tag per stream) switches on per-stream
+    view fusion. ``trace_top_m`` truncates per-stream distributions in the
+    trace for storage; ``score_top_m`` asks backends for truncated score
+    vectors (the flags a backend puts on its distributions reach the trace).
     """
 
     streams: int
-    weights: Weights | None = None
     space: Literal["probability", "logit"] = "probability"
     temperature: float = 0.0
     max_tokens: int = 1
@@ -86,8 +85,6 @@ class DecodeConfig:
             raise ValueError("streams must be positive")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
-        if self.weights is not None and len(self.weights) != self.streams:
-            raise ValueError(f"{len(self.weights)} weights for {self.streams} streams")
         if self.space not in ("probability", "logit"):
             raise ValueError(f"unknown aggregation space {self.space!r}")
         if self.ritual_views is not None:
@@ -95,9 +92,6 @@ class DecodeConfig:
             if len(self.ritual_views) != self.streams:
                 raise ValueError("need one ritual view tag per stream")
         object.__setattr__(self, "stop_tokens", frozenset(self.stop_tokens))
-
-    def resolved_weights(self) -> Weights:
-        return self.weights if self.weights is not None else Weights.uniform(self.streams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,15 +224,13 @@ class DecodeError(RuntimeError):
         self.tokens = tokens
 
 
-def negative_view(frame_set: Sequence[int], scheme: str = "interleaved_zero") -> str:
+def negative_view(frame_set: Sequence[int]) -> str:
     """Descriptor for the frame-degraded negative stream.
 
     Every other kept frame is zeroed, by slot position (odd slots), not by
     index value. A single-frame set zeroes nothing: blanking the only frame
     would leave the negative stream contentless.
     """
-    if scheme != "interleaved_zero":
-        raise ValueError(f"unknown negative-view scheme {scheme!r}")
     frames = tuple(frame_set)
     if not frames:
         raise ValueError("frame_set must be non-empty")
@@ -327,7 +319,7 @@ class Decoder:
                 dist = tcd_adjust(dist, results[(j, "negative")], cfg.tcd)
             per_stream.append(dist)
 
-        w = cfg.resolved_weights()
+        w = Weights.uniform(cfg.streams)
         mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
         seed = derive_seed(self.seed, self.steps) if cfg.temperature > 0 else None
         token = sample_token(mixed, cfg.temperature, seed)

@@ -47,12 +47,10 @@ __all__ = [
     "build_prompt",
     "extract_answer",
     "majority_vote",
-    "self_consistency",
     "accuracy",
     "load_dataset",
     "save_dataset",
     "tokens_to_text",
-    "item_seed",
     "method_decodes",
     "evaluate_item",
     "run_benchmark",
@@ -202,30 +200,6 @@ def tokens_to_text(tokens: Sequence[int], backend: Scorer) -> str:
 Decode = tuple[FrameSelectionPlan, DecodeConfig, int]
 
 
-def _sample_decodes(
-    plan_same_frames: FrameSelectionPlan,
-    streams: int,
-    seed: int,
-    temperature: float,
-    max_tokens: int,
-    stop_tokens: frozenset[int],
-) -> list[Decode]:
-    """Self-consistency's decodes: one single-stream sample per stream."""
-    sets = set(plan_same_frames.sets)
-    if len(sets) != 1:
-        raise ValueError("self-consistency requires identical frame sets in every stream")
-    if plan_same_frames.streams != streams:
-        raise ValueError(f"plan has {plan_same_frames.streams} streams, expected {streams}")
-    single = FrameSelectionPlan(
-        plan_same_frames.total_frames,
-        plan_same_frames.frames_per_stream,
-        1,
-        (plan_same_frames.sets[0],),
-    )
-    cfg = DecodeConfig(streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens)
-    return [(single, cfg, derive_seed(seed, s)) for s in range(streams)]
-
-
 def _run_decodes(
     work: Sequence[tuple[EvalItem, Sequence[Decode]]],
     backend: Scorer,
@@ -251,40 +225,6 @@ def _run_decodes(
         error if error is not None else [tokens_to_text(d.tokens, backend) for d in decoders]
         for decoders, error in zip(groups, errors)
     ]
-
-
-def _item_texts(item: EvalItem, backend: Scorer, decodes: Sequence[Decode]) -> list[str]:
-    """The texts of one item's decodes; a failed decode raises its :class:`DecodeError`."""
-    (outcome,) = _run_decodes([(item, decodes)], backend)
-    if isinstance(outcome, DecodeError):
-        raise outcome
-    return outcome
-
-
-def _vote(item: EvalItem, outputs: Sequence[str]) -> str | None:
-    """The majority answer extracted from the sampled decodes' texts."""
-    return majority_vote([extract_answer(text, item.task) for text in outputs])
-
-
-def self_consistency(
-    item: EvalItem,
-    plan_same_frames: FrameSelectionPlan,
-    backend: Scorer,
-    streams: int,
-    seed: int,
-    temperature: float = 1.0,
-    max_tokens: int = 8,
-    stop_tokens: frozenset[int] = frozenset(),
-) -> str | None:
-    """Majority vote over independently sampled decodes that saw identical frames.
-
-    Every one of the J streams must carry the same frame set (that is the
-    point: any scaling difference against the frame-subset mixture then comes
-    from the inputs, not the voting). Sampling temperature must be positive
-    for the votes to differ.
-    """
-    decodes = _sample_decodes(plan_same_frames, streams, seed, temperature, max_tokens, stop_tokens)
-    return _vote(item, _item_texts(item, backend, decodes))
 
 
 def _is_correct(item: EvalItem, extracted: str | None) -> bool:
@@ -417,6 +357,10 @@ class MethodSpec:
         return base + ("+tcd" if self.tcd else "") + ("+ritual" if self.ritual else "")
 
 
+# the frame plan strategies of _build_plan, by name
+STRATEGIES = ("uniform", "dense", "bolt")
+
+
 def _build_plan(
     strategy: str,
     total_frames: int,
@@ -437,11 +381,6 @@ def _build_plan(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def item_seed(seed: int, index: int) -> int:
-    """The seed of the ``index``-th dataset item in a run seeded ``seed``."""
-    return derive_seed(seed, index)
-
-
 def method_decodes(
     item: EvalItem,
     method: MethodSpec,
@@ -457,11 +396,14 @@ def method_decodes(
     """The (plan, config, seed) of every decode ``method`` runs on ``item``.
 
     A mixture method runs one greedy J-stream decode; ``sc:J`` runs J
-    single-stream samples at ``temperature`` over one frame set.
+    single-stream samples at ``temperature`` over one frame set (sample
+    ``s`` seeded ``derive_seed(seed, s)``), so a difference from the
+    frame-subset mixture comes from the inputs, not the voting.
     """
     if method.kind == "sc":
-        plan = identical_sets_plan(item.total_frames, frames_per_stream, method.streams)
-        return _sample_decodes(plan, method.streams, seed, temperature, max_tokens, stop_tokens)
+        cfg = DecodeConfig(streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens)
+        plan = identical_sets_plan(item.total_frames, frames_per_stream, 1)
+        return [(plan, cfg, derive_seed(seed, s)) for s in range(method.streams)]
     bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
     plan = _build_plan(strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt)
     cfg = DecodeConfig(
@@ -492,22 +434,29 @@ def evaluate_item(
     stop_tokens: frozenset[int] = frozenset(),
     bolt_scores: Sequence[float] | None = None,
 ) -> MethodResult:
-    """Run one method on one item and extract its answer.
+    """Run one method (``sc:J`` included) on one item and extract its answer.
 
     ``temperature`` only applies to the self-consistency samples; mixture
-    methods decode greedily from the fused distribution.
+    methods decode greedily from the fused distribution. Seeded with item
+    ``i``'s seed of a run, ``derive_seed(run_seed, i)``, this is that item's
+    :func:`run_benchmark` result; a failed decode raises its
+    :class:`DecodeError`.
     """
     decodes = method_decodes(
         item, method, frames_per_stream, seed, strategy=strategy, space=space, temperature=temperature,
         max_tokens=max_tokens, stop_tokens=stop_tokens, bolt_scores=bolt_scores,
     )
-    return _method_result(item, method, _item_texts(item, backend, decodes))
+    (outcome,) = _run_decodes([(item, decodes)], backend)
+    if isinstance(outcome, DecodeError):
+        raise outcome
+    return _method_result(item, method, outcome)
 
 
 def _method_result(item: EvalItem, method: MethodSpec, outputs: Sequence[str]) -> MethodResult:
     """The answer a method extracts from its decodes' texts: a vote for ``sc:J``."""
     if method.kind == "sc":
-        return MethodResult(item.id, method.tag, raw_output="", extracted=_vote(item, outputs))
+        vote = majority_vote([extract_answer(text, item.task) for text in outputs])
+        return MethodResult(item.id, method.tag, raw_output="", extracted=vote)
     return MethodResult(item.id, method.tag, raw_output=outputs[0], extracted=extract_answer(outputs[0], item.task))
 
 
@@ -556,7 +505,7 @@ def run_benchmark(
     results: list[MethodResult] = []
     options = dict(strategy=strategy, space=space, temperature=temperature, max_tokens=max_tokens,
                    stop_tokens=stop_tokens)
-    seeds = [item_seed(seed, idx) for idx in range(len(items))]
+    seeds = [derive_seed(seed, idx) for idx in range(len(items))]
     for method in methods:
         counter = CallCounter(backend)
         method_results = []

@@ -215,16 +215,19 @@ def _centred_normals(rng: np.random.Generator, fields: int, p: np.ndarray) -> np
     return z
 
 
+# samples per Monte Carlo batch; each batch has its own child seed
+SIM_BATCH = 1 << 13
+
+
 def _simulate_grid(
     spec: SimSpec,
     streams_list: Sequence[int],
     correlations: Sequence[float],
     dtype: np.dtype = np.float64,
-    batch: int = 1 << 13,
 ) -> dict[tuple[float, int], SimResult]:
     """Shared-draw sweep over (correlation, stream count) combinations.
 
-    Each batch draws one ``(1 + max J, batch, V)`` array of normals in
+    Each batch draws one ``(1 + max J, SIM_BATCH, V)`` array of normals in
     ``dtype``, stream-major: row 0 is the shared field g, the rest the
     per-stream fields h. They are centred under p once; each correlation then
     forms ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias`` in one reused
@@ -262,12 +265,12 @@ def _simulate_grid(
     n = spec.samples
     resampled = 0
     resample_budget = max(100, int(0.01 * n) + 100)
-    n_batches = (n + batch - 1) // batch
+    n_batches = (n + SIM_BATCH - 1) // SIM_BATCH
     children = np.random.SeedSequence(spec.seed).spawn(n_batches)
     done = 0
     for child in children:
         rng = np.random.default_rng(child)
-        b = min(batch, n - done)
+        b = min(SIM_BATCH, n - done)
         # true distribution per sample: simplex-uniform
         expo = rng.standard_exponential((b, V))
         p = expo / expo.sum(axis=1, keepdims=True)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, Weights, argmax_token, mix_probs
-from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest, ScoreResponse
-from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode, toy_posterior
+from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest, ScoreResponse, ScoreStep
+from vps.backends.toyworld import ToyBackend, ToyEpisode, ToyWorld, toy_episode, toy_posterior
 from vps.eval_harness import RITUAL_TAG_POOL
 
 
@@ -132,6 +132,30 @@ class TestToyPosterior:
         with pytest.raises(ValueError, match="inconsistent"):
             toy_posterior(world, [(0, 1)])
 
+    # symmetric(4, .) has 4 symbols, and 4 is also the index of the gather's +0.0 padding column
+    @pytest.mark.parametrize("symbol", [-1, 4])
+    def test_symbol_outside_support_raises(self, symbol):
+        world = ToyWorld.symmetric(4, 0.7)
+        with pytest.raises(ValueError, match=f"^symbol {symbol} outside emission support$"):
+            toy_posterior(world, [(0, 1), (1, symbol)])
+        backend = ToyBackend(world)
+        backend.add_episode(ToyEpisode(0, (1, symbol, 2), "bad", "q", ("label A",), "A"))
+        steps = [ScoreStep.of(req(frame_set=frames, video_ref="bad")) for frames in ((0, 2), (0, 1))]
+        with pytest.raises(ValueError, match=f"^symbol {symbol} outside emission support$"):
+            backend.score_batch(steps)
+
+    def test_error_names_the_first_bad_symbol_in_query_order(self):
+        world = ToyWorld.symmetric(4, 0.7)
+        with pytest.raises(ValueError, match="^symbol 4 "):
+            toy_posterior(world, [(0, 1), (1, 4), (2, -1)])
+        backend = ToyBackend(world)
+        backend.add_episode(ToyEpisode(0, (1, 4, -1), "bad", "q", ("label A",), "A"))
+        negative, padding = (ScoreStep.of(req(frame_set=frames, video_ref="bad")) for frames in ((0, 2), (1,)))
+        with pytest.raises(ValueError, match="^symbol -1 "):
+            backend.score_batch([negative, padding])
+        with pytest.raises(ValueError, match="^symbol 4 "):
+            backend.score_batch([padding, negative])
+
     def test_information_monotonicity(self):
         # expected log-loss with more observed frames is no worse
         world = ToyWorld.symmetric(4, 0.55)
@@ -225,22 +249,6 @@ class TestToyBackend:
         for tag in RITUAL_TAG_POOL:
             augmented = backend.score(req(frame_set=frame_set, view=f"aug:{tag}", video_ref=episode.video_ref))
             assert np.array_equal(augmented.probs, identity.probs), tag
-
-    def test_augmented_view_tables_are_built_once_per_tag(self, monkeypatch):
-        built = []
-        post_init = ToyWorld.__post_init__
-
-        def counting_post_init(world):
-            built.append(world)
-            post_init(world)
-
-        monkeypatch.setattr(ToyWorld, "__post_init__", counting_post_init)
-        query = req(frame_set=(0, 4), view="aug:hflip", video_ref=self.episode.video_ref)
-        first = self.backend.score(query)
-        assert len(built) == 1
-        second = self.backend.score(query)
-        assert len(built) == 1
-        assert np.array_equal(first.probs, second.probs)
 
     def test_emits_stop_after_answer(self):
         out = self.backend.score(

@@ -111,7 +111,7 @@ class TestRunCommand:
     def test_trace_records_the_runs_own_first_decode(self, tmp_path, monkeypatch, method):
         from vps import eval_harness
         from vps.backends.toyworld import ToyWorld
-        from vps.decode_engine import decode
+        from vps.decode_engine import decode, derive_seed
 
         decoders = []
 
@@ -135,7 +135,7 @@ class TestRunCommand:
         world = ToyWorld.symmetric(4, 0.55)
         items, backend = eval_harness.toy_benchmark(world, 3, 64, 5)
         plan, cfg, seed = eval_harness.method_decodes(
-            items[0], eval_harness.MethodSpec.parse(method), 4, eval_harness.item_seed(5, 0),
+            items[0], eval_harness.MethodSpec.parse(method), 4, derive_seed(5, 0),
             max_tokens=2, stop_tokens=frozenset({world.stop_token}),
         )[0]
         assert decode(items[0].video_ref, eval_harness.build_prompt(items[0]), plan, backend, cfg,

@@ -52,10 +52,6 @@ class TestNegativeView:
     def test_single_frame_degenerate(self):
         assert negative_view((7,)) == "zero:"
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            negative_view((0, 1), scheme="random_drop")
-
     def test_empty_frame_set(self):
         with pytest.raises(ValueError):
             negative_view(())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vps.aggregation import Distribution
 from vps.backends import MockBackend
 from vps.backends.toyworld import ToyWorld
+from vps.decode_engine import derive_seed
 from vps.eval_harness import (
     BINARY_SCAFFOLD,
     DESCRIPTION_SCAFFOLD,
@@ -21,16 +22,16 @@ from vps.eval_harness import (
     accuracy,
     build_prompt,
     description_rows,
+    evaluate_item,
     extract_answer,
     load_dataset,
     majority_vote,
     run_benchmark,
     save_dataset,
     score_description_results,
-    self_consistency,
     toy_benchmark,
 )
-from vps.frame_selection import identical_sets_plan, uniform_offset_plan
+from vps.frame_selection import identical_sets_plan
 
 
 def mc_item(**kw):
@@ -152,11 +153,6 @@ class TestMajorityVote:
 
 
 class TestSelfConsistency:
-    def test_requires_identical_sets(self):
-        item = mc_item()
-        with pytest.raises(ValueError):
-            self_consistency(item, uniform_offset_plan(64, 4, 4), MockBackend({}), 4, seed=0)
-
     def test_zero_temperature_odd_streams_equals_greedy(self):
         item = mc_item(reference="C")
         plan = identical_sets_plan(64, 4, 3)
@@ -166,10 +162,10 @@ class TestSelfConsistency:
             vocab=("A", "B", "C", "D", "</s>"),
         )
         for seed in range(10):
-            answer = self_consistency(
-                item, plan, backend, 3, seed=seed, temperature=0.0, max_tokens=1
+            result = evaluate_item(
+                item, MethodSpec.parse("sc:3"), backend, 4, seed=seed, temperature=0.0, max_tokens=1
             )
-            assert answer == "C"
+            assert result.extracted == "C"
 
     def test_sampled_majority_tracks_dominant_mass(self):
         item = mc_item(reference="A")
@@ -180,10 +176,20 @@ class TestSelfConsistency:
             vocab=("A", "B", "C", "D", "</s>"),
         )
         wins = sum(
-            self_consistency(item, plan, backend, 9, seed=s, max_tokens=1) == "A"
+            evaluate_item(item, MethodSpec.parse("sc:9"), backend, 4, seed=s, max_tokens=1).extracted == "A"
             for s in range(40)
         )
         assert wins >= 36
+
+    @pytest.mark.parametrize("tag", ["sc:3", "vps:2+tcd+ritual"])
+    def test_evaluate_item_is_the_runs_result_for_the_item(self, tag):
+        world = ToyWorld.symmetric(4, 0.6)
+        items, backend = toy_benchmark(world, 1, total_frames=64, seed=2)
+        kw = dict(temperature=0.8, max_tokens=2, stop_tokens=frozenset({world.stop_token}))
+        method = MethodSpec.parse(tag)
+        for s in range(6):
+            (expected,), _ = run_benchmark(items, backend, [method], 4, seed=s, **kw)
+            assert evaluate_item(items[0], method, backend, 4, seed=derive_seed(s, 0), **kw) == expected
 
 
 class TestAccuracy:

@@ -11,7 +11,7 @@ from vps.aggregation import TcdConfig
 from vps.backends import CallCounter, ScoreRequest, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
-from vps.decode_engine import DecodeConfig, Decoder, decode, negative_view
+from vps.decode_engine import DecodeConfig, Decoder, decode, derive_seed, negative_view
 from vps.eval_harness import (
     RITUAL_TAG_POOL,
     EvalItem,
@@ -19,7 +19,6 @@ from vps.eval_harness import (
     MethodSpec,
     build_prompt,
     extract_answer,
-    item_seed,
     majority_vote,
     method_decodes,
     run_benchmark,
@@ -151,7 +150,7 @@ def one_decode_at_a_time(items, scorer, methods, frames_per_stream, seed, **kw):
         for idx, item in enumerate(items):
             outputs = [
                 tokens_to_text(decode(item.video_ref, build_prompt(item), plan, counter, cfg, seed=s)[0], scorer)
-                for plan, cfg, s in method_decodes(item, method, frames_per_stream, item_seed(seed, idx), **kw)
+                for plan, cfg, s in method_decodes(item, method, frames_per_stream, derive_seed(seed, idx), **kw)
             ]
             if method.kind == "sc":
                 vote = majority_vote([extract_answer(text, item.task) for text in outputs])
