@@ -248,9 +248,12 @@ def mix_probs(dists: Sequence[Distribution], w: Weights) -> Distribution:
 
     When every stream is sparse the mixture is sparse over the union of their
     supports, and each token's sum is the same balanced tree as in the dense
-    mixture (absent tokens add exact zeros).
+    mixture (absent tokens add exact zeros). One stream of weight 1 is
+    returned as it is: 1.0 * p is p.
     """
     _check_mix_args(dists, w)
+    if len(dists) == 1 and w.w[0] == 1.0:
+        return dists[0]
     if any(d.support is None for d in dists):
         return Distribution(_tree_reduce([w.w[j] * d.probs for j, d in enumerate(dists)]))
     support = np.unique(np.concatenate([d.support for d in dists]))

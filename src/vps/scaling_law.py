@@ -19,8 +19,10 @@ the cross-entropy excess of each stream and of their uniform mixture.
 One sweep serves a whole (correlation, stream count) grid: per batch it draws
 the shared and per-stream normal fields once, stream-major in the bulk dtype,
 and centres them once (centring is linear, so each correlation's mix of them
-is centred too); a batch with an infeasible draw is redrawn in those rows and
-recomputed whole.
+is centred too). Each correlation then works through the batch in sample
+chunks that one reused buffer holds, and at rho=1 with equal biases it
+computes the one error every stream shares, not J copies. A batch with an
+infeasible draw is redrawn in those rows and recomputed whole.
 """
 
 from __future__ import annotations
@@ -217,6 +219,17 @@ def _centred_normals(rng: np.random.Generator, fields: int, p: np.ndarray) -> np
 
 # samples per Monte Carlo batch; each batch has its own child seed
 SIM_BATCH = 1 << 13
+# most samples per pass over a batch's relative errors, sized so that the
+# (J, chunk, V) buffer stays in cache
+SIM_CHUNK = 1 << 9
+
+
+def _mix_equicorrelated(z: np.ndarray, scale: np.ndarray, rho: float, bias: np.ndarray, out: np.ndarray) -> None:
+    """``scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias`` into ``out``, for the shared
+    field ``g = z[0]`` and the first ``len(out)`` per-stream fields ``h = z[1:]``."""
+    np.multiply(z[1:1 + len(out)], math.sqrt(1.0 - rho) * scale, out=out)
+    out += math.sqrt(rho) * scale * z[0]
+    out -= bias[:len(out)]
 
 
 def _simulate_grid(
@@ -229,13 +242,20 @@ def _simulate_grid(
 
     Each batch draws one ``(1 + max J, SIM_BATCH, V)`` array of normals in
     ``dtype``, stream-major: row 0 is the shared field g, the rest the
-    per-stream fields h. They are centred under p once; each correlation then
-    forms ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias`` in one reused
-    buffer. Streams for smaller J are the leading subset of the largest draw,
-    so the mixtures come from a running sum over the sorted stream counts. A
-    batch with a row whose relative error reaches -1 is redrawn in those rows
-    and recomputed whole: rejected draws never reach the (float64)
-    accumulators.
+    per-stream fields h. They are centred under p once. Each correlation then
+    runs over the batch in chunks of at most ``SIM_CHUNK`` samples: one reused
+    ``(J, chunk, V)`` buffer takes ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) -
+    bias`` (``_mix_equicorrelated``), its feasibility check, the p-weighted
+    delta^2, the mixtures, ``log1p`` and the per-stream CE in turn. Beyond the
+    normals and p, a batch's working memory is that buffer (J * SIM_CHUNK * V
+    values), two ``(chunk, V)`` arrays and the per-sample statistics, not one
+    ``(J, batch, V)`` array per pass. At rho=1 with equal biases every
+    stream's delta is the same row, which is computed once. Streams for
+    smaller J are the leading subset of the largest draw, so the mixtures come
+    from a running sum over the sorted stream counts. A batch with a row whose
+    relative error reaches -1 is redrawn in those rows and recomputed whole:
+    rejected draws never reach the (float64) accumulators. Chunks of two or
+    more rows give the same bits as one pass over the batch.
     """
     params = spec.params
     js = sorted(set(int(j) for j in streams_list))
@@ -252,6 +272,8 @@ def _simulate_grid(
     cap = params.capacity_term
     dtype = np.dtype(dtype)
     bias_col = np.asarray(biases[:jmax], dtype=dtype)[:, None, None]
+    # at rho=1 with equal biases every stream's delta is one row, computed once
+    one_row = len(set(biases[:jmax])) == 1
 
     # per correlation: p-weighted delta^2, per-stream CE gap, and the mixture's
     # conditional and single-label CE gaps per stream count
@@ -280,7 +302,7 @@ def _simulate_grid(
         labels = np.minimum(
             (cdf < rng.random((b, 1))).sum(axis=1), V - 1
         )
-        rows = np.arange(b)
+        rows = np.arange(min(b, SIM_CHUNK))
 
         z = _centred_normals(rng, 1 + jmax, pd)
         # per-sample scale: after centering under p the p-weighted variance of
@@ -288,32 +310,45 @@ def _simulate_grid(
         # E[delta^2] = 2*A/N^alpha exactly in expectation
         pnorm = 1.0 - np.einsum("bv,bv->b", pd, pd)
         scale = np.sqrt(2.0 * cap / pnorm).astype(dtype, copy=False)[:, None]
-        delta = np.empty((jmax, b, V), dtype=dtype)
-        dbar = np.empty((b, V), dtype=dtype)
+        # near-equal chunks: a one-row chunk would sum p*delta^2 in another order than its batch
+        chunks = -(-b // SIM_CHUNK)
+        bounds = [b * i // chunks for i in range(chunks + 1)]
+        buf = np.empty(jmax * min(b, SIM_CHUNK) * V, dtype=dtype)
+        dbar = np.empty((min(b, SIM_CHUNK), V), dtype=dtype)
 
         # resample rows where any stream's relative error would reach -1
         for _attempt in range(100):
             bad = np.zeros(b, dtype=bool)
             stats = []
             for rho in rhos:
-                # delta = scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias
-                np.multiply(z[1:], math.sqrt(1.0 - rho) * scale, out=delta)
-                delta += math.sqrt(rho) * scale * z[0]
-                delta -= bias_col
-                bad |= delta.min(axis=0).min(axis=1) <= -1.0
-                if bad.any():
-                    continue  # the batch is redrawn: skip its statistics
-                d2 = np.einsum("bv,jbv,jbv->b", pd, delta, delta) / jmax
-                mix = np.empty((b, len(js)), dtype=dtype)
-                lab = np.empty((b, len(js)), dtype=dtype)
-                running = np.zeros((b, V), dtype=dtype)
-                for k, (lo, J) in enumerate(zip([0, *js], js)):
-                    running += delta[lo:J].sum(axis=0)
-                    np.log1p(np.divide(running, J, out=dbar), out=dbar)
-                    mix[:, k] = -np.einsum("bv,bv->b", pd, dbar)
-                    lab[:, k] = -dbar[rows, labels]
-                np.log1p(delta, out=delta)
-                stats.append((d2, -np.einsum("bv,jbv->bj", pd, delta), mix, lab))
+                width = 1 if rho == 1.0 and one_row else jmax  # rows of delta
+                d2 = np.empty(b, dtype=dtype)
+                # einsum's (b, J) layout, whose column sums the accumulators round in
+                stream = np.empty((jmax, b), dtype=dtype).T
+                mix, lab = np.empty((2, b, len(js)), dtype=dtype)
+                stats.append((d2, stream, mix, lab))
+                for lo, hi in zip(bounds, bounds[1:]):
+                    c, m = slice(lo, hi), hi - lo
+                    delta = buf[: width * m * V].reshape(width, m, V)
+                    _mix_equicorrelated(z[:, c], scale[c], rho, bias_col, delta)
+                    bad[c] |= delta.min(axis=0).min(axis=1) <= -1.0
+                    if bad.any():
+                        continue  # the batch is redrawn: skip its statistics
+                    pc = pd[c]
+                    d2[c] = np.einsum("bv,jbv,jbv->b", pc, delta, delta) / width
+                    if width == 1:  # every stream and mixture has this one row's error
+                        np.log1p(delta, out=delta)
+                        mix[c] = -np.einsum("bv,bv->b", pc, delta[0])[:, None]
+                        lab[c] = -delta[0, rows[:m], labels[c]][:, None]
+                    else:
+                        running = np.zeros((m, V), dtype=dtype)
+                        for k, (j0, J) in enumerate(zip([0, *js], js)):
+                            running += delta[j0:J].sum(axis=0)
+                            mixed = np.log1p(np.divide(running, J, out=dbar[:m]), out=dbar[:m])
+                            mix[c, k] = -np.einsum("bv,bv->b", pc, mixed)
+                            lab[c, k] = -mixed[rows[:m], labels[c]]
+                        np.log1p(delta, out=delta)
+                    stream[c] = -np.einsum("bv,jbv->bj", pc, delta)
             if not bad.any():
                 break
             resampled += int(bad.sum())

@@ -144,6 +144,17 @@ class TestMixProbs:
         out = mix_probs([d], Weights.uniform(1))
         assert np.array_equal(out.probs, d.probs)
 
+    def test_single_stream_of_weight_one_is_returned_as_is(self):
+        # 1.0 * p is p, so no copy is built or validated; any other weight builds one
+        dense = Distribution.from_probs([0.3, 0.7])
+        sparse = Distribution(np.array([0.4, 0.6]), support=np.array([1, 3]), size=5)
+        for d in (dense, sparse):
+            assert mix_probs([d], Weights.uniform(1)) is d
+        near = mix_probs([dense], Weights(np.array([1.0 - 1e-13])))
+        assert near is not dense and np.array_equal(near.probs, (1.0 - 1e-13) * dense.probs)
+        with pytest.raises(ValueError):
+            mix_probs([Distribution.from_probs([0.5, 0.5, 0.0]), dense], Weights(np.array([1.0, 0.0])))
+
     def test_symmetric_pair(self):
         out = mix_probs(
             [Distribution.from_probs([1.0, 0.0]), Distribution.from_probs([0.0, 1.0])],

@@ -1,7 +1,7 @@
 """The per-layer instrument of ``perfbench/`` still sees a decode: the names
 it patches on vps exist, its spans fire, and leaving it restores them; and
-one short traced benchmark run of the toy-eval and of the wire-topm
-workload each passes its checks."""
+one short traced benchmark run of the toy-eval, the wire-topm and the
+mc-grid workload each passes its checks."""
 
 import json
 import subprocess
@@ -34,10 +34,10 @@ def test_decode_records_one_step_span_per_token():
     assert (decode_engine.step, decode_engine.mix_probs) == (step, mix)
 
 
-def test_traced_toy_eval_benchmark_run_is_correct():
-    # one short traced run of the benchmark's toy-eval workload
+def traced_run_verdict(workload: str) -> dict:
+    """The verdict of one short traced run of a benchmark workload, which must exit 0."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "toy-eval", "--seed", "1",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -46,17 +46,18 @@ def test_traced_toy_eval_benchmark_run_is_correct():
     assert verdict["correct"] is True
     assert verdict["failed"] == 0
     assert verdict["attempted"] > 0
+    return verdict
+
+
+def test_traced_toy_eval_benchmark_run_is_correct():
+    traced_run_verdict("toy-eval")
 
 
 def test_traced_wire_topm_benchmark_run_is_correct():
-    # one short traced run of the benchmark's wire-topm workload, fixture server included
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "wire-topm", "--seed", "1",
-         "--seconds", "1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    verdict = json.loads(done.stdout.splitlines()[-1])
-    assert verdict["correct"] is True
-    assert verdict["failed"] == 0
-    assert verdict["attempted"] > 0
+    # the fixture server included
+    traced_run_verdict("wire-topm")
+
+
+def test_traced_mc_grid_benchmark_run_is_correct():
+    # the tracer swaps scaling_law's private helpers while they exist
+    traced_run_verdict("mc-grid")

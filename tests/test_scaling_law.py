@@ -1,11 +1,13 @@
 """Closed-form losses, the Monte Carlo validator, and curve fitting."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vps import scaling_law
 from vps.scaling_law import (
     FitError,
     ScaleError,
@@ -239,6 +241,37 @@ class TestSweep:
             assert np.isfinite([res.mixture_excess, res.label_excess, res.delta_sq_mean]).all()
             assert np.isfinite(res.stream_excess).all()
             assert_same_result(res, second[key])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch, dtype):
+        # one chunk per batch is the unchunked sweep; 7 and 100 divide none of these batches, and
+        # the edge spec redraws rows, so a chunk's skipped statistics must not leak into the result
+        default = scaling_law.SIM_CHUNK
+        specs = [
+            SimSpec(16, scaling_law.SIM_BATCH + 302, 59, params_with(b=(0.0,) * 4)),
+            SimSpec(8, 10_000, 41, params_with(b=(0.0,) * 4, A=0.02)),
+            SimSpec(16, 3_001, 61, params_with(b=(0.01, 0.02, 0.04, 0.03))),
+        ]
+        for spec in specs:
+            monkeypatch.setattr(scaling_law, "SIM_CHUNK", scaling_law.SIM_BATCH)
+            whole = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0], dtype=dtype)
+            for chunk in (7, 100, default):
+                monkeypatch.setattr(scaling_law, "SIM_CHUNK", chunk)
+                chunked = simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0], dtype=dtype)
+                for key, res in whole.items():
+                    assert_same_result(chunked[key], res)
+            assert (whole[(0.0, 1)].resampled > 0) == (spec.seed == 41)
+
+    def test_mc_grid_peak_memory(self):
+        # the benchmark's mc-grid shape; a (J, batch, V) array per pass peaks near 58 MiB
+        spec = SimSpec(64, scaling_law.SIM_BATCH, 1, params_with(b=(0.0,) * 8))
+        tracemalloc.start()
+        try:
+            simulate_ce_grid(spec, [1, 2, 4, 8], [0.0, 0.5, 1.0], dtype=np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_float32_agrees_with_float64(self):
         spec = SimSpec(64, 40_000, 53, params_with(b=(0.0,) * 4))
