@@ -1,16 +1,18 @@
 """Pluggable scorers turning a decoder step's queries into next-token distributions.
 
-A scorer implements ``score(ScoreRequest) -> Distribution`` for one query; a
-scorer that converts lossily names the conversion in the distribution's
-``flags``. A scorer may also implement ``score_batch(steps, jobs)``: for a
-round of :class:`ScoreStep` s, one distribution per query in step then query
-order, as a list or as an iterator that scores lazily, with ``jobs`` as the
-most queries it may keep in flight at once (a scorer that does not pipeline
-ignores it). :func:`score_batch` is the one place that calls it, and it falls
-back to ``score``, one :class:`ScoreRequest` per query. Shipped scorers:
-a deterministic table-driven mock, an exact-Bayes toy video world
-(:mod:`vps.backends.toyworld`), and an HTTP client for external inference
-servers (:mod:`vps.backends.wire`).
+A scorer implements one method, ``score_batch(steps, jobs)``: for a round of
+:class:`ScoreStep` s, one distribution per query in step then query order, as
+a list or as an iterator that scores lazily, with ``jobs`` as the most
+queries it may keep in flight at once (a scorer that does not pipeline
+ignores it). A failed query is reported at that query: the scorer yields the
+replies before it, then raises. An exception from the call itself
+propagates. A scorer that converts lossily names the conversion in the
+distribution's ``flags``. :func:`score_batch` is the one place that calls
+it. Shipped scorers: a deterministic table-driven mock, an exact-Bayes toy
+video world (:mod:`vps.backends.toyworld`), and an HTTP client for external
+inference servers (:mod:`vps.backends.wire`). :class:`ScoreRequest` is one
+query on its own, for the one-query ``score`` conveniences of the last two;
+no decode builds one.
 """
 
 from __future__ import annotations
@@ -77,11 +79,6 @@ class ScoreStep:
 
     def __len__(self) -> int:
         return len(self.queries)
-
-    def requests(self) -> Iterator[ScoreRequest]:
-        """One single-query request per query, in query order."""
-        for frame_set, view in self.queries:
-            yield ScoreRequest(self.video_ref, frame_set, view, self.prompt_text, self.generated, self.top_m)
 
     @classmethod
     def of(cls, req: ScoreRequest) -> "ScoreStep":
@@ -162,33 +159,22 @@ class ScoreResponse:
 
 @runtime_checkable
 class Scorer(Protocol):
-    def score(self, req: ScoreRequest) -> Distribution: ...
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]: ...
 
 
 def score_batch(scorer: Scorer, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
     """One distribution per query of ``steps``, in step then query order.
 
-    A scorer with its own ``score_batch`` scores the whole round in one call,
-    made here, with ``jobs`` passed on as the keyword ``jobs``.
-    When it returns a list, a reply count other than one per query raises
-    ``ValueError`` here; an iterator is passed on as it is, and a failed
-    query raises when its reply is read. If the call itself raises, the
-    round is scored again one query at a time, so the failure surfaces at
-    the query that caused it. Those calls, and those of a scorer without
-    ``score_batch``, go to ``score`` with one :class:`ScoreRequest` per
-    query, lazily: each is made only when the caller asks for its reply.
+    The scorer scores the whole round in one call, made here, with ``jobs``
+    passed on as the keyword ``jobs``. When it returns a list, a reply count
+    other than one per query raises ``ValueError`` here; an iterator is
+    passed on as it is, and a failed query raises when its reply is read.
+    An exception from the call itself propagates.
     """
-    native = getattr(scorer, "score_batch", None)
-    if native is not None:
-        try:
-            replies = native(steps, jobs=jobs)
-        except Exception:  # noqa: BLE001 - attributed below, one query at a time
-            replies = None
-        if isinstance(replies, list) and len(replies) != (queries := sum(map(len, steps))):
-            raise ValueError(f"score_batch returned {len(replies)} replies for {queries} queries")
-        if replies is not None:
-            return iter(replies)
-    return (scorer.score(req) for step in steps for req in step.requests())
+    replies = scorer.score_batch(steps, jobs=jobs)
+    if isinstance(replies, list) and len(replies) != (queries := sum(map(len, steps))):
+        raise ValueError(f"score_batch returned {len(replies)} replies for {queries} queries")
+    return iter(replies)
 
 
 class FixtureMissError(KeyError):
@@ -215,12 +201,15 @@ class MockBackend:
         self.fixtures = dict(fixtures)
         self.vocab = tuple(vocab) if vocab is not None else None
 
-    def score(self, req: ScoreRequest) -> Distribution:
-        key = (req.frame_set, req.view, req.generated)
-        try:
-            return self.fixtures[key]
-        except KeyError:
-            raise FixtureMissError(key) from None
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
+        """The fixture of each query, lazily; a query without one raises
+        :class:`FixtureMissError` when its reply is read."""
+        for step in steps:
+            for frame_set, view in step.queries:
+                key = (frame_set, view, step.generated)
+                if key not in self.fixtures:
+                    raise FixtureMissError(key)
+                yield self.fixtures[key]
 
     def token_text(self, token: int) -> str:
         if self.vocab is None:
@@ -229,15 +218,12 @@ class MockBackend:
 
 
 class CallCounter:
-    """Wrap a scorer and count its calls (compute-audit helper, thread-safe).
+    """Wrap a scorer and count its queries (compute-audit helper, thread-safe).
 
-    Every ``score`` call counts, failed or not. When the inner scorer has a
-    ``score_batch``, so does the counter. A batch returned as a list counts
-    one call per query, and a batch that raises counts nothing, since
-    :func:`score_batch` then scores its queries again one at a time. A
-    batch returned as an iterator counts, as ``score`` does, each query
-    whose reply was read or whose query failed, and none that was never
-    read.
+    A batch returned as a list counts one call per query. A batch returned
+    as an iterator counts each query whose reply was read or whose query
+    failed, and none that was never read. A call that raises counts
+    nothing. Every other attribute is the inner scorer's.
     """
 
     def __init__(self, inner: Scorer) -> None:
@@ -249,29 +235,22 @@ class CallCounter:
         with self._lock:
             self.calls += n
 
-    def score(self, req: ScoreRequest) -> Distribution:
-        self._count(1)
-        return self.inner.score(req)
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
+        replies = self.inner.score_batch(steps, jobs=jobs)
+        if isinstance(replies, list):
+            self._count(sum(map(len, steps)))
+            return replies
+        return self._counted(replies)
 
     def _counted(self, replies: Iterable[Distribution]) -> Iterator[Distribution]:
         try:
             for reply in replies:
                 self._count(1)
                 yield reply
+                del reply  # hold no reply while the next query is scored
         except Exception:  # the next query failed
             self._count(1)
             raise
 
     def __getattr__(self, name: str):
-        attr = getattr(self.inner, name)
-        if name != "score_batch":
-            return attr
-
-        def score_batch(steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
-            replies = attr(steps, jobs=jobs)
-            if isinstance(replies, list):
-                self._count(sum(map(len, steps)))
-                return replies
-            return self._counted(replies)
-
-        return score_batch
+        return getattr(self.inner, name)

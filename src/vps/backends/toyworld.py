@@ -11,7 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,6 +169,11 @@ def toy_episode(world: ToyWorld, total_frames: int, seed: int) -> ToyEpisode:
     )
 
 
+def _then_raise(replies: list[Distribution], exc: Exception) -> Iterator[Distribution]:
+    yield from replies
+    raise exc
+
+
 class ToyBackend:
     """Scores requests against registered episodes with the exact posterior.
 
@@ -178,8 +183,8 @@ class ToyBackend:
     augmentation that the model recognises, i.e. a symbol permutation applied
     to the frames and to the emission columns alike, and that leaves every
     log-likelihood, hence the posterior, unchanged. Once an answer token has
-    been generated the backend emits the stop token. ``score`` is
-    ``score_batch`` of the request's one-query step.
+    been generated the backend emits the stop token. ``score``, one query's
+    ``score_batch``, is a convenience that no decode calls.
     """
 
     def __init__(self, world: ToyWorld) -> None:
@@ -190,9 +195,12 @@ class ToyBackend:
         self._episodes[episode.video_ref] = episode
         return episode.video_ref
 
-    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> list[Distribution]:
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
         """Score every query of the round with one gather-and-sum and one check of
-        all its probabilities. ``jobs`` is ignored: the round is scored in this one call."""
+        all its probabilities; ``jobs`` is ignored. At the first query of an
+        unknown video, with a bad view or with a frame outside its episode, it
+        returns instead an iterator over the rows before that query, which then
+        raises the query's error."""
         queries = [(step, query) for step in steps for query in step.queries]
         probs = np.zeros((len(queries), len(self.world.vocab)))
         rows, symbols = [], []
@@ -200,15 +208,21 @@ class ToyBackend:
             if step.generated:
                 probs[i, self.world.stop_token] = 1.0
                 continue
-            kind, payload = parse_view(view)
-            frames = self._episodes[step.video_ref].frames
+            try:
+                kind, payload = parse_view(view)
+                frames = self._episodes[step.video_ref].frames
+                symbols.append([frames[t] for t in frame_set if kind != "zero" or t not in payload])
+            except (KeyError, ValueError, IndexError) as exc:
+                return _then_raise(self._rows(probs[:i], rows, symbols), exc)
             rows.append(i)
-            symbols.append([frames[t] for t in frame_set if kind != "zero" or t not in payload])
+        return self._rows(probs, rows, symbols)
+
+    def _rows(self, probs: np.ndarray, rows: list[int], symbols: list[list[int]]) -> list[Distribution]:
         probs[rows] = _answer_probs(self.world, symbols)
         return Distribution.from_rows(probs)
 
     def score(self, req: ScoreRequest) -> Distribution:
-        return self.score_batch([ScoreStep.of(req)])[0]
+        return next(iter(self.score_batch([ScoreStep.of(req)])))
 
     def token_text(self, token: int) -> str:
         return self.world.vocab[token]

@@ -5,8 +5,11 @@ The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 response carries ``vocab_size`` plus either a full ``scores`` vector or
 ``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
 travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`, each
-in one socket write, with replies read by its lean HTTP/1.1 parser; a round
-of decoder steps is one request per query, ``jobs`` in flight at a time.
+in one socket write, with replies read by its lean HTTP/1.1 parser.
+:meth:`WireBackend.score_batch` is the scorer: a round of decoder steps is
+one request per query, ``jobs`` in flight at a time, and a failed request
+raises at its reply, after the replies before it. ``score`` and
+``score_response`` are one-query conveniences that no decode calls.
 Transport failures and 429/503 replies are retried idempotently with
 exponential backoff (a 429/503 ``Retry-After`` of whole seconds replaces the
 backoff); other non-success statuses are not retried.
@@ -39,7 +42,6 @@ __all__ = [
     "WireParseError",
     "WireTransportError",
     "WireBackend",
-    "wire_score",
 ]
 
 TOKEN_ENV = "VPS_BACKEND_TOKEN"
@@ -187,11 +189,3 @@ def _parse_payload(payload: object) -> ScoreResponse:
     except (KeyError, TypeError, ValueError) as exc:
         raise WireParseError(f"bad response payload: {exc}") from exc
 
-
-def wire_score(config: WireConfig, req: ScoreRequest) -> ScoreResponse:
-    """One-shot convenience wrapper around :class:`WireBackend`."""
-    backend = WireBackend(config)
-    try:
-        return backend.score_response(req)
-    finally:
-        backend.close()

@@ -65,9 +65,8 @@ class DecodeConfig:
     The streams are mixed with equal weights. ``temperature`` 0 decodes
     greedily. ``tcd`` switches on contrastive adjustment per stream;
     ``ritual_views`` (one augmentation tag per stream) switches on per-stream
-    view fusion. ``trace_top_m`` truncates per-stream distributions in the
-    trace for storage; ``score_top_m`` asks backends for truncated score
-    vectors (the flags a backend puts on its distributions reach the trace).
+    view fusion. ``score_top_m`` asks backends for truncated score vectors
+    (the flags a backend puts on its distributions reach the trace).
     """
 
     streams: int
@@ -77,7 +76,6 @@ class DecodeConfig:
     stop_tokens: frozenset[int] = frozenset()
     tcd: TcdConfig | None = None
     ritual_views: tuple[str, ...] | None = None
-    trace_top_m: int | None = None
     score_top_m: int | None = None
 
     def __post_init__(self) -> None:
@@ -98,41 +96,26 @@ class DecodeConfig:
 class StreamStepRecord:
     """One stream's contribution to a step: ``dist``, the distribution that
     entered the mixture (after any adjustment). The trace stores it as
-    ``probs``, its dense vector, or, when ``top_m`` is below the vocabulary
-    size, as ``top``, its ``top_m`` most probable (token, probability)
-    pairs; the other one is None. Both are built on first read, so a record
-    nobody reads costs no vocabulary-length array. ``flags`` name lossy
+    ``probs``, its dense vector, built on first read, so a record nobody
+    reads costs no vocabulary-length array. ``flags`` name lossy
     conversions by the engine or the backend."""
 
     stream_id: int
     dist: Distribution | None = field(repr=False)
-    top_m: int | None = None
     flags: tuple[str, ...] = ()
+    top = None  # a trace stores no top-m pairs; perfbench/tracer.py:trace_floats is the only reader
 
     @classmethod
-    def stored(
-        cls, stream_id: int, probs: np.ndarray | None, top: tuple[tuple[int, float], ...] | None, flags=()
-    ) -> "StreamStepRecord":
+    def stored(cls, stream_id: int, probs: np.ndarray, flags=()) -> "StreamStepRecord":
         """A record of what a trace stored, without the distribution (see
         :meth:`DecodeTrace.from_jsonl`)."""
         record = cls(stream_id, None, flags=tuple(flags))
-        vars(record).update(probs=probs, top=top)  # fills both cached properties
+        vars(record)["probs"] = probs  # fills the cached property
         return record
 
     @cached_property
-    def probs(self) -> np.ndarray | None:
-        return self.dist.probs if self._whole else None
-
-    @cached_property
-    def top(self) -> tuple[tuple[int, float], ...] | None:
-        if self._whole:
-            return None
-        p = self.dist.probs
-        return tuple((int(t), float(p[t])) for t in np.argsort(-p, kind="stable")[: self.top_m])
-
-    @property
-    def _whole(self) -> bool:
-        return self.top_m is None or self.top_m >= len(self.dist)
+    def probs(self) -> np.ndarray:
+        return self.dist.probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +150,7 @@ class DecodeTrace:
                 "streams": [
                     {
                         "stream": s.stream_id,
-                        **({"probs": s.probs.tolist()} if s.probs is not None else {}),
-                        **({"top": [[t, p] for t, p in s.top]} if s.top is not None else {}),
+                        "probs": s.probs.tolist(),
                         **({"flags": list(s.flags)} if s.flags else {}),
                     }
                     for s in rec.streams
@@ -186,10 +168,7 @@ class DecodeTrace:
             raw = json.loads(line)
             streams = tuple(
                 StreamStepRecord.stored(
-                    s["stream"],
-                    np.array(s["probs"], dtype=np.float64) if "probs" in s else None,
-                    tuple((t, p) for t, p in s["top"]) if "top" in s else None,
-                    s.get("flags", ()),
+                    s["stream"], np.array(s["probs"], dtype=np.float64), s.get("flags", ()),
                 )
                 for s in raw["streams"]
             )
@@ -349,7 +328,7 @@ class Decoder:
             for role in ("positive", "augmented", "negative"):
                 if (j, role) in results:
                     flags.extend(results[(j, role)].flags)
-            stream_records.append(StreamStepRecord(j, dist, self.cfg.trace_top_m, tuple(dict.fromkeys(flags))))
+            stream_records.append(StreamStepRecord(j, dist, tuple(dict.fromkeys(flags))))
         return StepRecord(index=self.steps, token=token, mixed=mixed, streams=tuple(stream_records))
 
     def fail(self, k: int, cause: Exception) -> DecodeError:
@@ -367,11 +346,14 @@ class Decoder:
 def _advance(decoder: Decoder, count: int, replies: Iterator[Distribution]) -> int | DecodeError:
     """Finish ``decoder``'s pending step with the next ``count`` of
     ``replies``: its token, or, after a failed reply, the decoder's
-    :class:`DecodeError` (and nothing more is read)."""
+    :class:`DecodeError` (and nothing more is read). Replies that run out
+    raise ``ValueError``, as a short list does in :func:`score_batch`."""
     got: list[Distribution] = []
     try:
         for _ in range(count):
             got.append(next(replies))
+    except StopIteration:
+        raise ValueError(f"score_batch ran short: {len(got)} replies for a step of {count} queries") from None
     except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
         return decoder.fail(len(got), exc)
     return decoder.advance(got)
@@ -383,15 +365,14 @@ def run_lockstep(
     """Run every decoder of ``groups`` to its end, all in lock step.
 
     Each round gathers the pending step of every live decoder, in group
-    then decoder order, and scores them through :func:`score_batch`: a
-    scorer with its own ``score_batch`` gets the whole round of steps in one
-    call, with ``jobs`` as the most queries it may keep in flight at once,
-    any other one lazy ``score`` call per query, in order. Each decoder
-    advances as soon as its own replies are in. A failed query ends its
-    decoder's whole group: the group sends no later query (up to ``jobs``
-    - 1 of them may already be in flight), and its entry of the returned
-    list is the :class:`DecodeError`. A group that finishes gets None.
-    Exceptions other than a failed query propagate.
+    then decoder order, and the scorer gets them in one call through
+    :func:`score_batch`, with ``jobs`` as the most queries it may keep in
+    flight at once. Each decoder advances as soon as its own replies are
+    in. A failed query ends its decoder's whole group: the group sends no
+    later query (up to ``jobs`` - 1 of them may already be in flight), its
+    entry of the returned list is the :class:`DecodeError`, and the rest of
+    the round is scored by one more call. A group that finishes gets None.
+    A call that raises, and a wrong number of replies, propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while True:
@@ -419,14 +400,15 @@ def run_lockstep(
 def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
     """Score, mix and sample the next step of ``decoder``; returns its token.
 
-    The step's queries go through :func:`score_batch` as one step, with
-    ``jobs`` as the most a batching scorer may keep in flight at once.
+    The step goes to the scorer in one call through :func:`score_batch`,
+    with ``jobs`` as the most queries it may keep in flight at once.
     Aggregation waits for all of them (the mixture is synchronous) and
     reduces in ascending stream order. A failed query ends the decode with
     nothing appended: the decoder's :class:`DecodeError` is raised, its
     ``cause`` the :class:`StepError` of the first failure in query order,
     and no later query is sent (up to ``jobs`` - 1 of them may already be
-    in flight).
+    in flight). A call that raises, and a wrong number of replies,
+    propagate.
     """
     pending = decoder.pending()
     outcome = _advance(decoder, len(pending), score_batch(scorer, [pending], jobs))
@@ -451,8 +433,8 @@ def decode(
     trace but not included in the returned sequence) and the full trace. A
     failed query raises the decoder's :class:`DecodeError`, which carries
     the partial trace and tokens. Deterministic given (plan, config, seed,
-    backend) for any ``jobs``, the most queries a batching scorer may keep
-    in flight at once.
+    backend) for any ``jobs``, the most queries the scorer may keep in
+    flight at once.
     """
     decoder = Decoder(video_ref, prompt, plan, cfg, seed)
     while not decoder.done:

@@ -489,17 +489,17 @@ def run_benchmark(
     """Evaluate every method over the dataset; returns results plus call audit.
 
     The decodes of a method (every item, every ``sc:J`` sample) run in lock
-    step, ``LOCKSTEP_ITEMS`` items at a time: each round's pending queries
-    of all of them go to the scorer as one batch, with up to ``jobs`` in
-    flight at once on a batching scorer, and one lazy ``score`` call per
-    query on any other (see :func:`vps.decode_engine.run_lockstep`).
-    Results are ordered by (method, item) regardless of schedule. The audit
-    maps each method tag to the number of backend calls it issued, for
-    compute-matched comparisons. A failed query fails only its item x
-    method: its result carries the ``error`` and the run goes on. Any other
-    exception aborts the run. Given a ``trace``, the run records into it
-    the steps of its first decode: the first item under the first method
-    (for ``sc:J``, its first sample), up to a failure.
+    step, ``LOCKSTEP_ITEMS`` items at a time: each round's pending steps of
+    all of them go to the scorer's ``score_batch`` in one call, with up to
+    ``jobs`` queries in flight at once (see
+    :func:`vps.decode_engine.run_lockstep`). Results are ordered by
+    (method, item) regardless of schedule. The audit maps each method tag
+    to the number of queries it scored, for compute-matched comparisons. A
+    failed query fails only its item x method: its result carries the
+    ``error`` and the run goes on. Any other exception, a ``score_batch``
+    call that raises included, aborts the run. Given a ``trace``, the run
+    records into it the steps of its first decode: the first item under the
+    first method (for ``sc:J``, its first sample), up to a failure.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []

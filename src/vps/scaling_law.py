@@ -42,7 +42,6 @@ __all__ = [
     "FitResult",
     "stream_loss",
     "vps_loss",
-    "equicorrelated_normals",
     "simulate_ce",
     "simulate_ce_grid",
     "fit_params",
@@ -124,18 +123,6 @@ def vps_loss(params: ScalingParams, streams: int) -> float:
     return _mixture_loss(
         params.irreducible_entropy, params.capacity_term, params.correlation, params.mean_bias, streams
     )
-
-
-def equicorrelated_normals(
-    rng: np.random.Generator, samples: int, streams: int, correlation: float
-) -> np.ndarray:
-    """(samples, streams) standard normals with pairwise correlation ``correlation``."""
-    if not 0.0 <= correlation <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    g = rng.standard_normal((samples, 1))
-    h = rng.standard_normal((samples, streams))
-    # sqrt(rho)*g + sqrt(1-rho)*h has unit variance and pairwise correlation rho
-    return math.sqrt(correlation) * g + math.sqrt(1.0 - correlation) * h
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_bolt_draws
+from scorers import PerQuery
 from vps.aggregation import (
     Distribution,
     TcdConfig,
@@ -146,7 +147,7 @@ def test_criterion_02_aggregation_algebra():
     announce(2, f"10^4 fixtures: normalization drift {worst_sum_drift:.2e}, identities exact, contrast example within 1e-12")
 
 
-class _FuzzBackend:
+class _FuzzBackend(PerQuery):
     """Deterministic procedural scorer that audits the context-length bound
     and records the generated suffix of every request it receives."""
 

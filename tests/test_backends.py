@@ -10,6 +10,8 @@ from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreReques
 from vps.backends.toyworld import ToyBackend, ToyEpisode, ToyWorld, toy_episode, toy_posterior
 from vps.eval_harness import RITUAL_TAG_POOL
 
+from scorers import score_one
+
 
 def req(frame_set=(0, 16, 32, 48), view="identity", generated=(), video_ref="v", top_m=None):
     return ScoreRequest(video_ref, frame_set, view, "prompt", generated, top_m)
@@ -29,13 +31,22 @@ class TestMockBackend:
     def test_returns_fixture_verbatim(self):
         d = Distribution.from_probs([0.1, 0.9])
         backend = MockBackend({((0, 16, 32, 48), "identity", ()): d})
-        assert backend.score(req()) is d
+        assert score_one(backend, req()) is d
 
     def test_missing_key_names_it(self):
         backend = MockBackend({})
         with pytest.raises(FixtureMissError) as err:
-            backend.score(req(frame_set=(1, 2)))
+            score_one(backend, req(frame_set=(1, 2)))
         assert "(1, 2)" in str(err.value)
+
+    def test_missing_fixture_raises_at_its_query(self):
+        d = Distribution.from_probs([0.1, 0.9])
+        backend = MockBackend({((0,), "identity", ()): d})
+        step = ScoreStep("v", "prompt", (), None, (((0,), "identity"), ((1,), "identity"), ((0,), "identity")))
+        replies = backend.score_batch([step])
+        assert next(replies) is d
+        with pytest.raises(FixtureMissError, match=r"\(1,\)"):
+            next(replies)
 
     def test_complementary_evidence_scenario(self):
         # four streams, each putting 0.4 on a different wrong option and 0.3
@@ -58,7 +69,7 @@ class TestMockBackend:
         backend = MockBackend({((0,), "identity", ()): d}, vocab=("x",))
         counter = CallCounter(backend)
         for _ in range(3):
-            counter.score(req(frame_set=(0,)))
+            score_one(counter, req(frame_set=(0,)))
         assert counter.calls == 3
         assert counter.token_text(0) == "x"
 

@@ -9,6 +9,8 @@ import pytest
 from vps.cli import main
 from vps.frame_selection import plan_from_text
 
+from scorers import PerQuery
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -208,7 +210,7 @@ class TestRunCommand:
 
         build_toy = cli._build_toy
 
-        class FailingScorer:
+        class FailingScorer(PerQuery):
             """The toy backend, except that one video's queries fail."""
 
             def __init__(self, backend, bad_ref):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, TcdConfig, Weights, argmax_token, mix_probs
-from vps.backends import CallCounter, MockBackend
+from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.decode_engine import (
     DecodeConfig,
@@ -21,8 +21,10 @@ from vps.decode_engine import (
 )
 from vps.frame_selection import FrameSelectionPlan, uniform_offset_plan
 
+from scorers import PerQuery, requests_of
 
-class HashBackend:
+
+class HashBackend(PerQuery):
     """Deterministic procedural scorer: distribution from a request digest."""
 
     def __init__(self, vocab_size, salt=0):
@@ -73,7 +75,7 @@ class TestStep:
         assert step(decoder, backend) == 1
         assert np.allclose(decoder.trace.steps[0].aggregated, probs[0])
         assert decoder.tokens == [1]
-        assert [req.generated for req in decoder.pending().requests()] == [(1,)]
+        assert [req.generated for req in requests_of(decoder.pending())] == [(1,)]
 
     def test_identical_frame_sets_match_single_stream(self):
         plan1 = uniform_offset_plan(64, 4, 1)
@@ -115,6 +117,19 @@ class TestStep:
             step_once(plan, backend, DecodeConfig(streams=4))
         assert err.value.cause.stream_id == 0
         assert backend.calls == 1
+
+    def test_mock_decodes_build_no_request(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a ScoreRequest was built")
+
+        monkeypatch.setattr(ScoreRequest, "__post_init__", refuse)
+        plan = uniform_offset_plan(8, 2, 2)
+        backend = MockBackend(fixtures_for_plan(plan, [[0.2, 0.8], [0.4, 0.6]]))
+        assert decode("v", "p", plan, backend, DecodeConfig(streams=2))[0] == [1]
+        del backend.fixtures[(plan.sets[1], "identity", ())]
+        with pytest.raises(DecodeError) as err:
+            decode("v", "p", plan, backend, DecodeConfig(streams=2))
+        assert isinstance(err.value.cause.cause, FixtureMissError) and err.value.cause.stream_id == 1
 
     def test_step_raises_the_first_failure_in_query_order(self):
         plan = uniform_offset_plan(8, 2, 4)
@@ -230,7 +245,7 @@ class TestDecode:
         plan = uniform_offset_plan(32, 2, 4)
         stream_of = {frames: j for j, frames in enumerate(plan.sets)}
 
-        class DisjointBackend:
+        class DisjointBackend(PerQuery):
             def score(self, req):
                 p = np.zeros(9)
                 p[2 * stream_of[req.frame_set]: 2 * stream_of[req.frame_set] + 2] = (0.7, 0.3)
@@ -296,14 +311,6 @@ class TestDecode:
         _, trace = decode("v", "p", plan, backend, DecodeConfig(streams=2, max_tokens=3))
         text = trace.to_jsonl()
         assert DecodeTrace.from_jsonl(text).to_jsonl() == text
-
-    def test_trace_top_m_truncation(self):
-        plan = uniform_offset_plan(16, 2, 2)
-        backend = HashBackend(8)
-        cfg = DecodeConfig(streams=2, max_tokens=1, trace_top_m=3)
-        _, trace = decode("v", "p", plan, backend, cfg)
-        srec = trace.steps[0].streams[0]
-        assert srec.probs is None and len(srec.top) == 3
 
 
 class TestToyWorldOracle:

@@ -1,7 +1,6 @@
 """The per-layer instrument of ``perfbench/`` still sees a decode: the names
 it patches on vps exist, its spans fire, and leaving it restores them; and
-one short traced benchmark run of the toy-eval, the wire-topm and the
-mc-grid workload each passes its checks."""
+one short traced benchmark run of each workload passes its checks."""
 
 import json
 import subprocess
@@ -56,6 +55,11 @@ def test_traced_toy_eval_benchmark_run_is_correct():
 def test_traced_wire_topm_benchmark_run_is_correct():
     # the fixture server included
     traced_run_verdict("wire-topm")
+
+
+def test_traced_wire_full_benchmark_run_is_correct():
+    # the one workload that scores a query through WireBackend.score in its set-up
+    traced_run_verdict("wire-full")
 
 
 def test_traced_mc_grid_benchmark_run_is_correct():

@@ -1,6 +1,7 @@
 """Lock-step decoding: batched toy scoring, equivalence with decoding one
 decode at a time, and what a failed query does to a lock-step run."""
 
+import dataclasses
 import threading
 import weakref
 
@@ -28,11 +29,12 @@ from vps.eval_harness import (
 from vps.frame_selection import uniform_offset_plan
 from vps.views import IDENTITY, augmented_view
 
+from scorers import PerQuery, requests_of
 from test_decode_engine import HashBackend
 
 
-class ScoreOnly:
-    """A scorer's ``score`` and vocabulary without its ``score_batch``."""
+class ScoreOnly(PerQuery):
+    """A scorer's ``score`` and vocabulary, scored one query at a time."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -101,7 +103,7 @@ class TestToyScoreBatch:
                 stop = np.zeros(len(world.vocab))
                 stop[world.stop_token] = 1.0
                 oracle.append(stop)
-        requests = [req for step in steps for req in step.requests()]
+        requests = [req for step in steps for req in requests_of(step)]
         batch = backend.score_batch(steps)
         assert len(batch) == len(requests)
         for req, got, want in zip(requests, batch, oracle):
@@ -125,8 +127,11 @@ class TestToyScoreBatch:
         for a, b in zip(forward, backward[::-1]):
             assert np.array_equal(a.probs, b.probs)
         assert backend.score_batch([]) == []
+        replies = backend.score_batch(steps_of(requests + [ScoreRequest("toy:missing", (0,), "identity", "q", ())]))
+        for a, b in zip(forward, replies):  # the rows before the unknown video, then its error
+            assert np.array_equal(a.probs, b.probs)
         with pytest.raises(KeyError):
-            backend.score_batch(steps_of(requests + [ScoreRequest("toy:missing", (0,), "identity", "q", ())]))
+            next(replies)
 
     def test_counter_counts_batched_requests(self):
         world = ToyWorld.symmetric(4, 0.6)
@@ -136,9 +141,13 @@ class TestToyScoreBatch:
         counter = CallCounter(backend)
         requests = [ScoreRequest(ep.video_ref, (t,), "identity", "q", ()) for t in range(5)]
         counter.score_batch(steps_of(requests))
-        counter.score(requests[0])
+        counter.score_batch(steps_of(requests[:1]))
         assert counter.calls == 6
-        assert not hasattr(CallCounter(ScoreOnly(backend)), "score_batch")
+        lazy = CallCounter(ScoreOnly(backend))
+        replies = lazy.score_batch(steps_of(requests))
+        assert lazy.calls == 0
+        next(replies)
+        assert lazy.calls == 1
 
 
 def one_decode_at_a_time(items, scorer, methods, frames_per_stream, seed, **kw):
@@ -302,7 +311,7 @@ class TestStepPath:
 
     def test_one_query_step_round_trip(self):
         req = ScoreRequest("v", (1, 5), "zero:5", "p", (3, 4), top_m=7)
-        assert list(ScoreStep.of(req).requests()) == [req]
+        assert requests_of(ScoreStep.of(req)) == [req]
         assert len(ScoreStep.of(req)) == 1
 
 
@@ -310,7 +319,7 @@ def manual_decode(video_ref, prompt, plan, scorer, cfg, seed):
     """The decode loop driven by hand, one ``score`` call per request."""
     decoder = Decoder(video_ref, prompt, plan, cfg, seed)
     while not decoder.done:
-        decoder.advance([scorer.score(req) for req in decoder.pending().requests()])
+        decoder.advance([scorer.score(req) for req in requests_of(decoder.pending())])
     return decoder.tokens, decoder.trace.to_jsonl()
 
 
@@ -318,7 +327,7 @@ class TestDecodeTraces:
     @pytest.mark.parametrize("cfg", [
         DecodeConfig(streams=4, max_tokens=4, temperature=0.8, tcd=TcdConfig()),
         DecodeConfig(streams=4, max_tokens=3, space="logit", ritual_views=RITUAL_TAG_POOL[:4], tcd=TcdConfig()),
-        DecodeConfig(streams=2, max_tokens=5, stop_tokens=frozenset({1}), trace_top_m=2),
+        DecodeConfig(streams=2, max_tokens=5, stop_tokens=frozenset({1})),
     ])
     def test_traces_identical_at_every_job_count(self, cfg):
         plan = uniform_offset_plan(64, 4, cfg.streams)
@@ -410,12 +419,15 @@ class TestFailures:
 
     def test_failed_native_batch_is_attributed_to_its_request(self):
         class BatchRefusing(Failing):
-            """Scores natively, but refuses a whole batch that holds a bad request."""
+            """Scores natively, and raises lazily at a batch's first bad request,
+            after the replies before it."""
 
             def score_batch(self, steps, jobs=1):
-                if any(self.bad(req) for step in steps for req in step.requests()):
-                    raise RuntimeError("batch refused")
-                return self.inner.score_batch(steps)
+                requests = [req for step in steps for req in requests_of(step)]
+                for req, reply in zip(requests, self.inner.score_batch(steps)):
+                    if self.bad(req):
+                        raise self.exc
+                    yield reply
 
         def bad(items):
             return lambda req: req.video_ref == items[2].video_ref and req.view == "aug:vflip"
@@ -430,12 +442,38 @@ class TestFailures:
         assert [(r.item_id, r.method) for r in failed] == [(items[2].id, "vps:4+ritual")]
         assert failed[0].error == {"type": "ValueError", "stream": 1, "role": "augmented", "message": "bad view"}
 
-    def test_wrong_reply_count_propagates(self):
+    def test_failed_round_is_scored_once(self, monkeypatch):
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 16, total_frames=64, seed=8)
+        items[5] = dataclasses.replace(items[5], video_ref="toy:unregistered")
+        methods = [MethodSpec.parse("vps:4+tcd")]
+        expected = run_benchmark(items, ScoreOnly(backend), methods, 4, seed=3, max_tokens=1)
+        rounds = []
+        native = ToyBackend.score_batch
+
+        def recording(self, steps, jobs=1):
+            rounds.append(sum(map(len, steps)))
+            return native(self, steps, jobs)
+
+        def refuse(self):
+            raise AssertionError("a ScoreRequest was built")
+
+        monkeypatch.setattr(ToyBackend, "score_batch", recording)
+        monkeypatch.setattr(ScoreRequest, "__post_init__", refuse)
+        results, audit = run_benchmark(items, backend, methods, 4, seed=3, max_tokens=1)
+        assert (results, audit) == expected
+        # the round raises at item 5's first query, and the 10 items after it are one more call
+        assert rounds == [16 * 8, 10 * 8]
+        assert audit == {"vps:4+tcd": 5 * 8 + 1 + 10 * 8}
+        assert [(r.item_id, r.error["type"]) for r in results if r.error] == [(items[5].id, "KeyError")]
+
+    @pytest.mark.parametrize("form", [list, iter])
+    def test_wrong_reply_count_propagates(self, form):
         class Short(ScoreOnly):
             """A batching scorer that drops the last reply of every batch."""
 
             def score_batch(self, steps, jobs=1):
-                return self.inner.score_batch(steps)[:-1]
+                return form(self.inner.score_batch(steps)[:-1])
 
         with pytest.raises(ValueError, match="replies for"):
             toy_run(lambda b, items: Short(b), ("vps:2",))

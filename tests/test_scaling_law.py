@@ -14,7 +14,6 @@ from vps.scaling_law import (
     ScalingParams,
     SimResult,
     SimSpec,
-    equicorrelated_normals,
     fit_params,
     simulate_ce,
     simulate_ce_grid,
@@ -94,6 +93,14 @@ class TestClosedForms:
             params_with(b=(-0.1,))
         with pytest.raises(ValueError):
             params_with(A=0.0)
+
+
+def equicorrelated_normals(rng, samples, streams, correlation):
+    """(samples, streams) draws of the sweep's field mix at unit scale and zero bias."""
+    z = rng.standard_normal((1 + streams, samples))
+    out = np.empty((streams, samples))
+    scaling_law._mix_equicorrelated(z, np.ones(samples), correlation, np.zeros((streams, 1)), out)
+    return out.T
 
 
 class TestEquicorrelatedGenerator:

@@ -30,11 +30,12 @@ from vps.backends.wire import (
     WireConfig,
     WireParseError,
     WireTransportError,
-    wire_score,
 )
 from vps.cli import main
 from vps.decode_engine import DecodeConfig, DecodeError, DecodeTrace, decode, negative_view
 from vps.frame_selection import uniform_offset_plan
+
+from scorers import PerQuery
 
 
 def req(top_m=None):
@@ -99,7 +100,7 @@ FULL_REPLY = (200, {}, {"vocab_size": 3, "scores": [0.0, 1.0, -1.0]})
 class TestRoundTrip:
     def test_full_scores(self):
         with StubServer(score_handler=fixture_handler) as server:
-            resp = wire_score(fast_config(server.url), req())
+            resp = WireBackend(fast_config(server.url)).score_response(req())
             assert resp.vocab_size == 3
             assert np.array_equal(resp.scores, (0.0, 1.0, -1.0))
             path, body = server.requests_seen[0]
@@ -141,7 +142,7 @@ class TestRoundTrip:
     def test_endpoint_path_prefix_is_kept(self):
         with StubServer(score_handler=fixture_handler) as server:
             with pytest.raises(BackendError) as err:
-                wire_score(fast_config(server.url + "/api/"), req())
+                WireBackend(fast_config(server.url + "/api/")).score_response(req())
             assert err.value.status == 404
             assert server.requests_seen[0][0] == "/api/v1/score"
 
@@ -288,14 +289,14 @@ class TestProtocolErrors:
 
         with StubServer(score_handler=handler) as server:
             with pytest.raises(BackendError) as err:
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
             assert err.value.status == 500
             assert "model exploded" in err.value.body
 
     def test_missing_route_is_backend_error(self):
         with StubServer() as server:
             with pytest.raises(BackendError) as err:
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
             assert err.value.status == 404
 
     def test_malformed_payload(self):
@@ -304,7 +305,7 @@ class TestProtocolErrors:
 
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError):
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
 
     def test_bad_top_payload(self):
         def handler(body):
@@ -312,13 +313,13 @@ class TestProtocolErrors:
 
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError):
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
 
     @pytest.mark.parametrize("scores", [[0.0, "x"], [[0.0, 1.0]], [0.0], "01", [0.0, None]])
     def test_bad_full_scores(self, scores):
         with StubServer(score_handler=lambda body: {"vocab_size": 2, "scores": scores}) as server:
             with pytest.raises(WireParseError):
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
 
     def test_non_finite_full_scores(self):
         def handler(body):
@@ -326,7 +327,7 @@ class TestProtocolErrors:
 
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError, match="finite"):
-                wire_score(fast_config(server.url), req())
+                WireBackend(fast_config(server.url)).score_response(req())
 
     @pytest.mark.parametrize(
         "payload",
@@ -595,7 +596,7 @@ class TestWireRun:
 
     def per_request(self, monkeypatch, tmp_path, handler):
         with monkeypatch.context() as patch:
-            patch.delattr(WireBackend, "score_batch")
+            patch.setattr(WireBackend, "score_batch", PerQuery.score_batch)  # WireBackend.score, query by query
             with StubServer(score_handler=handler) as server:
                 code, out = wire_run(tmp_path, server.url, 1, "per-request")
         return code, run_files(out)
@@ -648,6 +649,11 @@ class TestWireRun:
         assert code == 1
         summary = json.loads(want["summary.json"])
         assert [(f["item_id"], f["method"]) for f in summary["failed"]] == [("i1", "vps:2+tcd")]
+
+        def refuse(self):
+            raise AssertionError("a ScoreRequest was built")
+
+        monkeypatch.setattr(ScoreRequest, "__post_init__", refuse)
         for jobs in (1, 2):
             with StubServer(score_handler=handler) as server:
                 code, out = wire_run(tmp_path, server.url, jobs, f"jobs-{jobs}")
