@@ -192,6 +192,11 @@ class ToyBackend:
         self._episodes: dict[str, ToyEpisode] = {}
 
     def add_episode(self, episode: ToyEpisode) -> str:
+        """Register ``episode`` for scoring; raises ``ValueError`` at a frame
+        symbol outside ``[0, n_symbols)``."""
+        bad = [s for s in episode.frames if not 0 <= s < self.world.n_symbols]
+        if bad:
+            raise ValueError(f"symbol {bad[0]} outside emission support")
         self._episodes[episode.video_ref] = episode
         return episode.video_ref
 

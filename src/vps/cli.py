@@ -167,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if not items:
         raise UsageError("dataset is empty")
-    widest = max(m.streams for m in methods)
+    widest = max(1 if m.kind == "sc" else m.streams for m in methods)  # sc:J samples one frame set J times
     for item in items:
         if widest * args.frames > item.total_frames:
             raise UsageError(

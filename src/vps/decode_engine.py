@@ -13,9 +13,10 @@ A decode is one :class:`Decoder`, built from the frame plan, and its
 ``tokens`` are that suffix. Its queries, fixed at construction, come out of
 ``pending()`` as one :class:`~vps.backends.ScoreStep` per step, and their
 replies go back in through ``advance()``, so the caller decides how they
-are scored. :func:`step` scores one step of one decoder, and :func:`decode`
-runs one decoder with it; :func:`run_lockstep` scores a round of many
-decoders' steps as one batch.
+are scored. The unit of scoring is the round: the pending steps of some
+decoders, scored by one ``score_batch`` call. :func:`step` scores a round of
+one decoder, and :func:`decode` runs one decoder with it;
+:func:`run_lockstep` runs many decoders, a round of all of them at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "StreamStepRecord",
     "StepRecord",
     "DecodeTrace",
-    "StepError",
     "DecodeError",
     "negative_view",
     "derive_seed",
@@ -183,22 +183,17 @@ class DecodeTrace:
         return cls(steps)
 
 
-class StepError(RuntimeError):
-    """A backend query failed; the step was aborted with nothing appended."""
+class DecodeError(RuntimeError):
+    """A query failed and ended the decode, with nothing appended for its
+    step. It names the query's ``stream_id`` and ``role`` and the scorer's
+    exception, ``cause`` (also ``__cause__``), and carries the partial
+    ``trace`` and ``tokens``."""
 
-    def __init__(self, stream_id: int, role: str, cause: Exception) -> None:
+    def __init__(self, stream_id: int, role: str, cause: Exception, trace: DecodeTrace, tokens: list[int]) -> None:
         super().__init__(f"stream {stream_id} {role} query failed: {cause}")
         self.stream_id = stream_id
         self.role = role
-        self.cause = cause
-
-
-class DecodeError(RuntimeError):
-    """A step failed mid-decode; carries the partial trace."""
-
-    def __init__(self, cause: StepError, trace: DecodeTrace, tokens: list[int]) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
+        self.cause = self.__cause__ = cause
         self.trace = trace
         self.tokens = tokens
 
@@ -261,18 +256,17 @@ class Decoder:
         self.tokens: list[int] = []
         self.steps = 0
         self.done = False
-        # one positive query per stream, plus its augmented and negative ones under view fusion and TCD
-        self._roles: list[tuple[int, str]] = []  # (stream id, role) of each query
+        # each stream is a run of queries: positive, then augmented under view fusion, then negative under TCD
         self._queries: tuple[tuple[tuple[int, ...], str], ...] = ()
         for j, frame_set in enumerate(plan.sets):
             check_query(frame_set, cfg.score_top_m)
-            views = [("positive", IDENTITY)]
+            views = {"positive": IDENTITY}
             if cfg.ritual_views is not None:
-                views.append(("augmented", augmented_view(cfg.ritual_views[j])))
+                views["augmented"] = augmented_view(cfg.ritual_views[j])
             if cfg.tcd is not None:
-                views.append(("negative", negative_view(frame_set)))
-            self._roles += [(j, role) for role, _ in views]
-            self._queries += tuple((frame_set, view) for _, view in views)
+                views["negative"] = negative_view(frame_set)
+            self._queries += tuple((frame_set, view) for view in views.values())
+        self._roles = tuple(views)  # the roles of a stream's run, the same for every stream
         self._pending = 0  # queries of the step handed out and not yet finished
 
     def pending(self) -> ScoreStep:
@@ -287,15 +281,15 @@ class Decoder:
         cfg = self.cfg
         if not self._pending or len(replies) != self._pending:
             raise ValueError(f"{len(replies)} replies for {self._pending} pending requests")
-        results = dict(zip(self._roles, replies))
         self._pending = 0
+        width = len(self._roles)
         per_stream: list[Distribution] = []
-        for j in range(cfg.streams):
-            dist = results[(j, "positive")]
+        for k in range(0, len(replies), width):  # stream k // width's run of replies
+            dist = replies[k]
             if cfg.ritual_views is not None:
-                dist = ritual_combine(dist, results[(j, "augmented")], space=cfg.space)
+                dist = ritual_combine(dist, replies[k + 1], space=cfg.space)
             if cfg.tcd is not None:
-                dist = tcd_adjust(dist, results[(j, "negative")], cfg.tcd)
+                dist = tcd_adjust(dist, replies[k + width - 1], cfg.tcd)
             per_stream.append(dist)
 
         w = Weights.uniform(cfg.streams)
@@ -304,7 +298,7 @@ class Decoder:
         token = sample_token(mixed, cfg.temperature, seed)
 
         if self.keep_trace:
-            self.trace.steps.append(self._record(token, mixed, per_stream, results))
+            self.trace.steps.append(self._record(token, mixed, per_stream, replies))
         self.steps += 1
         if token in cfg.stop_tokens:
             self.done = True
@@ -314,49 +308,49 @@ class Decoder:
         return token
 
     def _record(
-        self,
-        token: int,
-        mixed: Distribution,
-        per_stream: list[Distribution],
-        results: dict[tuple[int, str], Distribution],
+        self, token: int, mixed: Distribution, per_stream: list[Distribution], replies: Sequence[Distribution]
     ) -> StepRecord:
+        width = len(self._roles)
         stream_records = []
         for j, (frame_set, dist) in enumerate(zip(self.plan.sets, per_stream)):
             flags: list[str] = []
             if self.cfg.tcd is not None and len(frame_set) == 1:
                 flags.append("tcd_negative_degenerate")
-            for role in ("positive", "augmented", "negative"):
-                if (j, role) in results:
-                    flags.extend(results[(j, role)].flags)
+            for reply in replies[j * width:(j + 1) * width]:
+                flags.extend(reply.flags)
             stream_records.append(StreamStepRecord(j, dist, tuple(dict.fromkeys(flags))))
         return StepRecord(index=self.steps, token=token, mixed=mixed, streams=tuple(stream_records))
 
     def fail(self, k: int, cause: Exception) -> DecodeError:
         """End the decode because its ``k``-th pending query raised ``cause``."""
-        stream_id, role = self._roles[k]
+        stream_id, position = divmod(k, len(self._roles))
         self._pending = 0
         self.done = True
-        error = StepError(stream_id, role, cause)
-        error.__cause__ = cause
-        failure = DecodeError(error, self.trace, self.tokens)
-        failure.__cause__ = error
-        return failure
+        return DecodeError(stream_id, self._roles[position], cause, self.trace, self.tokens)
 
 
-def _advance(decoder: Decoder, count: int, replies: Iterator[Distribution]) -> int | DecodeError:
-    """Finish ``decoder``'s pending step with the next ``count`` of
-    ``replies``: its token, or, after a failed reply, the decoder's
-    :class:`DecodeError` (and nothing more is read). Replies that run out
-    raise ``ValueError``, as a short list does in :func:`score_batch`."""
-    got: list[Distribution] = []
-    try:
-        for _ in range(count):
-            got.append(next(replies))
-    except StopIteration:
-        raise ValueError(f"score_batch ran short: {len(got)} replies for a step of {count} queries") from None
-    except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
-        return decoder.fail(len(got), exc)
-    return decoder.advance(got)
+def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int | DecodeError]:
+    """Score the pending steps of ``decoders`` in one :func:`score_batch` call,
+    advancing each decoder once its replies are in: each one's token, up to a
+    failed query, whose decoder's :class:`DecodeError` ends the list and the
+    round (the decoders after it keep their pending step). Replies that run
+    out raise ``ValueError``, as a short list does in :func:`score_batch`."""
+    steps = [decoder.pending() for decoder in decoders]
+    replies = score_batch(scorer, steps, jobs)
+    outcomes: list[int | DecodeError] = []
+    for decoder, pending in zip(decoders, steps):
+        got: list[Distribution] = []
+        try:
+            for _ in range(len(pending)):
+                got.append(next(replies))
+        except StopIteration:
+            raise ValueError(
+                f"score_batch ran short: {len(got)} replies for a step of {len(pending)} queries") from None
+        except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
+            outcomes.append(decoder.fail(len(got), exc))
+            break
+        outcomes.append(decoder.advance(got))
+    return outcomes
 
 
 def run_lockstep(
@@ -364,54 +358,38 @@ def run_lockstep(
 ) -> list[DecodeError | None]:
     """Run every decoder of ``groups`` to its end, all in lock step.
 
-    Each round gathers the pending step of every live decoder, in group
-    then decoder order, and the scorer gets them in one call through
-    :func:`score_batch`, with ``jobs`` as the most queries it may keep in
-    flight at once. Each decoder advances as soon as its own replies are
-    in. A failed query ends its decoder's whole group: the group sends no
-    later query (up to ``jobs`` - 1 of them may already be in flight), its
-    entry of the returned list is the :class:`DecodeError`, and the rest of
-    the round is scored by one more call. A group that finishes gets None.
-    A call that raises, and a wrong number of replies, propagate.
+    Each round is the pending steps of every live decoder, in group then
+    decoder order, scored by one call through :func:`score_batch`, with
+    ``jobs`` as the most queries the scorer may keep in flight at once. Each
+    decoder advances as soon as its own replies are in. A failed query ends
+    its decoder's whole group, and its group's entry of the returned list is
+    the :class:`DecodeError`. It also ends the round: no later query of the
+    round is read (up to ``jobs`` - 1 of them may already be in flight), and
+    the decoders the round did not reach go into the next round with their
+    step still pending. A group that finishes gets None. A call that raises,
+    and a wrong number of replies, propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
-    while True:
-        # the round: (group index, decoder, its pending step) per live decoder, grouped
-        batch = [
-            (g, decoder, decoder.pending())
-            for g, group in enumerate(groups)
-            if errors[g] is None
-            for decoder in group
-            if not decoder.done
-        ]
-        if not batch:
-            return errors
-        # the whole round as one batch; after a failed query, the rest of the round as another
-        while batch:
-            replies = score_batch(scorer, [pending for _, _, pending in batch], jobs)
-            for n, (g, decoder, pending) in enumerate(batch):
-                outcome = _advance(decoder, len(pending), replies)
-                if isinstance(outcome, DecodeError):
-                    errors[g] = outcome
-                    break
-            batch = [entry for entry in batch[n + 1:] if errors[entry[0]] is None]
+    while live := [(g, d) for g, group in enumerate(groups) if errors[g] is None for d in group if not d.done]:
+        outcomes = _round([decoder for _, decoder in live], scorer, jobs)
+        if isinstance(outcomes[-1], DecodeError):
+            errors[live[len(outcomes) - 1][0]] = outcomes[-1]
+    return errors
 
 
 def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
     """Score, mix and sample the next step of ``decoder``; returns its token.
 
-    The step goes to the scorer in one call through :func:`score_batch`,
-    with ``jobs`` as the most queries it may keep in flight at once.
-    Aggregation waits for all of them (the mixture is synchronous) and
-    reduces in ascending stream order. A failed query ends the decode with
-    nothing appended: the decoder's :class:`DecodeError` is raised, its
-    ``cause`` the :class:`StepError` of the first failure in query order,
-    and no later query is sent (up to ``jobs`` - 1 of them may already be
-    in flight). A call that raises, and a wrong number of replies,
-    propagate.
+    The step is a round of its own: it goes to the scorer in one call
+    through :func:`score_batch`, with ``jobs`` as the most queries it may
+    keep in flight at once. Aggregation waits for all of them (the mixture
+    is synchronous) and reduces in ascending stream order. A failed query
+    ends the decode with nothing appended: the decoder's
+    :class:`DecodeError` for the first failure in query order is raised, and
+    no later query is sent (up to ``jobs`` - 1 of them may already be in
+    flight). A call that raises, and a wrong number of replies, propagate.
     """
-    pending = decoder.pending()
-    outcome = _advance(decoder, len(pending), score_batch(scorer, [pending], jobs))
+    (outcome,) = _round([decoder], scorer, jobs)
     if isinstance(outcome, DecodeError):
         raise outcome
     return outcome

@@ -461,13 +461,8 @@ def _method_result(item: EvalItem, method: MethodSpec, outputs: Sequence[str]) -
 
 
 def _failed_result(item: EvalItem, method: MethodSpec, failure: DecodeError) -> MethodResult:
-    step = failure.cause
-    error = {
-        "type": type(step.cause).__name__,
-        "stream": step.stream_id,
-        "role": step.role,
-        "message": str(step.cause),
-    }
+    error = {"type": type(failure.cause).__name__, "stream": failure.stream_id, "role": failure.role,
+             "message": str(failure.cause)}
     return MethodResult(item.id, method.tag, raw_output="", extracted=None, error=error)
 
 

@@ -219,13 +219,14 @@ def _mix_equicorrelated(z: np.ndarray, scale: np.ndarray, rho: float, bias: np.n
     out -= bias[:len(out)]
 
 
-def _simulate_grid(
+def simulate_ce_grid(
     spec: SimSpec,
     streams_list: Sequence[int],
-    correlations: Sequence[float],
+    correlations: Sequence[float] | None = None,
     dtype: np.dtype = np.float64,
 ) -> dict[tuple[float, int], SimResult]:
-    """Shared-draw sweep over (correlation, stream count) combinations.
+    """Shared-draw sweep over (correlation, stream count) combinations;
+    ``correlations`` defaults to ``spec.params.correlation`` alone.
 
     Each batch draws one ``(1 + max J, SIM_BATCH, V)`` array of normals in
     ``dtype``, stream-major: row 0 is the shared field g, the rest the
@@ -246,7 +247,7 @@ def _simulate_grid(
     """
     params = spec.params
     js = sorted(set(int(j) for j in streams_list))
-    rhos = [float(r) for r in correlations]
+    rhos = [float(r) for r in (correlations if correlations is not None else [params.correlation])]
     if not js or js[0] < 1:
         raise ValueError("stream counts must be positive")
     jmax = js[-1]
@@ -379,24 +380,13 @@ def _simulate_grid(
 
 
 def simulate_ce(spec: SimSpec, streams: int, dtype: np.dtype = np.float64) -> SimResult:
-    """Monte Carlo cross-entropy of the J-stream mixture and of each stream."""
+    """Monte Carlo cross-entropy of the J-stream mixture and of each stream:
+    the one cell of :func:`simulate_ce_grid` at ``spec.params.correlation``."""
     if len(spec.params.biases) != streams:
         raise ValueError(
             f"need one bias per stream: {len(spec.params.biases)} biases for {streams} streams"
         )
-    grid = _simulate_grid(spec, [streams], [spec.params.correlation], dtype=dtype)
-    return grid[(spec.params.correlation, streams)]
-
-
-def simulate_ce_grid(
-    spec: SimSpec,
-    streams_list: Sequence[int],
-    correlations: Sequence[float] | None = None,
-    dtype: np.dtype = np.float64,
-) -> dict[tuple[float, int], SimResult]:
-    """Sweep (correlation, stream count) combinations with shared draws."""
-    rhos = correlations if correlations is not None else [spec.params.correlation]
-    return _simulate_grid(spec, streams_list, rhos, dtype=dtype)
+    return simulate_ce_grid(spec, [streams], dtype=dtype)[(spec.params.correlation, streams)]
 
 
 _STREAM_FIELDS = ("irreducible_entropy", "capacity_term", "correlation", "mean_bias")

@@ -150,17 +150,21 @@ class TestToyPosterior:
         with pytest.raises(ValueError, match=f"^symbol {symbol} outside emission support$"):
             toy_posterior(world, [(0, 1), (1, symbol)])
         backend = ToyBackend(world)
-        backend.add_episode(ToyEpisode(0, (1, symbol, 2), "bad", "q", ("label A",), "A"))
-        steps = [ScoreStep.of(req(frame_set=frames, video_ref="bad")) for frames in ((0, 2), (0, 1))]
+        # the episode is refused before any round scores it, and is not registered
         with pytest.raises(ValueError, match=f"^symbol {symbol} outside emission support$"):
-            backend.score_batch(steps)
+            backend.add_episode(ToyEpisode(0, (1, symbol, 2), "bad", "q", ("label A",), "A"))
+        with pytest.raises(KeyError):
+            next(iter(backend.score_batch([ScoreStep.of(req(frame_set=(0, 2), video_ref="bad"))])))
 
     def test_error_names_the_first_bad_symbol_in_query_order(self):
         world = ToyWorld.symmetric(4, 0.7)
         with pytest.raises(ValueError, match="^symbol 4 "):
             toy_posterior(world, [(0, 1), (1, 4), (2, -1)])
         backend = ToyBackend(world)
-        backend.add_episode(ToyEpisode(0, (1, 4, -1), "bad", "q", ("label A",), "A"))
+        with pytest.raises(ValueError, match="^symbol 4 "):
+            backend.add_episode(ToyEpisode(0, (1, 4, -1), "bad", "q", ("label A",), "A"))
+        # scoring checks the symbols again, for an episode registered around add_episode
+        backend._episodes["bad"] = ToyEpisode(0, (1, 4, -1), "bad", "q", ("label A",), "A")
         negative, padding = (ScoreStep.of(req(frame_set=frames, video_ref="bad")) for frames in ((0, 2), (1,)))
         with pytest.raises(ValueError, match="^symbol -1 "):
             backend.score_batch([negative, padding])

@@ -175,6 +175,15 @@ class TestRunCommand:
             ]) == 2
         assert not (tmp_path / "y").exists()
 
+    def test_self_consistency_needs_one_frame_set(self, tmp_path):
+        # sc:8 samples one 4-frame set 8 times, so 16 frames are enough
+        out = tmp_path / "run"
+        assert main([
+            "run", "--backend", "toy", "--toy-episodes", "3", "--toy-total-frames", "16",
+            "--methods", "sc:8", "--k", "4", "--max-tokens", "1", "--out-dir", str(out),
+        ]) == 0
+        assert json.loads((out / "summary.json").read_text())["backend_calls"] == {"sc:8": 3 * 8}
+
     def test_wire_backend_requires_endpoint(self, tmp_path):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(json.dumps({

@@ -14,7 +14,6 @@ from vps.decode_engine import (
     DecodeError,
     DecodeTrace,
     Decoder,
-    StepError,
     decode,
     negative_view,
     step,
@@ -106,7 +105,7 @@ class TestStep:
         decoder = Decoder("v", "p", plan, DecodeConfig(streams=2))
         with pytest.raises(DecodeError) as err:
             step(decoder, backend)
-        assert isinstance(err.value.cause, StepError) and err.value.cause.stream_id == 1
+        assert err.value.stream_id == 1 and isinstance(err.value.__cause__, FixtureMissError)
         assert decoder.tokens == [] and decoder.trace.steps == []
 
     def test_failed_query_stops_the_step(self):
@@ -115,7 +114,7 @@ class TestStep:
         del backend.inner.fixtures[(plan.sets[0], "identity", ())]
         with pytest.raises(DecodeError) as err:
             step_once(plan, backend, DecodeConfig(streams=4))
-        assert err.value.cause.stream_id == 0
+        assert err.value.stream_id == 0
         assert backend.calls == 1
 
     def test_mock_decodes_build_no_request(self, monkeypatch):
@@ -129,7 +128,7 @@ class TestStep:
         del backend.fixtures[(plan.sets[1], "identity", ())]
         with pytest.raises(DecodeError) as err:
             decode("v", "p", plan, backend, DecodeConfig(streams=2))
-        assert isinstance(err.value.cause.cause, FixtureMissError) and err.value.cause.stream_id == 1
+        assert isinstance(err.value.cause, FixtureMissError) and err.value.stream_id == 1
 
     def test_step_raises_the_first_failure_in_query_order(self):
         plan = uniform_offset_plan(8, 2, 4)
@@ -139,7 +138,7 @@ class TestStep:
         decoder = Decoder("v", "p", plan, DecodeConfig(streams=4))
         with pytest.raises(DecodeError) as err:
             step(decoder, backend)
-        assert (err.value.cause.stream_id, err.value.cause.role) == (1, "positive")
+        assert (err.value.stream_id, err.value.role) == (1, "positive")
         assert decoder.tokens == [] and decoder.trace.steps == []
 
     def test_step_of_a_finished_decode_raises(self):

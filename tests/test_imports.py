@@ -1,7 +1,10 @@
 """Runtime dependencies: the HTTP clients run on the standard library alone,
-and nothing, the loss-model fit included, loads SciPy."""
+and nothing, the loss-model fit included, loads SciPy; every exported name
+resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +53,12 @@ def test_no_command_or_fit_loads_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     assert run_fresh(code).splitlines()[-1] == "[]"
+
+
+def test_every_exported_name_resolves():
+    names = [info.name for info in pkgutil.walk_packages(vps.__path__, "vps.")]
+    assert "vps.backends.wire" in names
+    for name in ["vps", *names]:
+        module = importlib.import_module(name)
+        missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+        assert not missing, f"{name}.__all__ names {missing}, which it does not define"

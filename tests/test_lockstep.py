@@ -12,7 +12,7 @@ from vps.aggregation import TcdConfig
 from vps.backends import CallCounter, ScoreRequest, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
-from vps.decode_engine import DecodeConfig, Decoder, decode, derive_seed, negative_view
+from vps.decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, decode, derive_seed, negative_view
 from vps.eval_harness import (
     RITUAL_TAG_POOL,
     EvalItem,
@@ -43,7 +43,7 @@ class ScoreOnly(PerQuery):
         return self.inner.score(req)
 
     def token_text(self, token):
-        return self.inner.token_text(token)
+        return getattr(self.inner, "token_text", str)(token)
 
 
 class Failing(ScoreOnly):
@@ -151,16 +151,23 @@ class TestToyScoreBatch:
 
 
 def one_decode_at_a_time(items, scorer, methods, frames_per_stream, seed, **kw):
-    """run_benchmark's results and audit, decoding each decode on its own."""
+    """run_benchmark's results and audit, decoding each decode on its own; a
+    failed decode fails its item x method."""
     results, audit = [], {}
     for method in methods:
         counter = CallCounter(scorer)
         rows = []
         for idx, item in enumerate(items):
-            outputs = [
-                tokens_to_text(decode(item.video_ref, build_prompt(item), plan, counter, cfg, seed=s)[0], scorer)
-                for plan, cfg, s in method_decodes(item, method, frames_per_stream, derive_seed(seed, idx), **kw)
-            ]
+            try:
+                outputs = [
+                    tokens_to_text(decode(item.video_ref, build_prompt(item), plan, counter, cfg, seed=s)[0], scorer)
+                    for plan, cfg, s in method_decodes(item, method, frames_per_stream, derive_seed(seed, idx), **kw)
+                ]
+            except DecodeError as exc:
+                error = {"type": type(exc.cause).__name__, "stream": exc.stream_id, "role": exc.role,
+                         "message": str(exc.cause)}
+                rows.append(MethodResult(item.id, method.tag, "", None, error=error))
+                continue
             if method.kind == "sc":
                 vote = majority_vote([extract_answer(text, item.task) for text in outputs])
                 rows.append(MethodResult(item.id, method.tag, "", vote))
@@ -462,10 +469,45 @@ class TestFailures:
         monkeypatch.setattr(ScoreRequest, "__post_init__", refuse)
         results, audit = run_benchmark(items, backend, methods, 4, seed=3, max_tokens=1)
         assert (results, audit) == expected
-        # the round raises at item 5's first query, and the 10 items after it are one more call
+        # the round ends at item 5's first query, and the 10 items after it are the next round
         assert rounds == [16 * 8, 10 * 8]
         assert audit == {"vps:4+tcd": 5 * 8 + 1 + 10 * 8}
         assert [(r.item_id, r.error["type"]) for r in results if r.error] == [(items[5].id, "KeyError")]
+
+    def test_failed_query_ends_the_round(self, monkeypatch):
+        # six items, each a 3-step vps:2+tcd decode (4 queries a step) over its own frames
+        items = [
+            EvalItem(id=f"d{i}", video_ref=f"v{i}", total_frames=32 + 8 * i, task="description", question="",
+                     reference="x")
+            for i in range(6)
+        ]
+        method = MethodSpec.parse("vps:2+tcd")
+        (plan, _, _), = method_decodes(items[2], method, 4, 0)
+
+        def bad(req):  # item 2's step 2 fails at its last query, stream 1's negative
+            return req.video_ref == "v2" and len(req.generated) == 1 and req.view == negative_view(plan.sets[1])
+
+        scorer = Failing(HashBackend(7, salt=3), bad)
+        expected, expected_audit = one_decode_at_a_time(items, scorer, [method], 4, 2, max_tokens=3)
+        (plan0, cfg0, seed0), = method_decodes(items[0], method, 4, derive_seed(2, 0), max_tokens=3)
+        expected_trace = decode("v0", build_prompt(items[0]), plan0, scorer, cfg0, seed=seed0)[1]
+        rounds = []
+        native = Failing.score_batch
+
+        def recording(self, steps, jobs=1):
+            rounds.append(sum(map(len, steps)))
+            return native(self, steps, jobs)
+
+        monkeypatch.setattr(Failing, "score_batch", recording)
+        trace = DecodeTrace()
+        results, audit = run_benchmark(items, scorer, [method], 4, seed=2, max_tokens=3, trace=trace)
+        assert [r.to_json() for r in results] == [r.to_json() for r in expected]
+        assert audit == expected_audit == {"vps:2+tcd": 5 * 3 * 4 + 4 + 4}
+        assert trace.to_jsonl() == expected_trace.to_jsonl()
+        assert [(r.item_id, r.error) for r in results if r.error] == [
+            ("d2", {"type": "ConnectionError", "stream": 1, "role": "negative", "message": "scorer down"})]
+        # round 2 ends at item 2's failure; items 3-5 score their step 2 with items 0-1's step 3
+        assert rounds == [6 * 4, 6 * 4, 5 * 4, 3 * 4]
 
     @pytest.mark.parametrize("form", [list, iter])
     def test_wrong_reply_count_propagates(self, form):

@@ -544,9 +544,8 @@ class TestPipeline:
             with keyed_server(missing) as (url, _seen):
                 with pytest.raises(DecodeError) as err:
                     decode("vid", "prompt", plan, WireBackend(fast_config(url)), cfg, jobs=jobs)
-            step_error = err.value.cause
-            assert (step_error.stream_id, step_error.role) == (1, "negative")
-            assert isinstance(step_error.cause, BackendError)
+            assert (err.value.stream_id, err.value.role) == (1, "negative")
+            assert isinstance(err.value.cause, BackendError)
             assert len(err.value.trace.steps) == 1  # step 0 is done; step 1 failed
 
     def test_decode_traces_identical_at_any_jobs(self, monkeypatch):
