@@ -1,23 +1,21 @@
 """Pluggable scorers turning a decoder step's queries into next-token distributions.
 
 A scorer implements one method, ``score_batch(steps, jobs)``: for a round of
-:class:`ScoreStep` s, one distribution per query in step then query order, as
-a list or as an iterator that scores lazily, with ``jobs`` as the most
-queries it may keep in flight at once (a scorer that does not pipeline
-ignores it). A failed query is reported at that query: the scorer yields the
-replies before it, then raises. An exception from the call itself
+:class:`ScoreStep` s, an iterable of one distribution per query, read in step
+then query order, with ``jobs`` as the most queries it may keep in flight at
+once (a scorer that does not pipeline ignores it). A failed query raises at
+its reply, after the replies before it. An exception from the call itself
 propagates. A scorer that converts lossily names the conversion in the
-distribution's ``flags``. :func:`score_batch` is the one place that calls
-it. Shipped scorers: a deterministic table-driven mock, an exact-Bayes toy
-video world (:mod:`vps.backends.toyworld`), and an HTTP client for external
-inference servers (:mod:`vps.backends.wire`). :class:`ScoreRequest` is one
-query on its own, for the one-query ``score`` conveniences of the last two;
-no decode builds one.
+distribution's ``flags``. The decode engine's round is the one reader of the
+replies. Shipped scorers: a deterministic table-driven mock, an exact-Bayes
+toy video world (:mod:`vps.backends.toyworld`), and an HTTP client for
+external inference servers (:mod:`vps.backends.wire`). :class:`ScoreRequest`
+is one query on its own, for the one-query ``score`` conveniences of the
+last two; no decode builds one.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -30,10 +28,8 @@ __all__ = [
     "ScoreStep",
     "ScoreResponse",
     "Scorer",
-    "score_batch",
     "FixtureMissError",
     "MockBackend",
-    "CallCounter",
 ]
 
 
@@ -162,21 +158,6 @@ class Scorer(Protocol):
     def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]: ...
 
 
-def score_batch(scorer: Scorer, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
-    """One distribution per query of ``steps``, in step then query order.
-
-    The scorer scores the whole round in one call, made here, with ``jobs``
-    passed on as the keyword ``jobs``. When it returns a list, a reply count
-    other than one per query raises ``ValueError`` here; an iterator is
-    passed on as it is, and a failed query raises when its reply is read.
-    An exception from the call itself propagates.
-    """
-    replies = scorer.score_batch(steps, jobs=jobs)
-    if isinstance(replies, list) and len(replies) != (queries := sum(map(len, steps))):
-        raise ValueError(f"score_batch returned {len(replies)} replies for {queries} queries")
-    return iter(replies)
-
-
 class FixtureMissError(KeyError):
     """The mock backend has no fixture for the requested key."""
 
@@ -215,42 +196,3 @@ class MockBackend:
         if self.vocab is None:
             return str(token)
         return self.vocab[token]
-
-
-class CallCounter:
-    """Wrap a scorer and count its queries (compute-audit helper, thread-safe).
-
-    A batch returned as a list counts one call per query. A batch returned
-    as an iterator counts each query whose reply was read or whose query
-    failed, and none that was never read. A call that raises counts
-    nothing. Every other attribute is the inner scorer's.
-    """
-
-    def __init__(self, inner: Scorer) -> None:
-        self.inner = inner
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _count(self, n: int) -> None:
-        with self._lock:
-            self.calls += n
-
-    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
-        replies = self.inner.score_batch(steps, jobs=jobs)
-        if isinstance(replies, list):
-            self._count(sum(map(len, steps)))
-            return replies
-        return self._counted(replies)
-
-    def _counted(self, replies: Iterable[Distribution]) -> Iterator[Distribution]:
-        try:
-            for reply in replies:
-                self._count(1)
-                yield reply
-                del reply  # hold no reply while the next query is scored
-        except Exception:  # the next query failed
-            self._count(1)
-            raise
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

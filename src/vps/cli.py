@@ -113,16 +113,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _build_toy(args: argparse.Namespace):
-    world = ToyWorld.symmetric(args.toy_labels, args.toy_match_prob)
-    items, backend = eval_harness.toy_benchmark(
-        world, args.toy_episodes, args.toy_total_frames, args.seed
-    )
+    try:
+        world = ToyWorld.symmetric(args.toy_labels, args.toy_match_prob)
+        items, backend = eval_harness.toy_benchmark(world, args.toy_episodes, args.toy_total_frames, args.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad toy world: {exc}") from exc
     return items, backend, frozenset({world.stop_token})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.frames < 1 or args.max_tokens < 1 or args.jobs < 1:
         raise UsageError("--k, --max-tokens and --jobs must be positive")
+    if not args.temperature >= 0:
+        raise UsageError("--temperature must be non-negative")
     config = _load_config(args.config)
     endpoint = args.endpoint or config.get("endpoint")
 

@@ -4,19 +4,19 @@ Per token: send one scoring query per stream (plus a frame-degraded
 negative query per stream when contrastive adjustment is on, plus an
 augmented-view query per stream when view fusion is on), adjust and mix the
 stream distributions, sample a single token, and append it to the one
-generated suffix all streams share. Every query goes through
-:func:`vps.backends.score_batch`, which may keep up to ``jobs`` of them in
-flight; replies are reduced in ascending stream order, so traces are
-bit-identical regardless of ``jobs``.
+generated suffix all streams share. Every query goes to the scorer's
+``score_batch``, which may keep up to ``jobs`` of them in flight; replies
+are reduced in ascending stream order, so traces are bit-identical
+regardless of ``jobs``.
 
 A decode is one :class:`Decoder`, built from the frame plan, and its
 ``tokens`` are that suffix. Its queries, fixed at construction, come out of
 ``pending()`` as one :class:`~vps.backends.ScoreStep` per step, and their
 replies go back in through ``advance()``, so the caller decides how they
 are scored. The unit of scoring is the round: the pending steps of some
-decoders, scored by one ``score_batch`` call. :func:`step` scores a round of
-one decoder, and :func:`decode` runs one decoder with it;
-:func:`run_lockstep` runs many decoders, a round of all of them at a time.
+decoders, scored by one ``score_batch`` call; only a round reads replies.
+:func:`step` scores a round of one decoder, and :func:`decode` runs one
+decoder with it; :func:`run_lockstep` runs many, a round of all at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .aggregation import (
     sample_token,
     tcd_adjust,
 )
-from .backends import Scorer, ScoreStep, check_query, score_batch
+from .backends import Scorer, ScoreStep, check_query
 from .frame_selection import FrameSelectionPlan
 from .views import IDENTITY, augmented_view, zero_view
 
@@ -231,7 +231,7 @@ class Decoder:
     to ``tokens``) or ``cfg.max_tokens`` steps. Step ``t`` samples with a
     seed derived from (``seed``, ``t``); a greedy decode (temperature 0)
     derives none. With ``keep_trace`` off no step record is built, and
-    ``trace`` stays empty.
+    ``trace`` stays empty. ``calls`` counts the replies read, a failed one too.
     """
 
     def __init__(
@@ -255,6 +255,7 @@ class Decoder:
         self.trace = DecodeTrace()
         self.tokens: list[int] = []
         self.steps = 0
+        self.calls = 0
         self.done = False
         # each stream is a run of queries: positive, then augmented under view fusion, then negative under TCD
         self._queries: tuple[tuple[tuple[int, ...], str], ...] = ()
@@ -282,6 +283,7 @@ class Decoder:
         if not self._pending or len(replies) != self._pending:
             raise ValueError(f"{len(replies)} replies for {self._pending} pending requests")
         self._pending = 0
+        self.calls += len(replies)
         width = len(self._roles)
         per_stream: list[Distribution] = []
         for k in range(0, len(replies), width):  # stream k // width's run of replies
@@ -325,18 +327,22 @@ class Decoder:
         """End the decode because its ``k``-th pending query raised ``cause``."""
         stream_id, position = divmod(k, len(self._roles))
         self._pending = 0
+        self.calls += k + 1
         self.done = True
         return DecodeError(stream_id, self._roles[position], cause, self.trace, self.tokens)
 
 
+_END = object()  # what a read past a round's last reply must find
+
+
 def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int | DecodeError]:
-    """Score the pending steps of ``decoders`` in one :func:`score_batch` call,
-    advancing each decoder once its replies are in: each one's token, up to a
-    failed query, whose decoder's :class:`DecodeError` ends the list and the
-    round (the decoders after it keep their pending step). Replies that run
-    out raise ``ValueError``, as a short list does in :func:`score_batch`."""
+    """Score the pending steps of ``decoders`` in one ``score_batch`` call,
+    read one reply per query, and advance each decoder once its replies are
+    in: each one's token, up to a failed query, whose decoder's
+    :class:`DecodeError` ends the list and the round (the decoders after it
+    keep their pending step). Too few or too many replies raise ``ValueError``."""
     steps = [decoder.pending() for decoder in decoders]
-    replies = score_batch(scorer, steps, jobs)
+    replies = iter(scorer.score_batch(steps, jobs=jobs))
     outcomes: list[int | DecodeError] = []
     for decoder, pending in zip(decoders, steps):
         got: list[Distribution] = []
@@ -348,8 +354,10 @@ def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int |
                 f"score_batch ran short: {len(got)} replies for a step of {len(pending)} queries") from None
         except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
             outcomes.append(decoder.fail(len(got), exc))
-            break
+            return outcomes
         outcomes.append(decoder.advance(got))
+    if next(replies, _END) is not _END:
+        raise ValueError(f"score_batch ran long: more replies than the round's {sum(map(len, steps))} queries")
     return outcomes
 
 
@@ -359,15 +367,15 @@ def run_lockstep(
     """Run every decoder of ``groups`` to its end, all in lock step.
 
     Each round is the pending steps of every live decoder, in group then
-    decoder order, scored by one call through :func:`score_batch`, with
-    ``jobs`` as the most queries the scorer may keep in flight at once. Each
+    decoder order, scored by one ``score_batch`` call of the scorer, with
+    ``jobs`` as the most queries it may keep in flight at once. Each
     decoder advances as soon as its own replies are in. A failed query ends
     its decoder's whole group, and its group's entry of the returned list is
     the :class:`DecodeError`. It also ends the round: no later query of the
     round is read (up to ``jobs`` - 1 of them may already be in flight), and
     the decoders the round did not reach go into the next round with their
     step still pending. A group that finishes gets None. A call that raises,
-    and a wrong number of replies, propagate.
+    and the ``ValueError`` of a wrong number of replies, propagate.
     """
     errors: list[DecodeError | None] = [None] * len(groups)
     while live := [(g, d) for g, group in enumerate(groups) if errors[g] is None for d in group if not d.done]:
@@ -380,14 +388,15 @@ def run_lockstep(
 def step(decoder: Decoder, scorer: Scorer, jobs: int = 1) -> int:
     """Score, mix and sample the next step of ``decoder``; returns its token.
 
-    The step is a round of its own: it goes to the scorer in one call
-    through :func:`score_batch`, with ``jobs`` as the most queries it may
-    keep in flight at once. Aggregation waits for all of them (the mixture
+    The step is a round of its own: it goes to the scorer in one
+    ``score_batch`` call, with ``jobs`` as the most queries it may keep in
+    flight at once. Aggregation waits for all of them (the mixture
     is synchronous) and reduces in ascending stream order. A failed query
     ends the decode with nothing appended: the decoder's
     :class:`DecodeError` for the first failure in query order is raised, and
     no later query is sent (up to ``jobs`` - 1 of them may already be in
-    flight). A call that raises, and a wrong number of replies, propagate.
+    flight). A call that raises, and the ``ValueError`` of a wrong number
+    of replies, propagate.
     """
     (outcome,) = _round([decoder], scorer, jobs)
     if isinstance(outcome, DecodeError):

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .aggregation import TcdConfig
-from .backends import CallCounter, Scorer
+from .backends import Scorer
 from .decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, derive_seed, run_lockstep
 from .decode_engine import decode  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from .frame_selection import (
@@ -100,8 +100,8 @@ class EvalItem:
         if self.total_frames < 1:
             raise ValueError("total_frames must be positive")
         if self.task == "multiple_choice":
-            if not self.options:
-                raise ValueError("multiple_choice items need options")
+            if not self.options or len(self.options) > 4:  # MC_SCAFFOLD and _MC_ANSWER name A-D
+                raise ValueError(f"multiple_choice items need 1 to 4 options, got {len(self.options or ())}")
             object.__setattr__(self, "options", tuple(self.options))
             letters = string.ascii_uppercase[: len(self.options)]
             if self.reference.upper() not in letters:
@@ -205,12 +205,13 @@ def _run_decodes(
     backend: Scorer,
     jobs: int = 1,
     trace: DecodeTrace | None = None,
-) -> list[list[str] | DecodeError]:
+) -> tuple[list[list[str] | DecodeError], int]:
     """Run every item's (plan, config, seed) decodes, all in lock step (see
     :func:`vps.decode_engine.run_lockstep`). Per item: the text each of its
-    decodes emits, or the :class:`DecodeError` that ended them. Only the
-    first item's first decode is traced, and only when ``trace`` is given:
-    its steps are appended to ``trace``, up to a failure."""
+    decodes emits, or the :class:`DecodeError` that ended them; and the
+    replies all decodes read. Only the first item's first decode is traced,
+    and only when ``trace`` is given: its steps are appended to ``trace``,
+    up to a failure."""
     groups = []
     for item, decodes in work:
         prompt = build_prompt(item)
@@ -221,10 +222,11 @@ def _run_decodes(
     errors = run_lockstep(groups, backend, jobs)
     if trace is not None:
         trace.steps.extend(groups[0][0].trace.steps)
-    return [
+    outcomes = [
         error if error is not None else [tokens_to_text(d.tokens, backend) for d in decoders]
         for decoders, error in zip(groups, errors)
     ]
+    return outcomes, sum(d.calls for decoders in groups for d in decoders)
 
 
 def _is_correct(item: EvalItem, extracted: str | None) -> bool:
@@ -446,7 +448,7 @@ def evaluate_item(
         item, method, frames_per_stream, seed, strategy=strategy, space=space, temperature=temperature,
         max_tokens=max_tokens, stop_tokens=stop_tokens, bolt_scores=bolt_scores,
     )
-    (outcome,) = _run_decodes([(item, decodes)], backend)
+    (outcome,), _ = _run_decodes([(item, decodes)], backend)
     if isinstance(outcome, DecodeError):
         raise outcome
     return _method_result(item, method, outcome)
@@ -489,12 +491,13 @@ def run_benchmark(
     ``jobs`` queries in flight at once (see
     :func:`vps.decode_engine.run_lockstep`). Results are ordered by
     (method, item) regardless of schedule. The audit maps each method tag
-    to the number of queries it scored, for compute-matched comparisons. A
-    failed query fails only its item x method: its result carries the
-    ``error`` and the run goes on. Any other exception, a ``score_batch``
-    call that raises included, aborts the run. Given a ``trace``, the run
-    records into it the steps of its first decode: the first item under the
-    first method (for ``sc:J``, its first sample), up to a failure.
+    to the replies its decodes read, a failed query included, for
+    compute-matched comparisons. A failed query fails only its item x
+    method: its result carries the ``error`` and the run goes on. Any other
+    exception, a ``score_batch`` call that raises or a wrong number of
+    replies included, aborts the run. Given a ``trace``, the run records
+    into it the steps of its first decode: the first item under the first
+    method (for ``sc:J``, its first sample), up to a failure.
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
@@ -502,7 +505,7 @@ def run_benchmark(
                    stop_tokens=stop_tokens)
     seeds = [derive_seed(seed, idx) for idx in range(len(items))]
     for method in methods:
-        counter = CallCounter(backend)
+        audit[method.tag] = 0
         method_results = []
         for start in range(0, len(items), LOCKSTEP_ITEMS):
             work = [
@@ -512,15 +515,16 @@ def run_benchmark(
                 ))
                 for idx, item in enumerate(items[start:start + LOCKSTEP_ITEMS], start)
             ]
+            outcomes, calls = _run_decodes(work, backend, jobs, trace)
+            audit[method.tag] += calls
             method_results.extend(
                 _failed_result(item, method, outcome) if isinstance(outcome, DecodeError)
                 else _method_result(item, method, outcome)
-                for (item, _), outcome in zip(work, _run_decodes(work, counter, jobs, trace))
+                for (item, _), outcome in zip(work, outcomes)
             )
             trace = None  # only the run's first decode is traced
         method_results.sort(key=lambda r: r.item_id)
         results.extend(method_results)
-        audit[method.tag] = counter.calls
     return results, audit
 
 

@@ -14,6 +14,27 @@ def score_one(scorer, req):
     return next(iter(scorer.score_batch([ScoreStep.of(req)])))
 
 
+class Counting:
+    """Wraps a scorer and counts at its boundary: each reply read, and each
+    failed query. The call itself is made at once, so an error from it
+    propagates uncounted."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def score_batch(self, steps, jobs=1):
+        return self._counted(iter(self.inner.score_batch(steps, jobs=jobs)))
+
+    def _counted(self, replies):
+        try:
+            for reply in replies:
+                self.calls += 1
+                yield reply
+        except Exception:  # the next query failed
+            self.calls += 1
+            raise
+
+
 class PerQuery:
     """A scorer defined by ``score(req)`` for one query: ``score_batch`` calls
     it lazily, once per query in step then query order, when the reply is read."""

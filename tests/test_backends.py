@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, Weights, argmax_token, mix_probs
-from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest, ScoreResponse, ScoreStep
+from vps.backends import FixtureMissError, MockBackend, ScoreRequest, ScoreResponse, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyEpisode, ToyWorld, toy_episode, toy_posterior
 from vps.eval_harness import RITUAL_TAG_POOL
 
@@ -63,15 +63,6 @@ class TestMockBackend:
         mixed = mix_probs(dists, Weights.uniform(4))
         assert argmax_token(mixed) == truth
         assert np.allclose(mixed.probs, [0.3, 0.175, 0.175, 0.175, 0.175])
-
-    def test_call_counter(self):
-        d = Distribution.from_probs([1.0])
-        backend = MockBackend({((0,), "identity", ()): d}, vocab=("x",))
-        counter = CallCounter(backend)
-        for _ in range(3):
-            score_one(counter, req(frame_set=(0,)))
-        assert counter.calls == 3
-        assert counter.token_text(0) == "x"
 
 
 class TestScoreResponse:

@@ -175,6 +175,34 @@ class TestRunCommand:
             ]) == 2
         assert not (tmp_path / "y").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--toy-labels", "1"],
+        ["--toy-labels", "5"],
+        ["--toy-labels", "6"],
+        ["--toy-match-prob", "0"],
+        ["--toy-total-frames", "0"],
+        ["--temperature", "-1", "--methods", "sc:2"],
+    ])
+    def test_invalid_run_flags_exit_2(self, args, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--backend", "toy", "--toy-episodes", "4", "--methods", "baseline",
+                     "--out-dir", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()  # refused before the run starts
+
+    def test_more_than_four_options_exit_2(self, tmp_path, capsys):
+        # six toy labels would be lettered A-F, and every E or F answer scored wrong
+        assert main(["run", "--backend", "toy", "--toy-episodes", "60", "--toy-labels", "6",
+                     "--toy-match-prob", "1.0", "--methods", "baseline,vps:4", "--out-dir", str(tmp_path / "x")]) == 2
+        assert "1 to 4 options, got 6" in capsys.readouterr().err
+        dataset = tmp_path / "mc.jsonl"
+        dataset.write_text(json.dumps({"id": "a", "video_ref": "v", "total_frames": 8, "task": "multiple_choice",
+                                       "question": "q?", "reference": "E", "options": list("abcde")}) + "\n")
+        assert main(["run", "--backend", "wire", "--endpoint", "http://127.0.0.1:1", "--dataset", str(dataset),
+                     "--out-dir", str(tmp_path / "y")]) == 2
+        assert "'options'" in capsys.readouterr().err
+
     def test_self_consistency_needs_one_frame_set(self, tmp_path):
         # sc:8 samples one 4-frame set 8 times, so 16 frames are enough
         out = tmp_path / "run"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, TcdConfig, Weights, argmax_token, mix_probs
-from vps.backends import CallCounter, FixtureMissError, MockBackend, ScoreRequest
+from vps.backends import FixtureMissError, MockBackend, ScoreRequest
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.decode_engine import (
     DecodeConfig,
@@ -20,7 +20,7 @@ from vps.decode_engine import (
 )
 from vps.frame_selection import FrameSelectionPlan, uniform_offset_plan
 
-from scorers import PerQuery, requests_of
+from scorers import Counting, PerQuery, requests_of
 
 
 class HashBackend(PerQuery):
@@ -110,7 +110,7 @@ class TestStep:
 
     def test_failed_query_stops_the_step(self):
         plan = uniform_offset_plan(8, 2, 4)
-        backend = CallCounter(MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4)))
+        backend = Counting(MockBackend(fixtures_for_plan(plan, [[1.0, 0.0]] * 4)))
         del backend.inner.fixtures[(plan.sets[0], "identity", ())]
         with pytest.raises(DecodeError) as err:
             step_once(plan, backend, DecodeConfig(streams=4))
@@ -162,7 +162,7 @@ class TestStep:
             fixtures[(plan.sets[j], negative_view(plan.sets[j]), ())] = Distribution.from_probs(
                 [0.4, 0.5, 0.1]
             )
-        backend = CallCounter(MockBackend(fixtures))
+        backend = Counting(MockBackend(fixtures))
         cfg = DecodeConfig(streams=2, tcd=TcdConfig(0.5, 0.1))
         token, record = step_once(plan, backend, cfg)
         assert backend.calls == 4  # J * (1 + tcd)
@@ -173,7 +173,7 @@ class TestStep:
         fixtures = fixtures_for_plan(plan, [[1.0, 0.0], [1.0, 0.0]])
         for j in range(2):
             fixtures[(plan.sets[j], "aug:hflip", ())] = Distribution.from_probs([0.0, 1.0])
-        backend = CallCounter(MockBackend(fixtures))
+        backend = Counting(MockBackend(fixtures))
         cfg = DecodeConfig(streams=2, ritual_views=("hflip", "hflip"))
         _, record = step_once(plan, backend, cfg)
         assert backend.calls == 4  # J * (1 + ritual)
@@ -181,7 +181,7 @@ class TestStep:
 
     def test_backend_call_count_with_both(self):
         plan = uniform_offset_plan(16, 2, 2)
-        backend = CallCounter(HashBackend(4))
+        backend = Counting(HashBackend(4))
         cfg = DecodeConfig(streams=2, tcd=TcdConfig(), ritual_views=("hflip", "vflip"))
         step_once(plan, backend, cfg)
         assert backend.calls == 2 * (1 + 1 + 1)

@@ -72,6 +72,12 @@ class TestEvalItem:
         with pytest.raises(ValueError):
             mc_item(reference="E")
 
+    def test_at_most_four_options(self):
+        # the scaffold and the answer pattern name A-D: an E answer would be extracted as None
+        assert len(mc_item(options=("a", "b", "c", "d"), reference="D").options) == 4
+        with pytest.raises(ValueError, match="1 to 4 options, got 5"):
+            mc_item(options=("a", "b", "c", "d", "e"), reference="E")
+
 
 class TestBuildPrompt:
     def test_multiple_choice_scaffold(self):
@@ -281,6 +287,14 @@ class TestDatasetIO:
         with pytest.raises(DatasetError) as err:
             load_dataset(path)
         assert err.value.line == 2
+
+    def test_more_than_four_options_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "video_ref": "v", "total_frames": 8, "task": "multiple_choice",
+                                    "question": "q?", "reference": "A", "options": list("abcde")}) + "\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert (err.value.line, err.value.fieldname) == (1, "options")
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"

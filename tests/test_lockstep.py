@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from vps.aggregation import TcdConfig
-from vps.backends import CallCounter, ScoreRequest, ScoreStep
+from vps.backends import ScoreRequest, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
-from vps.decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, decode, derive_seed, negative_view
+from vps.decode_engine import (
+    DecodeConfig, DecodeError, Decoder, DecodeTrace, decode, derive_seed, negative_view, run_lockstep,
+)
 from vps.eval_harness import (
     RITUAL_TAG_POOL,
     EvalItem,
@@ -29,7 +31,7 @@ from vps.eval_harness import (
 from vps.frame_selection import uniform_offset_plan
 from vps.views import IDENTITY, augmented_view
 
-from scorers import PerQuery, requests_of
+from scorers import Counting, PerQuery, requests_of
 from test_decode_engine import HashBackend
 
 
@@ -133,29 +135,13 @@ class TestToyScoreBatch:
         with pytest.raises(KeyError):
             next(replies)
 
-    def test_counter_counts_batched_requests(self):
-        world = ToyWorld.symmetric(4, 0.6)
-        backend = ToyBackend(world)
-        ep = toy_episode(world, 16, 1)
-        backend.add_episode(ep)
-        counter = CallCounter(backend)
-        requests = [ScoreRequest(ep.video_ref, (t,), "identity", "q", ()) for t in range(5)]
-        counter.score_batch(steps_of(requests))
-        counter.score_batch(steps_of(requests[:1]))
-        assert counter.calls == 6
-        lazy = CallCounter(ScoreOnly(backend))
-        replies = lazy.score_batch(steps_of(requests))
-        assert lazy.calls == 0
-        next(replies)
-        assert lazy.calls == 1
-
 
 def one_decode_at_a_time(items, scorer, methods, frames_per_stream, seed, **kw):
     """run_benchmark's results and audit, decoding each decode on its own; a
-    failed decode fails its item x method."""
+    failed decode fails its item x method. The audit is counted at the scorer."""
     results, audit = [], {}
     for method in methods:
-        counter = CallCounter(scorer)
+        counter = Counting(scorer)
         rows = []
         for idx, item in enumerate(items):
             try:
@@ -511,14 +497,30 @@ class TestFailures:
 
     @pytest.mark.parametrize("form", [list, iter])
     def test_wrong_reply_count_propagates(self, form):
-        class Short(ScoreOnly):
-            """A batching scorer that drops the last reply of every batch."""
+        class Miscounting(ScoreOnly):
+            """A batching scorer that drops the last reply of every batch, or
+            with ``extra`` repeats it."""
+
+            def __init__(self, inner, extra):
+                super().__init__(inner)
+                self.extra = extra
 
             def score_batch(self, steps, jobs=1):
-                return form(self.inner.score_batch(steps)[:-1])
+                replies = self.inner.score_batch(steps)
+                return form(replies + replies[-1:] if self.extra else replies[:-1])
 
-        with pytest.raises(ValueError, match="replies for"):
-            toy_run(lambda b, items: Short(b), ("vps:2",))
+        world = ToyWorld.symmetric(4, 0.55)
+        backend = ToyBackend(world)
+        episode = toy_episode(world, 64, seed=9)
+        backend.add_episode(episode)
+        plan, cfg = uniform_offset_plan(64, 4, 2), DecodeConfig(streams=2)
+        for extra, match in ((False, "ran short"), (True, "ran long")):
+            with pytest.raises(ValueError, match=match):
+                toy_run(lambda b, items: Miscounting(b, extra), ("vps:2",))
+            with pytest.raises(ValueError, match=match):
+                decode(episode.video_ref, "q", plan, Miscounting(backend, extra), cfg)
+            with pytest.raises(ValueError, match=match):
+                run_lockstep([[Decoder(episode.video_ref, "q", plan, cfg)]], Miscounting(backend, extra))
 
     def test_replies_are_released_once_their_decoder_advanced(self):
         class Holding(ScoreOnly):
