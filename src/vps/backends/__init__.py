@@ -16,7 +16,7 @@ last two; no decode builds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -86,16 +86,18 @@ class ScoreStep:
 class ScoreResponse:
     """A backend's reply: full log-score vector, or top-m pairs plus remainder.
 
-    ``scores`` is kept as a 1-D float64 array (converted without a copy when
-    it already is one). ``top`` pairs are (token id, log probability) sorted
-    by descending log probability; ``remainder`` is the probability mass
-    outside the reported tokens.
+    ``scores`` is a 1-D float64 array; ``top`` an ``(m, 2)`` float64 array of
+    (token id, log probability) rows by descending log probability, with
+    ``remainder`` the mass outside them. The reply's distribution is built
+    once, here: top-m pairs become a sparse distribution on the reported
+    tokens, renormalized (flag ``topm_renormalized``).
     """
 
     vocab_size: int
     scores: np.ndarray | None = None
-    top: tuple[tuple[int, float], ...] | None = None
+    top: np.ndarray | None = None
     remainder: float | None = None
+    _dist: Distribution = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.scores is None) == (self.top is None):
@@ -107,50 +109,36 @@ class ScoreResponse:
                 raise ValueError("scores must be a vector of length vocab_size")
             if not np.isfinite(scores).all():
                 raise ValueError("full scores must be finite")
-        else:
-            assert self.top is not None
-            if not self.top:
-                raise ValueError("top responses must report at least one token")
-            ids = [t for t, _ in self.top]
-            lps = np.array([lp for _, lp in self.top], dtype=np.float64)
-            if np.isnan(lps).any():
-                raise ValueError("top log-probabilities must not be NaN")
-            if (lps[1:] > lps[:-1]).any():
-                raise ValueError("top pairs must be sorted by descending log-probability")
-            if len(set(ids)) != len(ids):
-                raise ValueError("top pairs contain duplicate token ids")
-            if any(not 0 <= t < self.vocab_size for t in ids):
-                raise ValueError("top token id out of range")
-            mass = float(np.exp(lps).sum())
-            if self.remainder is None:
-                raise ValueError("top responses must report the remainder mass")
-            if not self.remainder >= -1e-9 or mass - 1.0 > 1e-9:
-                raise ValueError("top probabilities exceed total mass 1")
-            if not mass > 0.0:
-                raise ValueError("top probabilities report no mass")
+            object.__setattr__(self, "_dist", Distribution.from_logits(scores))
+            return
+        top = np.asarray(self.top, dtype=np.float64)
+        object.__setattr__(self, "top", top)
+        if top.ndim != 2 or top.shape[1] != 2 or not top.size:
+            raise ValueError("top responses must report at least one (token id, log-probability) pair")
+        ids, lps = top.T
+        if not ((ids >= 0) & (ids < self.vocab_size)).all():  # before the int cast, so NaN fails quietly
+            raise ValueError("top token id out of range")
+        if np.isnan(lps).any():
+            raise ValueError("top log-probabilities must not be NaN")
+        if (lps[1:] > lps[:-1]).any():
+            raise ValueError("top pairs must be sorted by descending log-probability")
+        if self.remainder is None:
+            raise ValueError("top responses must report the remainder mass")
+        order = np.argsort(ids)
+        values = np.exp(lps[order])
+        mass = values.sum()
+        if not self.remainder >= -1e-9 or mass - 1.0 > 1e-9:
+            raise ValueError("top probabilities exceed total mass 1")
+        if not mass > 0.0:
+            raise ValueError("top probabilities report no mass")
+        support = ids[order].astype(np.int64)  # a repeated id fails the constructor's ascending check
+        dist = Distribution(values / mass, support=support, size=self.vocab_size, flags=("topm_renormalized",))
+        object.__setattr__(self, "_dist", dist)
 
     def to_distribution(self) -> tuple[Distribution, tuple[str, ...]]:
-        """Convert to a proper distribution; flags name any lossy conversion
-        and are carried on the distribution too.
-
-        Top-m responses become a sparse distribution on the reported tokens:
-        their probabilities are exponentiated and renormalized, and every
-        unreported token gets zero. No vocabulary-length array is built.
-        """
-        if self.scores is not None:
-            return Distribution.from_logits(self.scores), ()
-        assert self.top is not None
-        pairs = np.array(self.top, dtype=np.float64)
-        order = np.argsort(pairs[:, 0])
-        values = np.exp(pairs[order, 1])
-        flags = ("topm_renormalized",)
-        dist = Distribution(
-            values / values.sum(),
-            support=pairs[order, 0].astype(np.int64),
-            size=self.vocab_size,
-            flags=flags,
-        )
-        return dist, flags
+        """The reply's distribution, built once at construction, and its
+        flags, which name any lossy conversion."""
+        return self._dist, self._dist.flags
 
 
 @runtime_checkable

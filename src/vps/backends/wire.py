@@ -184,8 +184,7 @@ def _parse_payload(payload: object) -> ScoreResponse:
         vocab_size = int(payload["vocab_size"])
         if "scores" in payload and payload["scores"] is not None:
             return ScoreResponse(vocab_size, scores=payload["scores"])
-        top = tuple((int(t), float(lp)) for t, lp in payload["top"])
-        return ScoreResponse(vocab_size, top=top, remainder=float(payload["remainder"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return ScoreResponse(vocab_size, top=payload["top"], remainder=float(payload["remainder"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireParseError(f"bad response payload: {exc}") from exc
 

@@ -135,6 +135,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     if not methods:
         raise UsageError("no methods requested")
+    tags = [m.tag for m in methods]
+    if len(set(tags)) < len(tags):
+        raise UsageError(f"method {next(t for i, t in enumerate(tags) if t in tags[:i])} is listed twice")
 
     bolt_scores = None
     if args.bolt_scores:
@@ -176,6 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"item {item.id}: {widest} streams x {args.frames} frames exceed its {item.total_frames} total frames"
             )
+        n = len(bolt_scores.get(item.video_ref, ())) if args.strategy == "bolt" else item.total_frames
+        if n != item.total_frames:
+            raise UsageError(f"item {item.id}: {n} bolt scores for {item.total_frames} frames of {item.video_ref}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

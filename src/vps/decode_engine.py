@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -96,24 +95,16 @@ class DecodeConfig:
 class StreamStepRecord:
     """One stream's contribution to a step: ``dist``, the distribution that
     entered the mixture (after any adjustment). The trace stores it as
-    ``probs``, its dense vector, built on first read, so a record nobody
-    reads costs no vocabulary-length array. ``flags`` name lossy
-    conversions by the engine or the backend."""
+    ``probs``, its dense vector, which a sparse ``dist`` builds on first
+    read, so a record nobody reads costs no vocabulary-length array.
+    ``flags`` name lossy conversions by the engine or the backend."""
 
     stream_id: int
-    dist: Distribution | None = field(repr=False)
+    dist: Distribution = field(repr=False)
     flags: tuple[str, ...] = ()
     top = None  # a trace stores no top-m pairs; perfbench/tracer.py:trace_floats is the only reader
 
-    @classmethod
-    def stored(cls, stream_id: int, probs: np.ndarray, flags=()) -> "StreamStepRecord":
-        """A record of what a trace stored, without the distribution (see
-        :meth:`DecodeTrace.from_jsonl`)."""
-        record = cls(stream_id, None, flags=tuple(flags))
-        vars(record)["probs"] = probs  # fills the cached property
-        return record
-
-    @cached_property
+    @property
     def probs(self) -> np.ndarray:
         return self.dist.probs
 
@@ -161,14 +152,16 @@ class DecodeTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "DecodeTrace":
+        """The trace :meth:`to_jsonl` wrote; every stored vector goes through
+        the ``Distribution`` constructor, so one that is no distribution raises."""
         steps = []
         for line in text.splitlines():
             if not line.strip():
                 continue
             raw = json.loads(line)
             streams = tuple(
-                StreamStepRecord.stored(
-                    s["stream"], np.array(s["probs"], dtype=np.float64), s.get("flags", ()),
+                StreamStepRecord(
+                    s["stream"], Distribution(np.array(s["probs"], dtype=np.float64)), tuple(s.get("flags", ()))
                 )
                 for s in raw["streams"]
             )

@@ -267,8 +267,8 @@ _ITEM_FIELDS = ("id", "video_ref", "total_frames", "task", "question", "referenc
 
 
 def load_dataset(path) -> list[EvalItem]:
-    """Read line-delimited JSON items, validating each record."""
-    items = []
+    """Read line-delimited JSON items, validating each record; item ids must be unique."""
+    items: dict[str, EvalItem] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -281,21 +281,22 @@ def load_dataset(path) -> list[EvalItem]:
                 if fieldname not in raw:
                     raise DatasetError(lineno, fieldname, "missing")
             try:
-                items.append(
-                    EvalItem(
-                        id=str(raw["id"]),
-                        video_ref=str(raw["video_ref"]),
-                        total_frames=int(raw["total_frames"]),
-                        task=str(raw["task"]),
-                        question=str(raw["question"]),
-                        reference=str(raw["reference"]),
-                        category=str(raw.get("category", "")),
-                        options=tuple(raw["options"]) if raw.get("options") is not None else None,
-                    )
+                item = EvalItem(
+                    id=str(raw["id"]),
+                    video_ref=str(raw["video_ref"]),
+                    total_frames=int(raw["total_frames"]),
+                    task=str(raw["task"]),
+                    question=str(raw["question"]),
+                    reference=str(raw["reference"]),
+                    category=str(raw.get("category", "")),
+                    options=tuple(raw["options"]) if raw.get("options") is not None else None,
                 )
             except ValueError as exc:
                 raise DatasetError(lineno, "options" if "options" in str(exc) else "record", str(exc)) from None
-    return items
+            if item.id in items:
+                raise DatasetError(lineno, "id", f"{item.id!r} repeats an earlier item's id")
+            items[item.id] = item
+    return list(items.values())
 
 
 def save_dataset(items: Sequence[EvalItem], path) -> None:

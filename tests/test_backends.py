@@ -92,6 +92,10 @@ class TestScoreResponse:
             ranked = np.argsort(-dist.probs, kind="stable")[:3]
             assert list(ranked) == list(order)
 
+    def test_conversion_runs_once(self):
+        for resp in (ScoreResponse(3, scores=(0.0, 1.0, -1.0)), ScoreResponse(4, top=((2, -0.5),), remainder=0.4)):
+            assert resp.to_distribution()[0] is resp.to_distribution()[0]
+
     def test_rejects_unsorted_top(self):
         with pytest.raises(ValueError):
             ScoreResponse(3, top=((0, -2.0), (1, -1.0)), remainder=0.5)

@@ -229,6 +229,37 @@ class TestRunCommand:
             "--methods", "warp:9", "--out-dir", str(tmp_path / "x"),
         ]) == 2
 
+    def test_method_listed_twice_exits_2(self, tmp_path, capsys):
+        # vps:02 is vps:2: the second run would be written beside the first and its calls counted alone
+        out = tmp_path / "x"
+        assert main(["run", "--backend", "toy", "--toy-episodes", "4", "--methods", "vps:2,baseline,vps:02",
+                     "--out-dir", str(out)]) == 2
+        assert "method vps:2 is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_item_id_exits_2(self, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        record = {"id": "q", "video_ref": "v", "total_frames": 8, "task": "binary", "question": "q?", "reference": "yes"}
+        dataset.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, reference="no")) + "\n")
+        out = tmp_path / "x"
+        assert main(["run", "--backend", "wire", "--endpoint", "http://127.0.0.1:1", "--dataset", str(dataset),
+                     "--out-dir", str(out)]) == 2
+        assert "line 2, field 'id'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scores,count", [({"v": [1.0] * 40}, 40), ({"w": [1.0] * 16}, 0)],
+                             ids=["too-many-scores", "video-without-scores"])
+    def test_bolt_scores_must_cover_every_frame(self, scores, count, tmp_path, capsys):
+        dataset, scores_path, out = tmp_path / "d.jsonl", tmp_path / "scores.json", tmp_path / "x"
+        dataset.write_text(json.dumps({"id": "a", "video_ref": "v", "total_frames": 16, "task": "binary",
+                                       "question": "q?", "reference": "yes"}) + "\n")
+        scores_path.write_text(json.dumps(scores))
+        assert main(["run", "--backend", "wire", "--endpoint", "http://127.0.0.1:1", "--dataset", str(dataset),
+                     "--strategy", "bolt", "--bolt-scores", str(scores_path), "--methods", "vps:2", "--k", "2",
+                     "--out-dir", str(out)]) == 2
+        assert f"item a: {count} bolt scores for 16 frames of v" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_backend_hard_down_exits_1(self, tmp_path):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(json.dumps({

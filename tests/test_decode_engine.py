@@ -1,5 +1,6 @@
 """Decode loop: mixing per step, token broadcast, traces, concurrency."""
 
+import json
 import warnings
 import zlib
 
@@ -310,6 +311,11 @@ class TestDecode:
         _, trace = decode("v", "p", plan, backend, DecodeConfig(streams=2, max_tokens=3))
         text = trace.to_jsonl()
         assert DecodeTrace.from_jsonl(text).to_jsonl() == text
+
+    def test_loaded_stream_vectors_are_checked(self):
+        line = {"step": 0, "token": 0, "aggregated": [1.0, 0.0], "streams": [{"stream": 0, "probs": [0.25, 0.25]}]}
+        with pytest.raises(ValueError, match="probs sum to"):
+            DecodeTrace.from_jsonl(json.dumps(line))
 
 
 class TestToyWorldOracle:

@@ -288,6 +288,15 @@ class TestDatasetIO:
             load_dataset(path)
         assert err.value.line == 2
 
+    def test_repeated_id_named(self, tmp_path):
+        # results are matched to items by id, so a second "q" would be judged against the first's reference
+        path = tmp_path / "bad.jsonl"
+        record = {"id": "q", "video_ref": "v", "total_frames": 8, "task": "binary", "question": "q?", "reference": "yes"}
+        path.write_text(json.dumps(record) + "\n\n" + json.dumps(dict(record, reference="no")) + "\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert (err.value.line, err.value.fieldname) == (3, "id")
+
     def test_more_than_four_options_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"id": "a", "video_ref": "v", "total_frames": 8, "task": "multiple_choice",

@@ -53,8 +53,9 @@ def test_traced_toy_eval_benchmark_run_is_correct():
 
 
 def test_traced_wire_topm_benchmark_run_is_correct():
-    # the fixture server included
-    traced_run_verdict("wire-topm")
+    # the fixture server included; every top-m reply still reaches ScoreResponse.to_distribution
+    metrics = traced_run_verdict("wire-topm")["metrics"]
+    assert metrics["backends.wire.topm_renormalized_per_request"]["value"] == 1.0
 
 
 def test_traced_wire_full_benchmark_run_is_correct():

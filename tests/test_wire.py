@@ -335,8 +335,19 @@ class TestProtocolErrors:
             {"vocab_size": 4, "top": [[0, math.nan], [1, -1.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [], "remainder": 1.0},
             {"vocab_size": 4, "top": [[0, -math.inf], [1, -math.inf]], "remainder": 1.0},
+            {"vocab_size": 4, "top": [[1, -1.0], [1, -2.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[4, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[-1, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[math.nan, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[1e30, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[0], [1, -1.0, 0.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[0, -1.0, 0.0, 0.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [0, -1.0], "remainder": 0.5},
+            {"vocab_size": 10**400, "top": [[0, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[0, -1.0]], "remainder": 10**400},
         ],
-        ids=["nan-logprob", "empty-top", "no-mass"],
+        ids=["nan-logprob", "empty-top", "no-mass", "duplicate-id", "id-at-vocab-size", "negative-id", "nan-id",
+             "huge-id", "entries-of-1-and-3", "entry-of-4", "flat-list", "huge-vocab-size", "huge-remainder"],
     )
     def test_malformed_top_replies_fail_at_the_boundary(self, payload):
         # the stub sends NaN and -Infinity literals, which json.loads accepts
