@@ -6,8 +6,9 @@ geometric mean of the probabilities). Contrastive adjustment against a
 degraded negative stream and equal-weight original/augmented view fusion
 operate on single streams before mixing.
 
-All reductions over streams run in a fixed balanced tree over ascending
-stream index, so results are bit-reproducible regardless of caller
+Every function works row by row on a stack of distributions, giving each row
+its own bits. All reductions over streams run in a fixed balanced tree over
+ascending stream index, so results are bit-reproducible regardless of caller
 concurrency, and mixing identical streams with uniform weights over a
 power-of-two stream count is exact in IEEE754.
 """
@@ -43,15 +44,20 @@ _TINY = 1e-300
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Exponential normalization, stable under large or -inf scores."""
+    """Exponential normalization along the last axis, stable under large or -inf scores."""
     z = np.asarray(scores, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A validated probability distribution over a vocabulary of ``size`` tokens.
+    """A validated probability distribution over a vocabulary of ``size`` tokens,
+    or a dense stack of D of them (``values`` of shape ``(D, V)``, each row
+    checked on its own). The decode engine stacks a round only when it is
+    returned whole: a round read lazily, the wire's, must hold no more than
+    one decoder's replies. Sparse rows do not stack: a row's union of
+    supports has a width of its own.
 
     Dense form (the default): ``values`` is the whole probability vector.
     Sparse form (``support`` given, with ``size``): ``values`` are the
@@ -77,14 +83,14 @@ class Distribution:
         object.__setattr__(self, "values", p)
         _check_probs(p)
         if self.support is None:
-            if self.size is not None and self.size != p.size:
-                raise ValueError(f"{p.size} probabilities for a vocabulary of {self.size}")
-            object.__setattr__(self, "size", p.size)
+            if self.size is not None and self.size != p.shape[-1]:
+                raise ValueError(f"{p.shape[-1]} probabilities for a vocabulary of {self.size}")
+            object.__setattr__(self, "size", p.shape[-1])
             object.__setattr__(self, "probs", p)
             return
         s = np.asarray(self.support)
         object.__setattr__(self, "support", s)
-        if s.dtype.kind not in "iu" or s.shape != p.shape:
+        if s.dtype.kind not in "iu" or s.ndim != 1 or s.shape != p.shape:
             raise ValueError("support must be an integer vector as long as the values")
         if self.size is None or self.size < 1:
             raise ValueError("a sparse distribution needs a vocabulary size of at least 1")
@@ -113,7 +119,10 @@ class Distribution:
 
     @classmethod
     def from_probs(cls, probs: Sequence[float] | np.ndarray) -> "Distribution":
-        return cls(np.asarray(probs, dtype=np.float64))
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError("probs must be one vector, not a stack")
+        return cls(p)
 
     @classmethod
     def from_logits(cls, scores: Sequence[float] | np.ndarray) -> "Distribution":
@@ -123,30 +132,39 @@ class Distribution:
         return dist
 
     @classmethod
-    def from_rows(cls, probs: np.ndarray) -> list["Distribution"]:
-        """One dense distribution per row of the ``(n, V)`` matrix ``probs``
-        (a view of it), all checked at once by the constructor's rule."""
-        p = np.asarray(probs, dtype=np.float64)
-        _check_probs(p, ndim=2)
-        rows = []
-        for row in p:
-            dist = cls.__new__(cls)
-            vars(dist).update(values=row, support=None, size=row.size, flags=(), probs=row)
-            rows.append(dist)
-        return rows
+    def stack(cls, dists: Sequence["Distribution"]) -> "Distribution":
+        """The 1-D ``dists``, of one vocabulary, as one dense stack, a row each
+        (checked already, so not again)."""
+        values = np.stack([d.probs for d in dists])
+        dist = cls.__new__(cls)
+        vars(dist).update(values=values, support=None, size=values.shape[-1], flags=(), probs=values)
+        if any(d._logits is not None for d in dists):
+            vars(dist)["_logits"] = np.stack([d.raw_scores for d in dists])
+        return dist
+
+    def rows(self, index: int | slice) -> "Distribution":
+        """The rows of a stack at ``index``, a view not checked again: for an
+        int, one row as a 1-D distribution; for a slice, a stack."""
+        dist = type(self).__new__(type(self))
+        vars(dist).update({k: v[index] if isinstance(v, np.ndarray) else v for k, v in vars(self).items()})
+        vars(dist)["probs"] = dist.values  # one array, as in any dense distribution
+        return dist
 
 
-def _check_probs(p: np.ndarray, ndim: int = 1) -> None:
-    """Raise ``ValueError`` unless each vector along the last axis of the ``ndim``-D
-    ``p`` is non-empty, non-negative and sums to 1 within ``PROB_TOL``."""
-    if p.ndim != ndim or p.shape[-1] == 0:
-        raise ValueError("probs must be a non-empty vector")
+def _check_probs(p: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``p`` is a vector or a stack of them whose
+    every vector is non-empty, non-negative and sums to 1 within
+    ``PROB_TOL``. A stack's sum error names its first bad row."""
+    if p.ndim not in (1, 2) or p.shape[-1] == 0:
+        raise ValueError("probs must be a non-empty vector or a stack of them")
     if (p < 0).any():
         raise ValueError("probs must be non-negative")
     sums = p.sum(axis=-1)
     ok = abs(sums - 1.0) <= PROB_TOL  # written so that a NaN or infinite sum fails too
-    if not (ok if ndim == 1 else ok.all()):
-        raise ValueError(f"probs sum to {sums if ndim == 1 else sums[~ok][0]!r}, expected 1 within {PROB_TOL}")
+    if not (ok if p.ndim == 1 else ok.all()):
+        i = int(np.argmin(ok))
+        at = f" in row {i}" if p.ndim == 2 else ""
+        raise ValueError(f"probs sum to {float(sums.flat[i])}{at}, expected 1 within {PROB_TOL}")
 
 
 def _probs_at(d: Distribution, ids: np.ndarray) -> np.ndarray:
@@ -277,7 +295,7 @@ def mix_logits(dists: Sequence[Distribution], w: Weights) -> Distribution:
     if not terms:
         raise ValueError("all weights are zero")
     combined = _tree_reduce(terms)
-    if combined.max() == -np.inf:
+    if (combined.max(axis=-1) == -np.inf).any():
         raise ValueError("streams share no plausible token: every combined score is -inf")
     return Distribution.from_logits(combined)
 
@@ -290,8 +308,9 @@ def tcd_adjust(pos: Distribution, neg: Distribution, cfg: TcdConfig) -> Distribu
     clamped to zero) are renormalized; log space scores
     ``(1+a)*log(pos) - a*log(neg)`` are exponential-normalized. With zero
     contrast strength and a threshold that excludes nothing the input is
-    returned unchanged. If the contrast clamps every plausible token to zero
-    mass, the positive stream is renormalized over the plausible set instead.
+    returned unchanged (row by row in a stack, raw scores included). If the
+    contrast clamps every plausible token of a row to zero mass, that row of
+    the positive stream is renormalized over its plausible set instead.
     In probability space a sparse positive gives a sparse result on its own
     support.
     """
@@ -302,24 +321,31 @@ def tcd_adjust(pos: Distribution, neg: Distribution, cfg: TcdConfig) -> Distribu
     # it has pos = 0, so its score (1+a)*0 - a*neg clamps to 0
     on_support = cfg.space == "probability" and pos.support is not None
     p = pos.values if on_support else pos.probs
-    cut = cfg.plausibility_threshold * p.max()
+    cut = cfg.plausibility_threshold * p.max(axis=-1, keepdims=True)
     plausible = p >= cut
-    # tokens off a sparse support (p = 0) are plausible only when the cut is 0
-    if a == 0.0 and plausible.all() and (cut <= 0.0 or p.size == len(pos)):
-        return pos
+    keep = None  # the rows returned as they are: no contrast, and no token cut
+    if a == 0.0:  # tokens off a sparse support (p = 0) are plausible only when the cut is 0
+        keep = plausible.all(axis=-1, keepdims=True) & ((cut <= 0.0) | (p.shape[-1] == len(pos)))
+        if keep.all():
+            return pos
     if cfg.space == "probability":
         n = _probs_at(neg, pos.support) if on_support else neg.probs
         scores = (1.0 + a) * p - a * n
         scores = np.where(plausible, np.maximum(scores, 0.0), 0.0)
-        total = scores.sum()
-        if total <= 0.0:
-            scores = np.where(plausible, p, 0.0)
-            total = scores.sum()
-        return Distribution(scores / total, support=pos.support, size=len(pos))
-    log_pos = np.log(np.maximum(pos.probs, _TINY))
-    log_neg = np.log(np.maximum(neg.probs, _TINY))
-    scores = np.where(plausible, (1.0 + a) * log_pos - a * log_neg, -np.inf)
-    return Distribution.from_logits(scores)
+        total = scores.sum(axis=-1, keepdims=True)
+        if total.min() <= 0.0:
+            scores = np.where(total <= 0.0, np.where(plausible, p, 0.0), scores)
+            total = scores.sum(axis=-1, keepdims=True)
+        out = Distribution(scores / total, support=pos.support, size=len(pos))
+    else:
+        log_pos = np.log(np.maximum(pos.probs, _TINY))
+        log_neg = np.log(np.maximum(neg.probs, _TINY))
+        out = Distribution.from_logits(np.where(plausible, (1.0 + a) * log_pos - a * log_neg, -np.inf))
+    if keep is not None and keep.any():  # the rows left alone are the positive's own, raw scores too
+        kept = Distribution(np.where(keep, p, out.values), support=out.support, size=len(pos))
+        object.__setattr__(kept, "_logits", np.where(keep, pos.raw_scores, out.raw_scores))
+        out = kept
+    return out
 
 
 def ritual_combine(
@@ -333,15 +359,18 @@ def ritual_combine(
     return mix_probs(pair, w) if space == "probability" else mix_logits(pair, w)
 
 
-def argmax_token(d: Distribution) -> int:
-    """Index of the maximum probability; ties go to the lowest token id."""
+def argmax_token(d: Distribution) -> int | list[int]:
+    """Index of the maximum probability (a list of one per row of a stack);
+    ties go to the lowest token id."""
+    best = np.argmax(d.values, axis=-1)
     if d.support is not None:
-        return int(d.support[np.argmax(d.values)])
-    return int(np.argmax(d.probs))
+        best = d.support[best]
+    return best.tolist()
 
 
-def sample_token(d: Distribution, temperature: float, seed) -> int:
-    """Sample a token id from the temperature-scaled distribution.
+def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
+    """Sample a token id from the temperature-scaled distribution; from a
+    stack, a list of one per row, row ``i`` drawn with ``seed[i]``.
 
     Temperature 0 is greedy (argmax). Otherwise the distribution is scaled as
     ``p ** (1/temperature)`` and renormalized; zero-probability tokens stay
@@ -357,9 +386,11 @@ def sample_token(d: Distribution, temperature: float, seed) -> int:
         support = d.probs > 0.0
         scaled = np.where(support, np.log(np.maximum(d.probs, _TINY)) / temperature, -np.inf)
         q = softmax(scaled)
-    u = np.random.default_rng(seed).random()
-    idx = int(np.searchsorted(np.cumsum(q), u, side="right"))
-    idx = min(idx, len(d) - 1)
-    while q[idx] == 0.0:
-        idx -= 1  # u rounded past the final positive cdf step
-    return idx
+    tokens = []
+    for row, s in zip(q.reshape(-1, d.size), seed if q.ndim > 1 else [seed]):
+        u = np.random.default_rng(s).random()
+        idx = min(int(np.searchsorted(np.cumsum(row), u, side="right")), d.size - 1)
+        while row[idx] == 0.0:
+            idx -= 1  # u rounded past the final positive cdf step
+        tokens.append(idx)
+    return tokens if q.ndim > 1 else tokens[0]

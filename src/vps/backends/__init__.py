@@ -116,8 +116,9 @@ class ScoreResponse:
         if top.ndim != 2 or top.shape[1] != 2 or not top.size:
             raise ValueError("top responses must report at least one (token id, log-probability) pair")
         ids, lps = top.T
-        if not ((ids >= 0) & (ids < self.vocab_size)).all():  # before the int cast, so NaN fails quietly
-            raise ValueError("top token id out of range")
+        # before the int cast, so that a NaN fails quietly and a fraction is not truncated
+        if not ((ids >= 0) & (ids < self.vocab_size) & (ids == np.floor(ids))).all():
+            raise ValueError("top token ids must be integers in [0, vocab_size)")
         if np.isnan(lps).any():
             raise ValueError("top log-probabilities must not be NaN")
         if (lps[1:] > lps[:-1]).any():

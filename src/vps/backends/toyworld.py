@@ -208,13 +208,13 @@ class ToyBackend:
         raises the query's error."""
         queries = [(step, query) for step in steps for query in step.queries]
         probs = np.zeros((len(queries), len(self.world.vocab)))
-        rows, symbols = [], []
+        rows, symbols, views = [], [], {}  # views: each distinct view of the round, parsed once
         for i, (step, (frame_set, view)) in enumerate(queries):
             if step.generated:
                 probs[i, self.world.stop_token] = 1.0
                 continue
             try:
-                kind, payload = parse_view(view)
+                kind, payload = views[view] if view in views else views.setdefault(view, parse_view(view))
                 frames = self._episodes[step.video_ref].frames
                 symbols.append([frames[t] for t in frame_set if kind != "zero" or t not in payload])
             except (KeyError, ValueError, IndexError) as exc:
@@ -224,7 +224,8 @@ class ToyBackend:
 
     def _rows(self, probs: np.ndarray, rows: list[int], symbols: list[list[int]]) -> list[Distribution]:
         probs[rows] = _answer_probs(self.world, symbols)
-        return Distribution.from_rows(probs)
+        stack = Distribution(probs)
+        return [stack.rows(i) for i in range(len(probs))]
 
     def score(self, req: ScoreRequest) -> Distribution:
         return next(iter(self.score_batch([ScoreStep.of(req)])))

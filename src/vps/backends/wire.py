@@ -180,8 +180,10 @@ def _bodies(step: ScoreStep) -> list[dict]:
 def _parse_payload(payload: object) -> ScoreResponse:
     if not isinstance(payload, dict) or "vocab_size" not in payload:
         raise WireParseError(f"response missing vocab_size: {payload!r}")
+    vocab_size = payload["vocab_size"]
+    if type(vocab_size) is not int:  # a float, or a bool, would be truncated to a vocabulary
+        raise WireParseError(f"vocab_size must be an integer: {vocab_size!r}")
     try:
-        vocab_size = int(payload["vocab_size"])
         if "scores" in payload and payload["scores"] is not None:
             return ScoreResponse(vocab_size, scores=payload["scores"])
         return ScoreResponse(vocab_size, top=payload["top"], remainder=float(payload["remainder"]))

@@ -17,6 +17,13 @@ are scored. The unit of scoring is the round: the pending steps of some
 decoders, scored by one ``score_batch`` call; only a round reads replies.
 :func:`step` scores a round of one decoder, and :func:`decode` runs one
 decoder with it; :func:`run_lockstep` runs many, a round of all at a time.
+
+A round returned as a list (the toy's) is held whole already, so the
+decoders of one config whose replies are dense and of one vocabulary are
+fused together: each fusion function runs once, on a stack of all their
+streams' rows. A round read lazily (the wire's) must hold no more than one
+decoder's replies, so each decoder is fused once its own are in, stream by
+stream. Both give every token and trace the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from typing import Literal, Sequence
 
 import numpy as np
@@ -161,7 +170,7 @@ class DecodeTrace:
             raw = json.loads(line)
             streams = tuple(
                 StreamStepRecord(
-                    s["stream"], Distribution(np.array(s["probs"], dtype=np.float64)), tuple(s.get("flags", ()))
+                    s["stream"], Distribution.from_probs(s["probs"]), tuple(s.get("flags", ()))
                 )
                 for s in raw["streams"]
             )
@@ -169,7 +178,7 @@ class DecodeTrace:
                 StepRecord(
                     index=raw["step"],
                     token=raw["token"],
-                    mixed=Distribution(np.array(raw["aggregated"], dtype=np.float64)),
+                    mixed=Distribution.from_probs(raw["aggregated"]),
                     streams=streams,
                 )
             )
@@ -250,17 +259,7 @@ class Decoder:
         self.steps = 0
         self.calls = 0
         self.done = False
-        # each stream is a run of queries: positive, then augmented under view fusion, then negative under TCD
-        self._queries: tuple[tuple[tuple[int, ...], str], ...] = ()
-        for j, frame_set in enumerate(plan.sets):
-            check_query(frame_set, cfg.score_top_m)
-            views = {"positive": IDENTITY}
-            if cfg.ritual_views is not None:
-                views["augmented"] = augmented_view(cfg.ritual_views[j])
-            if cfg.tcd is not None:
-                views["negative"] = negative_view(frame_set)
-            self._queries += tuple((frame_set, view) for view in views.values())
-        self._roles = tuple(views)  # the roles of a stream's run, the same for every stream
+        self._queries, self._roles = _queries(plan, cfg)
         self._pending = 0  # queries of the step handed out and not yet finished
 
     def pending(self) -> ScoreStep:
@@ -272,34 +271,7 @@ class Decoder:
 
     def advance(self, replies: Sequence[Distribution]) -> int:
         """Finish the pending step with one distribution per query; returns its token."""
-        cfg = self.cfg
-        if not self._pending or len(replies) != self._pending:
-            raise ValueError(f"{len(replies)} replies for {self._pending} pending requests")
-        self._pending = 0
-        self.calls += len(replies)
-        width = len(self._roles)
-        per_stream: list[Distribution] = []
-        for k in range(0, len(replies), width):  # stream k // width's run of replies
-            dist = replies[k]
-            if cfg.ritual_views is not None:
-                dist = ritual_combine(dist, replies[k + 1], space=cfg.space)
-            if cfg.tcd is not None:
-                dist = tcd_adjust(dist, replies[k + width - 1], cfg.tcd)
-            per_stream.append(dist)
-
-        w = Weights.uniform(cfg.streams)
-        mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-        seed = derive_seed(self.seed, self.steps) if cfg.temperature > 0 else None
-        token = sample_token(mixed, cfg.temperature, seed)
-
-        if self.keep_trace:
-            self.trace.steps.append(self._record(token, mixed, per_stream, replies))
-        self.steps += 1
-        if token in cfg.stop_tokens:
-            self.done = True
-        else:
-            self.tokens.append(token)
-            self.done = self.steps >= cfg.max_tokens
+        (token,) = _fuse([(self, replies)])
         return token
 
     def _record(
@@ -325,32 +297,103 @@ class Decoder:
         return DecodeError(stream_id, self._roles[position], cause, self.trace, self.tokens)
 
 
+@lru_cache(maxsize=256)
+def _queries(plan: FrameSelectionPlan, cfg: DecodeConfig) -> tuple[tuple, tuple[str, ...]]:
+    """The checked ``(frame_set, view)`` queries of every step of a decode of
+    ``plan`` under ``cfg``, and the roles of a stream's run of them."""
+    # each stream is a run of queries: positive, then augmented under view fusion, then negative under TCD
+    queries: tuple[tuple[tuple[int, ...], str], ...] = ()
+    for j, frame_set in enumerate(plan.sets):
+        check_query(frame_set, cfg.score_top_m)
+        views = {"positive": IDENTITY}
+        if cfg.ritual_views is not None:
+            views["augmented"] = augmented_view(cfg.ritual_views[j])
+        if cfg.tcd is not None:
+            views["negative"] = negative_view(frame_set)
+        queries += tuple((frame_set, view) for view in views.values())
+    return queries, tuple(views)  # the roles are the same for every stream
+
+
+def _fuse(members: Sequence[tuple[Decoder, Sequence[Distribution]]]) -> list[int]:
+    """Finish the pending step of each decoder of ``members``, all of one
+    config, with its replies; returns their tokens. One decoder is fused a
+    stream at a time; the replies of several, dense and of one vocabulary,
+    become one stack per role, a row per stream and decoder."""
+    cfg, width, n = members[0][0].cfg, len(members[0][0]._roles), len(members)
+    for decoder, replies in members:
+        if not decoder._pending or len(replies) != decoder._pending:
+            raise ValueError(f"{len(replies)} replies for {decoder._pending} pending requests")
+        decoder._pending = 0
+        decoder.calls += len(replies)
+    if n > 1:  # rows in stream then decoder order, so that a stream's rows are one slice
+        runs = [[Distribution.stack([got[k + r] for k in range(0, cfg.streams * width, width) for _, got in members])
+                 for r in range(width)]]
+    else:
+        ((_, replies),) = members
+        runs = [replies[k:k + width] for k in range(0, len(replies), width)]
+    fused = []
+    for run in runs:
+        dist = run[0]
+        if cfg.ritual_views is not None:
+            dist = ritual_combine(dist, run[1], space=cfg.space)
+        if cfg.tcd is not None:
+            dist = tcd_adjust(dist, run[-1], cfg.tcd)
+        fused.append(dist)
+    per_stream = [fused[0].rows(slice(j * n, (j + 1) * n)) for j in range(cfg.streams)] if n > 1 else fused
+    w = Weights.uniform(cfg.streams)
+    mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
+    seeds = [derive_seed(d.seed, d.steps) if cfg.temperature > 0 else None for d, _ in members]
+    tokens = sample_token(mixed, cfg.temperature, seeds) if n > 1 else [sample_token(mixed, cfg.temperature, seeds[0])]
+    for i, ((decoder, replies), token) in enumerate(zip(members, tokens)):
+        if decoder.keep_trace:
+            row = (lambda d: d.rows(i)) if n > 1 else (lambda d: d)
+            decoder.trace.steps.append(decoder._record(token, row(mixed), [row(d) for d in per_stream], replies))
+        decoder.steps += 1
+        if token in cfg.stop_tokens:
+            decoder.done = True
+        else:
+            decoder.tokens.append(token)
+            decoder.done = decoder.steps >= cfg.max_tokens
+    return tokens
+
+
 _END = object()  # what a read past a round's last reply must find
 
 
 def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int | DecodeError]:
     """Score the pending steps of ``decoders`` in one ``score_batch`` call,
-    read one reply per query, and advance each decoder once its replies are
-    in: each one's token, up to a failed query, whose decoder's
-    :class:`DecodeError` ends the list and the round (the decoders after it
-    keep their pending step). Too few or too many replies raise ``ValueError``."""
+    read one reply per query, and advance each decoder: each one's token, up
+    to a failed query, whose decoder's :class:`DecodeError` ends the list and
+    the round (the decoders after it keep their pending step). A list of
+    replies is fused by groups of one config and reply form, after the read.
+    Too few or too many replies raise ``ValueError``."""
     steps = [decoder.pending() for decoder in decoders]
-    replies = iter(scorer.score_batch(steps, jobs=jobs))
+    replies = scorer.score_batch(steps, jobs=jobs)
+    whole = isinstance(replies, list)
+    replies = iter(replies)
     outcomes: list[int | DecodeError] = []
-    for decoder, pending in zip(decoders, steps):
+    groups: dict[object, list[tuple[int, Decoder, list[Distribution]]]] = {}
+    for i, (decoder, pending) in enumerate(zip(decoders, steps)):
         got: list[Distribution] = []
         try:
-            for _ in range(len(pending)):
-                got.append(next(replies))
-        except StopIteration:
-            raise ValueError(
-                f"score_batch ran short: {len(got)} replies for a step of {len(pending)} queries") from None
+            got.extend(islice(replies, len(pending)))  # a failed reply leaves the ones before it in got
         except Exception as exc:  # noqa: BLE001 - returned as the decoder's DecodeError
             outcomes.append(decoder.fail(len(got), exc))
             return outcomes
-        outcomes.append(decoder.advance(got))
+        if len(got) < len(pending):
+            raise ValueError(f"score_batch ran short: {len(got)} replies for a step of {len(pending)} queries")
+        if not whole:
+            outcomes.append(decoder.advance(got))
+            continue
+        sizes = {len(d) for d in got}
+        stackable = len(sizes) == 1 and all(d.support is None for d in got)
+        groups.setdefault((decoder.cfg, *sizes) if stackable else i, []).append((i, decoder, got))
+        outcomes.append(0)  # its token, once its group is fused
     if next(replies, _END) is not _END:
         raise ValueError(f"score_batch ran long: more replies than the round's {sum(map(len, steps))} queries")
+    for members in groups.values():
+        for (i, _, _), token in zip(members, _fuse([(decoder, got) for _, decoder, got in members])):
+            outcomes[i] = token
     return outcomes
 
 

@@ -403,25 +403,43 @@ def method_decodes(
     ``s`` seeded ``derive_seed(seed, s)``), so a difference from the
     frame-subset mixture comes from the inputs, not the voting.
     """
-    if method.kind == "sc":
-        cfg = DecodeConfig(streams=1, temperature=temperature, max_tokens=max_tokens, stop_tokens=stop_tokens)
-        plan = identical_sets_plan(item.total_frames, frames_per_stream, 1)
-        return [(plan, cfg, derive_seed(seed, s)) for s in range(method.streams)]
-    bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
-    plan = _build_plan(strategy, item.total_frames, frames_per_stream, method.streams, seed, bolt)
+    decodes = _method_decodes(method, frames_per_stream, strategy, space, temperature, max_tokens, stop_tokens)
+    return decodes(item, seed, bolt_scores)
+
+
+def _method_decodes(
+    method: MethodSpec, frames_per_stream: int, strategy: str, space: str, temperature: float, max_tokens: int,
+    stop_tokens: frozenset[int],
+) -> Callable[[EvalItem, int, Sequence[float] | None], list[Decode]]:
+    """:func:`method_decodes` for the items of one method: its config is built
+    once, and its plan once per frame count (BOLT's, seeded and scored per
+    item, once per item)."""
+    sc = method.kind == "sc"
     cfg = DecodeConfig(
-        streams=method.streams,
-        space=space,  # type: ignore[arg-type]
+        streams=1 if sc else method.streams,
+        space="probability" if sc else space,  # type: ignore[arg-type]
+        temperature=temperature if sc else 0.0,
         max_tokens=max_tokens,
         stop_tokens=stop_tokens,
         tcd=TcdConfig() if method.tcd else None,
-        ritual_views=(
-            tuple(RITUAL_TAG_POOL[j % len(RITUAL_TAG_POOL)] for j in range(method.streams))
-            if method.ritual
-            else None
-        ),
+        ritual_views=tuple(RITUAL_TAG_POOL[j % len(RITUAL_TAG_POOL)] for j in range(method.streams))
+        if method.ritual else None,
     )
-    return [(plan, cfg, seed)]
+    plans: dict[int, FrameSelectionPlan] = {}  # by frame count: items of one length share a plan
+
+    def decodes(item: EvalItem, seed: int, bolt_scores: Sequence[float] | None) -> list[Decode]:
+        frames = item.total_frames
+        if sc:
+            plan = plans.get(frames) or plans.setdefault(frames, identical_sets_plan(frames, frames_per_stream, 1))
+            return [(plan, cfg, derive_seed(seed, s)) for s in range(method.streams)]
+        bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
+        if strategy == "bolt":
+            return [(_build_plan(strategy, frames, frames_per_stream, method.streams, seed, bolt), cfg, seed)]
+        plan = plans.get(frames) or plans.setdefault(
+            frames, _build_plan(strategy, frames, frames_per_stream, method.streams, seed))
+        return [(plan, cfg, seed)]
+
+    return decodes
 
 
 def evaluate_item(
@@ -502,18 +520,14 @@ def run_benchmark(
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
-    options = dict(strategy=strategy, space=space, temperature=temperature, max_tokens=max_tokens,
-                   stop_tokens=stop_tokens)
     seeds = [derive_seed(seed, idx) for idx in range(len(items))]
     for method in methods:
         audit[method.tag] = 0
         method_results = []
+        decodes = _method_decodes(method, frames_per_stream, strategy, space, temperature, max_tokens, stop_tokens)
         for start in range(0, len(items), LOCKSTEP_ITEMS):
             work = [
-                (item, method_decodes(
-                    item, method, frames_per_stream, seeds[idx],
-                    bolt_scores=bolt_scores.get(item.video_ref) if bolt_scores else None, **options,
-                ))
+                (item, decodes(item, seeds[idx], bolt_scores.get(item.video_ref) if bolt_scores else None))
                 for idx, item in enumerate(items[start:start + LOCKSTEP_ITEMS], start)
             ]
             outcomes, calls = _run_decodes(work, backend, jobs, trace)

@@ -75,7 +75,7 @@ class TestDistribution:
 
 
 class TestBatchCheck:
-    """``Distribution.from_rows`` checks a whole matrix by the constructor's rule."""
+    """A stack checks a whole matrix, row by row, by the constructor's rule."""
 
     GOOD = [0.25, 0.25, 0.5]
 
@@ -91,29 +91,29 @@ class TestBatchCheck:
         with pytest.raises(ValueError) as single:
             Distribution(np.array(row))
         with pytest.raises(ValueError) as batch:
-            Distribution.from_rows(np.array([self.GOOD, row, self.GOOD]))
-        assert str(batch.value) == str(single.value)
+            Distribution(np.array([self.GOOD, row, self.GOOD]))
+        # the error of the row alone; a sum error also names the row
+        assert str(batch.value) == str(single.value).replace(", expected", " in row 1, expected")
 
     def test_empty_and_two_dimensional_rows(self):
         with pytest.raises(ValueError) as single:
             Distribution(np.zeros(0))
         with pytest.raises(ValueError) as batch:
-            Distribution.from_rows(np.zeros((3, 0)))
+            Distribution(np.zeros((3, 0)))
         assert str(batch.value) == str(single.value)
-        row = np.array([self.GOOD, self.GOOD])
-        with pytest.raises(ValueError) as single:
-            Distribution(row)
+        row = np.array([self.GOOD, self.GOOD])  # a valid stack, but no row of a stack
         with pytest.raises(ValueError) as batch:
-            Distribution.from_rows(np.array([row, row]))
+            Distribution(np.array([row, row]))
         assert str(batch.value) == str(single.value)
 
     def test_rows_equal_single_constructions(self):
         rng = np.random.default_rng(5)
         matrix = rng.dirichlet(np.ones(7), size=4)
-        assert Distribution.from_rows(matrix[:0]) == []
+        assert Distribution(matrix[:0]).values.shape == (0, 7)
         for rows in (matrix[:1], matrix):
-            for got, row in zip(Distribution.from_rows(rows), rows, strict=True):
-                want = Distribution(row)
+            stack = Distribution(rows)
+            for i, row in enumerate(rows):
+                got, want = stack.rows(i), Distribution(row)
                 assert vars(got).keys() == vars(want).keys()
                 for key, value in vars(want).items():
                     if isinstance(value, np.ndarray):
@@ -121,6 +121,7 @@ class TestBatchCheck:
                     else:
                         assert getattr(got, key) == value, key
                 assert got.probs is got.values and len(got) == len(want)
+                assert np.shares_memory(got.values, rows)
                 assert np.array_equal(got.raw_scores, want.raw_scores)
 
 
@@ -507,3 +508,81 @@ class TestSparseMatchesDense:
         out = mix_probs([d] * J, Weights.uniform(J))
         assert np.array_equal(out.support, d.support)
         assert np.array_equal(out.values, d.values)
+
+
+def reference_sample(d, temperature, seed):
+    """sample_token of one distribution, by the 1-D rule written out: search
+    the cdf, then step back past zero-probability tokens."""
+    q = d.probs
+    if temperature != 1.0:
+        q = softmax(np.where(q > 0.0, np.log(np.maximum(q, 1e-300)) / temperature, -np.inf))
+    u = np.random.default_rng(seed).random()
+    idx = min(int(np.searchsorted(np.cumsum(q), u, side="right")), len(d) - 1)
+    while q[idx] == 0.0:
+        idx -= 1
+    return idx
+
+
+def assert_rows_alone(stack, rows):
+    """Row i of ``stack`` has the bits of ``rows[i]``, computed alone."""
+    assert stack.values.shape[0] == len(rows)
+    for i, alone in enumerate(rows):
+        row = stack.rows(i)
+        assert row.probs.tobytes() == alone.probs.tobytes()
+        assert row.raw_scores.tobytes() == alone.raw_scores.tobytes()
+
+
+class TestStacks:
+    """Every function works on a stack row by row: a row gets the bits it gets alone."""
+
+    @staticmethod
+    def random_rows(rng, rows, size):
+        """Dense rows, some from logits and some with zeros."""
+        out = []
+        for _ in range(rows):
+            if rng.random() < 0.5:
+                out.append(Distribution.from_logits(rng.normal(size=size) * 3))
+            else:
+                p = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+                p[rng.integers(size)] += rng.choice([0.0, 0.5])
+                out.append(Distribution.from_probs(p / p.sum()) if p.sum() else Distribution.from_probs(np.eye(size)[0]))
+        return out
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 6), strengths, thresholds,
+           st.sampled_from(["probability", "log"]), st.sampled_from([0.0, 0.7, 1.0, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_gets_its_own_bits(self, seed, size, rows, a, beta, space, temperature):
+        rng = np.random.default_rng(seed)
+        streams = [self.random_rows(rng, rows, size) for _ in range(3)]
+        stacks = [Distribution.stack(s) for s in streams]
+        alone = [[s[i] for s in streams] for i in range(rows)]
+        w = Weights.normalized(rng.random(3) + 0.1)
+        cfg = TcdConfig(a, beta, space)
+        assert_rows_alone(stacks[0], streams[0])
+        for mix in (mix_probs, mix_logits):
+            assert_rows_alone(mix(stacks, w), [mix(row, w) for row in alone])
+        for view_space in ("probability", "logit"):
+            assert_rows_alone(ritual_combine(stacks[1], stacks[2], view_space),
+                              [ritual_combine(row[1], row[2], view_space) for row in alone])
+        assert_rows_alone(tcd_adjust(stacks[1], stacks[2], cfg), [tcd_adjust(row[1], row[2], cfg) for row in alone])
+        seeds = rng.integers(2**32, size=rows).tolist()
+        want = [reference_sample(d, temperature, s) if temperature else argmax_token(d)
+                for d, s in zip(streams[1], seeds)]
+        assert sample_token(stacks[1], temperature, seeds) == want
+        assert [sample_token(d, temperature, s) for d, s in zip(streams[1], seeds)] == want
+
+    def test_sparse_rows_do_not_stack(self):
+        with pytest.raises(ValueError, match="integer vector"):
+            Distribution([[0.5, 0.5], [0.5, 0.5]], support=[[0, 1], [1, 3]], size=5)
+
+    def test_a_draw_past_the_last_cdf_step_takes_the_last_positive_token(self, monkeypatch):
+        class Top:
+            def random(self):
+                return np.nextafter(1.0, 0.0)  # above the cdf of row 0, which sums to 1 - 5e-10
+
+        rows = [Distribution.from_probs([0.5, 0.5 - 5e-10, 0.0, 0.0]), Distribution.from_probs([0.25, 0.25, 0.5, 0.0])]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())
+        want = [reference_sample(d, 1.0, 0) for d in rows]
+        assert want == [1, 2]
+        assert sample_token(Distribution.stack(rows), 1.0, [0, 0]) == want
+        assert [sample_token(d, 1.0, 0) for d in rows] == want

@@ -314,7 +314,12 @@ class TestDecode:
 
     def test_loaded_stream_vectors_are_checked(self):
         line = {"step": 0, "token": 0, "aggregated": [1.0, 0.0], "streams": [{"stream": 0, "probs": [0.25, 0.25]}]}
-        with pytest.raises(ValueError, match="probs sum to"):
+        with pytest.raises(ValueError, match=r"^probs sum to 0\.5, expected 1"):  # a Python float, no numpy repr
+            DecodeTrace.from_jsonl(json.dumps(line))
+        with pytest.raises(ValueError, match=r"^probs sum to 0\.5 in row 1, expected 1"):  # a stack names its row
+            Distribution(np.array([[1.0, 0.0], [0.25, 0.25], [0.5, 0.0]]))
+        line["streams"][0]["probs"] = [[1.0, 0.0]]  # a valid stack, but a trace stores vectors
+        with pytest.raises(ValueError, match="one vector"):
             DecodeTrace.from_jsonl(json.dumps(line))
 
 

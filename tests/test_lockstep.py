@@ -4,12 +4,16 @@ decode at a time, and what a failed query does to a lock-step run."""
 import dataclasses
 import threading
 import weakref
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vps.aggregation import TcdConfig
-from vps.backends import ScoreRequest, ScoreStep
+from vps.aggregation import Distribution, TcdConfig, argmax_token
+from vps.backends import MockBackend, ScoreRequest, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
 from vps.decode_engine import (
@@ -552,3 +556,146 @@ class TestFailures:
         assert audit == {"baseline": 2, "vps:2": 2}
         assert backend.retries_total == 4 * 3
         assert all(r.error["type"] == "WireTransportError" and r.error["stream"] == 0 for r in results)
+
+
+class Whole:
+    """Reads each round of ``inner`` whole and returns it as a list; a round
+    with a failed query goes back, as the toy's does, as an iterator over the
+    replies before it, which then raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score_batch(self, steps, jobs=1):
+        replies = []
+        try:
+            replies.extend(self.inner.score_batch(steps, jobs))
+        except Exception as exc:  # noqa: BLE001 - raised again at its reply
+            return then_raise(replies, exc)
+        return replies
+
+
+def then_raise(replies, exc):
+    yield from replies
+    raise exc
+
+
+def fixture(key, vocab, sparse):
+    """A reply for ``key``: dense probabilities (some zero, some nearly one
+    token's), dense logits (some -inf) or, when ``sparse``, a top-m reply whose
+    width depends on the key. Half the negative views put 0.92 on their
+    positive's top token, so that a strong contrast can clamp every plausible
+    token to zero."""
+    frame_set, view, prefix = key
+    rng = np.random.default_rng(zlib.crc32(repr(key).encode()))
+    if view.startswith("zero:") and rng.random() < 0.5:
+        p = np.full(vocab, 0.02)
+        p[argmax_token(fixture((frame_set, IDENTITY, prefix), vocab, sparse))] = 0.92
+        return Distribution.from_probs(p)
+    kind = rng.integers(3 if sparse else 2)
+    if kind == 0:
+        p = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.8)
+        p[rng.integers(vocab)] += rng.choice([0.0, 0.5, 20.0])
+        return Distribution.from_probs(p / p.sum())
+    if kind == 1:
+        z = np.where(rng.random(vocab) < 0.2, -np.inf, rng.normal(size=vocab))
+        z[rng.integers(vocab)] = 1.0
+        return Distribution.from_logits(z)
+    support = np.sort(rng.choice(vocab, size=rng.integers(1, vocab + 1), replace=False))
+    return Distribution(rng.dirichlet(np.ones(support.size)), support=support, size=vocab)
+
+
+class TestWholeAndLazyRounds:
+    """A round returned as a list is fused whole, a lazily read one decoder by
+    decoder; both must give every decoder the same bits."""
+
+    VOCAB = 5
+
+    @settings(max_examples=60, deadline=None)
+    # a stack where the contrast clamps some rows to zero mass, and one where it leaves some rows alone
+    @example(streams=8, space="probability", tcd="probability", contrast=0.9, threshold=1.0, ritual=False,
+             temperature=0.0, max_tokens=2, stop=False, sparse=False, missing=400, seed=0)
+    @example(streams=3, space="logit", tcd="probability", contrast=0.0, threshold=0.1, ritual=False,
+             temperature=0.7, max_tokens=2, stop=True, sparse=False, missing=400, seed=0)
+    @given(
+        streams=st.sampled_from([1, 2, 3, 8]),
+        space=st.sampled_from(["probability", "logit"]),
+        tcd=st.sampled_from([None, "probability", "log"]),
+        contrast=st.sampled_from([0.0, 0.5, 0.9]),
+        threshold=st.sampled_from([0.0, 0.1, 1.0]),
+        ritual=st.booleans(),
+        temperature=st.sampled_from([0.0, 0.7, 1.0]),
+        max_tokens=st.integers(1, 3),
+        stop=st.booleans(),
+        sparse=st.booleans(),
+        missing=st.integers(0, 400),
+        seed=st.integers(0, 2**20),
+    )
+    def test_run_lockstep_gives_the_same_bits_either_way(
+        self, streams, space, tcd, contrast, threshold, ritual, temperature, max_tokens, stop, sparse, missing, seed
+    ):
+        # two configs whose decoders alternate in the round, each decoder over frames of its own
+        cfg = DecodeConfig(
+            streams=streams, space=space, temperature=temperature, max_tokens=max_tokens,
+            stop_tokens=frozenset({self.VOCAB - 1} if stop else ()),
+            tcd=None if tcd is None else TcdConfig(contrast, threshold, tcd),
+            ritual_views=RITUAL_TAG_POOL[:1] * streams if ritual else None,
+        )
+        other = dataclasses.replace(cfg, streams=2, tcd=TcdConfig(), ritual_views=None)
+
+        def decoders():
+            return [[Decoder("v", "p", uniform_offset_plan(32 + 8 * i, 2, c.streams), c, seed + i)]
+                    for i, c in enumerate([cfg, other, cfg, cfg, other])]
+
+        prefixes = [()]
+        for _ in range(max_tokens - 1):
+            prefixes += [p + (t,) for p in prefixes if len(p) == len(prefixes[-1]) for t in range(self.VOCAB)]
+        pairs = sorted({query for (d,) in decoders() for query in d.pending().queries})
+        keys = [(frame_set, view, prefix) for frame_set, view in pairs for prefix in prefixes]
+        fixtures = {key: fixture(key, self.VOCAB, sparse) for k, key in enumerate(keys) if k != missing}
+
+        outcomes = []
+        for scorer in (Whole(MockBackend(fixtures)), Counting(MockBackend(fixtures))):
+            groups = decoders()
+            try:
+                errors = run_lockstep(groups, scorer)
+            except ValueError as exc:  # no token is plausible in every stream
+                outcomes.append(str(exc))
+                continue
+            outcomes.append((
+                [None if e is None else (e.stream_id, e.role, repr(e.cause)) for e in errors],
+                [(d.tokens, d.calls, d.steps, d.trace.to_jsonl()) for (d,) in groups],
+            ))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestWholeRoundCalls:
+    def test_a_toy_round_fuses_each_config_once_and_parses_each_view_once(self, monkeypatch):
+        import vps.backends.toyworld as toyworld
+        import vps.decode_engine as decode_engine
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((decode_engine, "mix_probs"), (decode_engine, "tcd_adjust"),
+                             (toyworld, "parse_view")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rounds = []
+        native = ToyBackend.score_batch
+
+        def recording(self, steps, jobs=1):
+            rounds.append({view for step in steps for _, view in step.queries})
+            return native(self, steps, jobs)
+
+        monkeypatch.setattr(ToyBackend, "score_batch", recording)
+        world = ToyWorld.symmetric(4, 0.55)
+        items, backend = toy_benchmark(world, 16, total_frames=64, seed=8)
+        results, audit = run_benchmark(items, backend, [MethodSpec.parse("vps:8+tcd+ritual")], 4, seed=3, max_tokens=1)
+        assert audit == {"vps:8+tcd+ritual": 16 * 24} and all(r.error is None for r in results)
+        (views,) = rounds  # one round of 16 decoders of one config
+        assert calls == {"mix_probs": 1, "tcd_adjust": 1, "parse_view": len(views)}

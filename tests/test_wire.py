@@ -321,6 +321,18 @@ class TestProtocolErrors:
             with pytest.raises(WireParseError):
                 WireBackend(fast_config(server.url)).score_response(req())
 
+    @pytest.mark.parametrize("payload", [
+        {"vocab_size": 3.7, "scores": [0.0, 0.0, 0.0]},
+        {"vocab_size": 3.0, "scores": [0.0, 0.0, 0.0]},
+        {"vocab_size": True, "scores": [0.0]},
+        {"vocab_size": "3", "top": [[0, -1.0]], "remainder": 0.5},
+    ], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_vocab_size(self, payload):
+        # int() would have truncated each of these to a vocabulary
+        with StubServer(score_handler=lambda body: payload) as server:
+            with pytest.raises(WireParseError, match="vocab_size"):
+                WireBackend(fast_config(server.url)).score_response(req())
+
     def test_non_finite_full_scores(self):
         def handler(body):
             return {"vocab_size": 2, "scores": [0.0, math.nan]}
@@ -340,6 +352,7 @@ class TestProtocolErrors:
             {"vocab_size": 4, "top": [[-1, -1.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [[math.nan, -1.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [[1e30, -1.0]], "remainder": 0.5},
+            {"vocab_size": 4, "top": [[2, -1.0], [1.5, -2.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [[0], [1, -1.0, 0.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [[0, -1.0, 0.0, 0.0]], "remainder": 0.5},
             {"vocab_size": 4, "top": [0, -1.0], "remainder": 0.5},
@@ -347,7 +360,7 @@ class TestProtocolErrors:
             {"vocab_size": 4, "top": [[0, -1.0]], "remainder": 10**400},
         ],
         ids=["nan-logprob", "empty-top", "no-mass", "duplicate-id", "id-at-vocab-size", "negative-id", "nan-id",
-             "huge-id", "entries-of-1-and-3", "entry-of-4", "flat-list", "huge-vocab-size", "huge-remainder"],
+             "huge-id", "fractional-id", "entries-of-1-and-3", "entry-of-4", "flat-list", "huge-vocab-size", "huge-remainder"],
     )
     def test_malformed_top_replies_fail_at_the_boundary(self, payload):
         # the stub sends NaN and -Infinity literals, which json.loads accepts
