@@ -21,6 +21,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .seeds import first_uniforms
+
 __all__ = [
     "PROB_TOL",
     "WEIGHT_TOL",
@@ -370,7 +372,8 @@ def argmax_token(d: Distribution) -> int | list[int]:
 
 def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
     """Sample a token id from the temperature-scaled distribution; from a
-    stack, a list of one per row, row ``i`` drawn with ``seed[i]``.
+    stack, a list of one per row, row ``i`` drawn with ``seed[i]``, a
+    non-negative integer (see :mod:`vps.seeds`).
 
     Temperature 0 is greedy (argmax). Otherwise the distribution is scaled as
     ``p ** (1/temperature)`` and renormalized; zero-probability tokens stay
@@ -378,6 +381,8 @@ def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
+    if d.values.ndim > 1 and len(seed) != len(d.values):
+        raise ValueError(f"{len(seed)} seeds for a stack of {len(d.values)} rows")
     if temperature == 0.0:
         return argmax_token(d)
     if temperature == 1.0:
@@ -386,9 +391,10 @@ def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
         support = d.probs > 0.0
         scaled = np.where(support, np.log(np.maximum(d.probs, _TINY)) / temperature, -np.inf)
         q = softmax(scaled)
+    # numpy's own generator is the faster for one row
+    uniforms = first_uniforms(seed) if q.ndim > 1 else [np.random.default_rng(seed).random()]
     tokens = []
-    for row, s in zip(q.reshape(-1, d.size), seed if q.ndim > 1 else [seed]):
-        u = np.random.default_rng(s).random()
+    for row, u in zip(q.reshape(-1, d.size), uniforms):
         idx = min(int(np.searchsorted(np.cumsum(row), u, side="right")), d.size - 1)
         while row[idx] == 0.0:
             idx -= 1  # u rounded past the final positive cdf step

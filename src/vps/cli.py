@@ -377,6 +377,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds only with non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=eval_harness.STRATEGIES, default="uniform")
     p.add_argument("--scores", help="JSON file with per-frame relevance scores (bolt)")
     p.add_argument("--sharpen", type=float, default=3.0, help="bolt sharpening exponent")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the plan here instead of stdout")
     p.set_defaults(func=cmd_plan)
 
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("probability", "logit"), default="probability")
     p.add_argument("--temperature", type=float, default=1.0, help="self-consistency sampling temperature")
     p.add_argument("--max-tokens", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--jobs", type=int, default=1,
         help="the most backend queries in flight at once (the toy backend scores each round in one call)",
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=0.0, help="per-stream bias")
     p.add_argument("--vocab", type=int, default=64)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--float32", action="store_true", help="float32 bulk arithmetic (float64 accumulation)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

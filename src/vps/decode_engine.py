@@ -49,6 +49,7 @@ from .aggregation import (
 )
 from .backends import Scorer, ScoreStep, check_query
 from .frame_selection import FrameSelectionPlan
+from .seeds import child_seeds, derive_seed
 from .views import IDENTITY, augmented_view, zero_view
 
 __all__ = [
@@ -215,12 +216,6 @@ def negative_view(frame_set: Sequence[int]) -> str:
     return zero_view(frames[1::2])
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """The ``index``-th child seed of ``seed``: stable across runs and
-    platforms (independent of hash randomization)."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 class Decoder:
     """One decode as a state machine, and the whole state of it.
 
@@ -231,9 +226,10 @@ class Decoder:
     the step: it adjusts and mixes the streams and samples one token. The
     decode is done after a stop token (recorded in the trace, not appended
     to ``tokens``) or ``cfg.max_tokens`` steps. Step ``t`` samples with a
-    seed derived from (``seed``, ``t``); a greedy decode (temperature 0)
-    derives none. With ``keep_trace`` off no step record is built, and
-    ``trace`` stays empty. ``calls`` counts the replies read, a failed one too.
+    seed derived from (``seed``, ``t``), which must be non-negative; a
+    greedy decode (temperature 0) derives none. With ``keep_trace`` off no
+    step record is built, and ``trace`` stays empty. ``calls`` counts the
+    replies read, a failed one too.
     """
 
     def __init__(
@@ -248,6 +244,8 @@ class Decoder:
     ) -> None:
         if plan.streams != cfg.streams:
             raise ValueError(f"plan has {plan.streams} streams, config expects {cfg.streams}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.video_ref = video_ref
         self.prompt = prompt
         self.plan = plan
@@ -342,7 +340,11 @@ def _fuse(members: Sequence[tuple[Decoder, Sequence[Distribution]]]) -> list[int
     per_stream = [fused[0].rows(slice(j * n, (j + 1) * n)) for j in range(cfg.streams)] if n > 1 else fused
     w = Weights.uniform(cfg.streams)
     mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-    seeds = [derive_seed(d.seed, d.steps) if cfg.temperature > 0 else None for d, _ in members]
+    seeds: list[int | None] = [None] * n  # a greedy step derives none
+    if cfg.temperature > 0:  # numpy's own call is the faster for one row
+        decoders = [decoder for decoder, _ in members]
+        seeds = (child_seeds([d.seed for d in decoders], [d.steps for d in decoders]) if n > 1
+                 else [derive_seed(decoders[0].seed, decoders[0].steps)])
     tokens = sample_token(mixed, cfg.temperature, seeds) if n > 1 else [sample_token(mixed, cfg.temperature, seeds[0])]
     for i, ((decoder, replies), token) in enumerate(zip(members, tokens)):
         if decoder.keep_trace:

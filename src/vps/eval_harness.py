@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import TcdConfig
 from .backends import Scorer
-from .decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, derive_seed, run_lockstep
+from .decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, run_lockstep
 from .decode_engine import decode  # noqa: F401 - unused; perfbench/tracer.py swaps it
 from .frame_selection import (
     FrameSelectionPlan,
@@ -31,6 +31,7 @@ from .frame_selection import (
     identical_sets_plan,
     uniform_offset_plan,
 )
+from .seeds import child_seeds
 
 __all__ = [
     "TASKS",
@@ -404,16 +405,18 @@ def method_decodes(
     frame-subset mixture comes from the inputs, not the voting.
     """
     decodes = _method_decodes(method, frames_per_stream, strategy, space, temperature, max_tokens, stop_tokens)
-    return decodes(item, seed, bolt_scores)
+    (got,) = decodes([(item, seed, bolt_scores)])
+    return got
 
 
 def _method_decodes(
     method: MethodSpec, frames_per_stream: int, strategy: str, space: str, temperature: float, max_tokens: int,
     stop_tokens: frozenset[int],
-) -> Callable[[EvalItem, int, Sequence[float] | None], list[Decode]]:
-    """:func:`method_decodes` for the items of one method: its config is built
-    once, and its plan once per frame count (BOLT's, seeded and scored per
-    item, once per item)."""
+) -> Callable[[Sequence[tuple[EvalItem, int, Sequence[float] | None]]], list[list[Decode]]]:
+    """:func:`method_decodes` for each (item, seed, BOLT scores) of a chunk
+    of one method: its config is built once, its plan once per frame count
+    (BOLT's, seeded and scored per item, once per item), and the chunk's
+    ``sc:J`` sample seeds in one :func:`~vps.seeds.child_seeds` call."""
     sc = method.kind == "sc"
     cfg = DecodeConfig(
         streams=1 if sc else method.streams,
@@ -427,17 +430,22 @@ def _method_decodes(
     )
     plans: dict[int, FrameSelectionPlan] = {}  # by frame count: items of one length share a plan
 
-    def decodes(item: EvalItem, seed: int, bolt_scores: Sequence[float] | None) -> list[Decode]:
+    def plan(item: EvalItem, seed: int, bolt_scores: Sequence[float] | None) -> FrameSelectionPlan:
         frames = item.total_frames
         if sc:
-            plan = plans.get(frames) or plans.setdefault(frames, identical_sets_plan(frames, frames_per_stream, 1))
-            return [(plan, cfg, derive_seed(seed, s)) for s in range(method.streams)]
+            return plans.get(frames) or plans.setdefault(frames, identical_sets_plan(frames, frames_per_stream, 1))
         bolt = BoltConfig(tuple(bolt_scores)) if bolt_scores is not None else None
         if strategy == "bolt":
-            return [(_build_plan(strategy, frames, frames_per_stream, method.streams, seed, bolt), cfg, seed)]
-        plan = plans.get(frames) or plans.setdefault(
+            return _build_plan(strategy, frames, frames_per_stream, method.streams, seed, bolt)
+        return plans.get(frames) or plans.setdefault(
             frames, _build_plan(strategy, frames, frames_per_stream, method.streams, seed))
-        return [(plan, cfg, seed)]
+
+    def decodes(chunk: Sequence[tuple[EvalItem, int, Sequence[float] | None]]) -> list[list[Decode]]:
+        if not sc:
+            return [[(plan(*work), cfg, work[1])] for work in chunk]
+        j = method.streams
+        seeds = iter(child_seeds([seed for _, seed, _ in chunk for _ in range(j)], list(range(j)) * len(chunk)))
+        return [[(plan(*work), cfg, next(seeds)) for _ in range(j)] for work in chunk]
 
     return decodes
 
@@ -520,16 +528,17 @@ def run_benchmark(
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
-    seeds = [derive_seed(seed, idx) for idx in range(len(items))]
+    seeds = child_seeds([seed] * len(items), range(len(items)))
     for method in methods:
         audit[method.tag] = 0
         method_results = []
         decodes = _method_decodes(method, frames_per_stream, strategy, space, temperature, max_tokens, stop_tokens)
         for start in range(0, len(items), LOCKSTEP_ITEMS):
-            work = [
-                (item, decodes(item, seeds[idx], bolt_scores.get(item.video_ref) if bolt_scores else None))
-                for idx, item in enumerate(items[start:start + LOCKSTEP_ITEMS], start)
-            ]
+            chunk = items[start:start + LOCKSTEP_ITEMS]
+            work = list(zip(chunk, decodes([
+                (item, seeds[idx], bolt_scores.get(item.video_ref) if bolt_scores else None)
+                for idx, item in enumerate(chunk, start)
+            ])))
             outcomes, calls = _run_decodes(work, backend, jobs, trace)
             audit[method.tag] += calls
             method_results.extend(
@@ -551,8 +560,8 @@ def toy_benchmark(
 
     backend = ToyBackend(world)
     items = []
-    for e in range(n_episodes):
-        episode = toy_episode(world, total_frames, derive_seed(seed, e))
+    for e, episode_seed in enumerate(child_seeds([seed] * n_episodes, range(n_episodes))):
+        episode = toy_episode(world, total_frames, episode_seed)
         backend.add_episode(episode)
         items.append(
             EvalItem(

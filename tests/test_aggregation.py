@@ -575,13 +575,27 @@ class TestStacks:
         with pytest.raises(ValueError, match="integer vector"):
             Distribution([[0.5, 0.5], [0.5, 0.5]], support=[[0, 1], [1, 3]], size=5)
 
+    def test_a_stack_refuses_bad_seeds(self):
+        stack = Distribution.stack([Distribution.from_probs([0.5, 0.5])] * 3)
+        with pytest.raises(ValueError, match="2 seeds for a stack of 3 rows"):
+            sample_token(stack, 1.0, [1, 2])
+        with pytest.raises(ValueError, match="2 seeds for a stack of 3 rows"):
+            sample_token(stack, 0.0, [None, None])
+        for bad in (None, -1, -2**40):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                sample_token(stack, 0.7, [1, bad, 2])
+        assert sample_token(stack, 0.0, [None] * 3) == [0, 0, 0]  # a greedy draw needs no seed
+
     def test_a_draw_past_the_last_cdf_step_takes_the_last_positive_token(self, monkeypatch):
+        from vps import aggregation
+
         class Top:
             def random(self):
                 return np.nextafter(1.0, 0.0)  # above the cdf of row 0, which sums to 1 - 5e-10
 
         rows = [Distribution.from_probs([0.5, 0.5 - 5e-10, 0.0, 0.0]), Distribution.from_probs([0.25, 0.25, 0.5, 0.0])]
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())  # one row's draw
+        monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [Top().random() for _ in seeds])  # a stack's
         want = [reference_sample(d, 1.0, 0) for d in rows]
         assert want == [1, 2]
         assert sample_token(Distribution.stack(rows), 1.0, [0, 0]) == want

@@ -70,6 +70,12 @@ class TestPlanCommand:
         ]) == 2
         assert "scores must be non-negative" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--T", "12", "--k", "3", "--J", "2", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_toy_run_writes_reports(self, tmp_path, capsys):
@@ -190,6 +196,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()  # refused before the run starts
+
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "toy"],
+        ["--backend", "wire", "--dataset", "items.jsonl", "--endpoint", "http://127.0.0.1:9"],
+    ], ids=["toy", "wire"])
+    def test_negative_seed_exits_2_before_the_run_starts(self, backend, tmp_path, capsys):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *backend, "--seed", "-1", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_more_than_four_options_exit_2(self, tmp_path, capsys):
         # six toy labels would be lettered A-F, and every E or F answer scored wrong
@@ -438,6 +456,14 @@ class TestSimulateCommand:
         rows = read_csv(out)
         predicted = [float(r[1]) for r in rows[1:]]
         assert np.allclose(predicted, predicted[0])
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--samples", "100", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uncorrelated_sweep_strictly_decreasing(self, tmp_path):
         out = tmp_path / "sim.csv"

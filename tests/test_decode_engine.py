@@ -17,6 +17,7 @@ from vps.decode_engine import (
     Decoder,
     decode,
     negative_view,
+    run_lockstep,
     step,
 )
 from vps.frame_selection import FrameSelectionPlan, uniform_offset_plan
@@ -408,6 +409,7 @@ class TestGreedySeed:
             raise AssertionError("a greedy step derived a sampling seed")
 
         monkeypatch.setattr(decode_engine, "derive_seed", refuse)
+        monkeypatch.setattr(decode_engine, "child_seeds", refuse)  # a round of several decoders
         for jobs in (1, 2):
             assert decode("v", "p", plan, HashBackend(6), cfg, seed=3, jobs=jobs)[1].to_jsonl() == want
         assert main(argv + [str(tmp_path / "greedy")]) == 0
@@ -416,3 +418,14 @@ class TestGreedySeed:
         sampled = DecodeConfig(streams=4, max_tokens=1, temperature=0.5)
         with pytest.raises(AssertionError, match="derived a sampling seed"):
             decode("v", "p", plan, HashBackend(6), sampled, seed=3)
+        world = ToyWorld.symmetric(4, 0.6)
+        toy = ToyBackend(world)
+        episode = toy_episode(world, 64, seed=5)
+        toy.add_episode(episode)
+        with pytest.raises(AssertionError, match="derived a sampling seed"):  # a toy round is fused whole
+            run_lockstep([[Decoder(episode.video_ref, "q", plan, sampled, seed=s)] for s in (3, 4)], toy)
+
+    def test_a_negative_seed_is_refused_when_the_decoder_is_built(self):
+        plan = uniform_offset_plan(64, 4, 2)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Decoder("v", "p", plan, DecodeConfig(streams=2, temperature=0.5), seed=-1)

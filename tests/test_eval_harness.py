@@ -376,8 +376,8 @@ class TestRunBenchmark:
         kw = dict(frames_per_stream=4, seed=9, max_tokens=2, stop_tokens=frozenset({world.stop_token}))
         expected = run_benchmark(items, backend, methods, **kw)
         calls = []
-        derive = eval_harness.derive_seed
-        monkeypatch.setattr(eval_harness, "derive_seed", lambda seed, index: calls.append(seed) or derive(seed, index))
+        derive = eval_harness.child_seeds
+        monkeypatch.setattr(eval_harness, "child_seeds", lambda seeds, indices: calls.extend(seeds) or derive(seeds, indices))
         assert run_benchmark(items, backend, methods, **kw) == expected
         # one seed per item for the whole run, plus one per sc:3 sample, derived from its item's seed
         assert calls.count(9) == len(items)
