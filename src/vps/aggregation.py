@@ -391,8 +391,7 @@ def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
         support = d.probs > 0.0
         scaled = np.where(support, np.log(np.maximum(d.probs, _TINY)) / temperature, -np.inf)
         q = softmax(scaled)
-    # numpy's own generator is the faster for one row
-    uniforms = first_uniforms(seed) if q.ndim > 1 else [np.random.default_rng(seed).random()]
+    uniforms = first_uniforms(seed if q.ndim > 1 else [seed])
     tokens = []
     for row, u in zip(q.reshape(-1, d.size), uniforms):
         idx = min(int(np.searchsorted(np.cumsum(row), u, side="right")), d.size - 1)

@@ -379,9 +379,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _seed(text: str) -> int:
     """A ``--seed`` value: numpy seeds only with non-negative integers."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

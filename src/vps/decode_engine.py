@@ -340,11 +340,8 @@ def _fuse(members: Sequence[tuple[Decoder, Sequence[Distribution]]]) -> list[int
     per_stream = [fused[0].rows(slice(j * n, (j + 1) * n)) for j in range(cfg.streams)] if n > 1 else fused
     w = Weights.uniform(cfg.streams)
     mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-    seeds: list[int | None] = [None] * n  # a greedy step derives none
-    if cfg.temperature > 0:  # numpy's own call is the faster for one row
-        decoders = [decoder for decoder, _ in members]
-        seeds = (child_seeds([d.seed for d in decoders], [d.steps for d in decoders]) if n > 1
-                 else [derive_seed(decoders[0].seed, decoders[0].steps)])
+    seeds = (child_seeds([d.seed for d, _ in members], [d.steps for d, _ in members]) if cfg.temperature > 0
+             else [None] * n)  # a greedy step derives none
     tokens = sample_token(mixed, cfg.temperature, seeds) if n > 1 else [sample_token(mixed, cfg.temperature, seeds[0])]
     for i, ((decoder, replies), token) in enumerate(zip(members, tokens)):
         if decoder.keep_trace:

@@ -4,7 +4,8 @@
 draw is ``default_rng(seed).random()``; each costs a row mostly object set-up.
 SeedSequence's hash and PCG64's seeding are fixed integer recurrences, so
 :func:`child_seeds` and :func:`first_uniforms` run them on ``uint32`` columns,
-one row per seed. For one row numpy's own call is the faster.
+one row per seed. ``derive_seed`` and ``default_rng(seed).random()`` stay the
+definition, against which the tests check every row.
 """
 
 from __future__ import annotations

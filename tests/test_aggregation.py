@@ -585,6 +585,10 @@ class TestStacks:
             with pytest.raises(ValueError, match="non-negative integer"):
                 sample_token(stack, 0.7, [1, bad, 2])
         assert sample_token(stack, 0.0, [None] * 3) == [0, 0, 0]  # a greedy draw needs no seed
+        for bad in (None, -1):  # one row is the stack's one-row case
+            with pytest.raises(ValueError, match="non-negative integer"):
+                sample_token(Distribution.from_probs([0.5, 0.5]), 0.7, bad)
+        assert sample_token(Distribution.from_probs([0.5, 0.5]), 0.0, None) == 0
 
     def test_a_draw_past_the_last_cdf_step_takes_the_last_positive_token(self, monkeypatch):
         from vps import aggregation
@@ -594,8 +598,8 @@ class TestStacks:
                 return np.nextafter(1.0, 0.0)  # above the cdf of row 0, which sums to 1 - 5e-10
 
         rows = [Distribution.from_probs([0.5, 0.5 - 5e-10, 0.0, 0.0]), Distribution.from_probs([0.25, 0.25, 0.5, 0.0])]
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())  # one row's draw
-        monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [Top().random() for _ in seeds])  # a stack's
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())  # the reference's draw
+        monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [Top().random() for _ in seeds])
         want = [reference_sample(d, 1.0, 0) for d in rows]
         assert want == [1, 2]
         assert sample_token(Distribution.stack(rows), 1.0, [0, 0]) == want

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from vps.cli import main
+from vps.cli import build_parser, main
 from vps.frame_selection import plan_from_text
 
 from scorers import PerQuery
@@ -70,11 +70,17 @@ class TestPlanCommand:
         ]) == 2
         assert "scores must be non-negative" in capsys.readouterr().err
 
-    def test_negative_seed_exits_2(self, capsys):
+    @pytest.mark.parametrize("text", ["-1", "x", "1.5"])
+    def test_negative_seed_exits_2(self, text, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["plan", "--T", "12", "--k", "3", "--J", "2", "--seed", "-1"])
+            main(["plan", "--T", "12", "--k", "3", "--J", "2", f"--seed={text}"])
         assert exc.value.code == 2
-        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert f"argument --seed: must be a non-negative integer, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,seed", [("0", 0), ("+3", 3), ("1_000", 1000), (" 7 ", 7), ("5000000000", 5000000000)])
+    def test_seed_takes_what_int_takes(self, text, seed):
+        args = build_parser().parse_args(["plan", "--T", "12", "--k", "3", "--J", "2", "--seed", text])
+        assert args.seed == seed
 
 
 class TestRunCommand:
