@@ -56,10 +56,10 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 class Distribution:
     """A validated probability distribution over a vocabulary of ``size`` tokens,
     or a dense stack of D of them (``values`` of shape ``(D, V)``, each row
-    checked on its own). The decode engine stacks a round only when it is
-    returned whole: a round read lazily, the wire's, must hold no more than
-    one decoder's replies. Sparse rows do not stack: a row's union of
-    supports has a width of its own.
+    checked on its own). A scorer may return a round as one such stack
+    (:class:`vps.backends.StackedRound`); a round read lazily gives 1-D
+    replies. Sparse rows do not stack: a row's union of supports has a width
+    of its own.
 
     Dense form (the default): ``values`` is the whole probability vector.
     Sparse form (``support`` given, with ``size``): ``values`` are the
@@ -133,20 +133,10 @@ class Distribution:
         object.__setattr__(dist, "_logits", z)
         return dist
 
-    @classmethod
-    def stack(cls, dists: Sequence["Distribution"]) -> "Distribution":
-        """The 1-D ``dists``, of one vocabulary, as one dense stack, a row each
-        (checked already, so not again)."""
-        values = np.stack([d.probs for d in dists])
-        dist = cls.__new__(cls)
-        vars(dist).update(values=values, support=None, size=values.shape[-1], flags=(), probs=values)
-        if any(d._logits is not None for d in dists):
-            vars(dist)["_logits"] = np.stack([d.raw_scores for d in dists])
-        return dist
-
-    def rows(self, index: int | slice) -> "Distribution":
-        """The rows of a stack at ``index``, a view not checked again: for an
-        int, one row as a 1-D distribution; for a slice, a stack."""
+    def rows(self, index: int | slice | np.ndarray) -> "Distribution":
+        """The rows of a stack at ``index``, not checked again: for an int,
+        one row as a 1-D distribution; for a slice or an integer index array,
+        a stack (a view, or for an array a copy)."""
         dist = type(self).__new__(type(self))
         vars(dist).update({k: v[index] if isinstance(v, np.ndarray) else v for k, v in vars(self).items()})
         vars(dist)["probs"] = dist.values  # one array, as in any dense distribution
@@ -391,11 +381,11 @@ def sample_token(d: Distribution, temperature: float, seed) -> int | list[int]:
         support = d.probs > 0.0
         scaled = np.where(support, np.log(np.maximum(d.probs, _TINY)) / temperature, -np.inf)
         q = softmax(scaled)
-    uniforms = first_uniforms(seed if q.ndim > 1 else [seed])
-    tokens = []
-    for row, u in zip(q.reshape(-1, d.size), uniforms):
-        idx = min(int(np.searchsorted(np.cumsum(row), u, side="right")), d.size - 1)
-        while row[idx] == 0.0:
-            idx -= 1  # u rounded past the final positive cdf step
-        tokens.append(idx)
-    return tokens if q.ndim > 1 else tokens[0]
+    q = q.reshape(-1, d.size)
+    u = np.array(first_uniforms(seed if d.values.ndim > 1 else [seed]))[:, None]
+    # per row, the cdf steps at or below u (searchsorted, side="right"); a u that
+    # rounded past the final positive step takes the last positive token
+    idx = np.minimum((np.cumsum(q, axis=-1) <= u).sum(axis=-1, keepdims=True), d.size - 1)
+    last_positive = np.maximum.accumulate(np.where(q > 0.0, np.arange(d.size), 0), axis=-1)
+    tokens = np.take_along_axis(last_positive, idx, axis=-1)[:, 0].tolist()
+    return tokens if d.values.ndim > 1 else tokens[0]

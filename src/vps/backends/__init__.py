@@ -3,9 +3,10 @@
 A scorer implements one method, ``score_batch(steps, jobs)``: for a round of
 :class:`ScoreStep` s, an iterable of one distribution per query, read in step
 then query order, with ``jobs`` as the most queries it may keep in flight at
-once (a scorer that does not pipeline ignores it). A failed query raises at
-its reply, after the replies before it. An exception from the call itself
-propagates. A scorer that converts lossily names the conversion in the
+once (a scorer that does not pipeline ignores it). A :class:`StackedRound`
+holds every reply as a row of one checked dense stack, fused by row index;
+any other iterable is read lazily, and a failed query raises at its reply,
+after the replies before it. An exception from the call itself propagates. A scorer that converts lossily names the conversion in the
 distribution's ``flags``. The decode engine's round is the one reader of the
 replies. Shipped scorers: a deterministic table-driven mock, an exact-Bayes
 toy video world (:mod:`vps.backends.toyworld`), and an HTTP client for
@@ -28,6 +29,7 @@ __all__ = [
     "ScoreStep",
     "ScoreResponse",
     "Scorer",
+    "StackedRound",
     "FixtureMissError",
     "MockBackend",
 ]
@@ -140,6 +142,25 @@ class ScoreResponse:
         """The reply's distribution, built once at construction, and its
         flags, which name any lossy conversion."""
         return self._dist, self._dist.flags
+
+
+class StackedRound(Sequence[Distribution]):
+    """A round's replies as the rows of one checked dense ``(Q, V)``
+    :class:`Distribution`, ``stack``. ``len`` is the number of queries Q, and
+    item ``k`` is ``stack.rows(k)``, built only when it is read; a slice is a
+    round of its own."""
+
+    def __init__(self, stack: Distribution) -> None:
+        self.stack = stack
+
+    def __len__(self) -> int:
+        return len(self.stack.values)  # len(stack) is its vocabulary size
+
+    def __getitem__(self, k):
+        return StackedRound(self.stack.rows(k)) if isinstance(k, slice) else self.stack.rows(k)
+
+    def __iter__(self) -> Iterator[Distribution]:
+        return map(self.stack.rows, range(len(self)))
 
 
 @runtime_checkable

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..aggregation import Distribution
 from ..views import parse_view
-from . import ScoreRequest, ScoreStep
+from . import ScoreRequest, ScoreStep, StackedRound
 
 __all__ = ["ToyWorld", "ToyEpisode", "ToyBackend", "toy_posterior", "toy_episode"]
 
@@ -169,7 +169,7 @@ def toy_episode(world: ToyWorld, total_frames: int, seed: int) -> ToyEpisode:
     )
 
 
-def _then_raise(replies: list[Distribution], exc: Exception) -> Iterator[Distribution]:
+def _then_raise(replies: Sequence[Distribution], exc: Exception) -> Iterator[Distribution]:
     yield from replies
     raise exc
 
@@ -202,10 +202,10 @@ class ToyBackend:
 
     def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]:
         """Score every query of the round with one gather-and-sum and one check of
-        all its probabilities; ``jobs`` is ignored. At the first query of an
-        unknown video, with a bad view or with a frame outside its episode, it
-        returns instead an iterator over the rows before that query, which then
-        raises the query's error."""
+        all its probabilities, and return them as one :class:`StackedRound`;
+        ``jobs`` is ignored. At the first query of an unknown video, with a bad
+        view or with a frame outside its episode, it returns instead an iterator
+        over the rows before that query, which then raises the query's error."""
         queries = [(step, query) for step in steps for query in step.queries]
         probs = np.zeros((len(queries), len(self.world.vocab)))
         rows, symbols, views = [], [], {}  # views: each distinct view of the round, parsed once
@@ -222,10 +222,9 @@ class ToyBackend:
             rows.append(i)
         return self._rows(probs, rows, symbols)
 
-    def _rows(self, probs: np.ndarray, rows: list[int], symbols: list[list[int]]) -> list[Distribution]:
+    def _rows(self, probs: np.ndarray, rows: list[int], symbols: list[list[int]]) -> StackedRound:
         probs[rows] = _answer_probs(self.world, symbols)
-        stack = Distribution(probs)
-        return [stack.rows(i) for i in range(len(probs))]
+        return StackedRound(Distribution(probs))
 
     def score(self, req: ScoreRequest) -> Distribution:
         return next(iter(self.score_batch([ScoreStep.of(req)])))

@@ -18,12 +18,12 @@ decoders, scored by one ``score_batch`` call; only a round reads replies.
 :func:`step` scores a round of one decoder, and :func:`decode` runs one
 decoder with it; :func:`run_lockstep` runs many, a round of all at a time.
 
-A round returned as a list (the toy's) is held whole already, so the
-decoders of one config whose replies are dense and of one vocabulary are
-fused together: each fusion function runs once, on a stack of all their
-streams' rows. A round read lazily (the wire's) must hold no more than one
-decoder's replies, so each decoder is fused once its own are in, stream by
-stream. Both give every token and trace the same bits.
+A round is fused as it comes back. A :class:`~vps.backends.StackedRound`
+(the toy's) holds every reply as a row of one dense stack, so the decoders of
+one config are fused together: each role's rows are gathered by one index
+array, and each fusion function runs once on all their streams' rows. Any
+other iterable (the wire's, or a list) is read lazily, so each decoder is
+fused once its own are in, stream by stream. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .aggregation import (
     sample_token,
     tcd_adjust,
 )
-from .backends import Scorer, ScoreStep, check_query
+from .backends import Scorer, ScoreStep, StackedRound, check_query
 from .frame_selection import FrameSelectionPlan
 from .seeds import child_seeds, derive_seed
 from .views import IDENTITY, augmented_view, zero_view
@@ -269,7 +269,7 @@ class Decoder:
 
     def advance(self, replies: Sequence[Distribution]) -> int:
         """Finish the pending step with one distribution per query; returns its token."""
-        (token,) = _fuse([(self, replies)])
+        (token,) = _fuse([self], replies)
         return token
 
     def _record(
@@ -312,23 +312,24 @@ def _queries(plan: FrameSelectionPlan, cfg: DecodeConfig) -> tuple[tuple, tuple[
     return queries, tuple(views)  # the roles are the same for every stream
 
 
-def _fuse(members: Sequence[tuple[Decoder, Sequence[Distribution]]]) -> list[int]:
-    """Finish the pending step of each decoder of ``members``, all of one
-    config, with its replies; returns their tokens. One decoder is fused a
-    stream at a time; the replies of several, dense and of one vocabulary,
-    become one stack per role, a row per stream and decoder."""
-    cfg, width, n = members[0][0].cfg, len(members[0][0]._roles), len(members)
-    for decoder, replies in members:
-        if not decoder._pending or len(replies) != decoder._pending:
-            raise ValueError(f"{len(replies)} replies for {decoder._pending} pending requests")
+def _fuse(decoders: Sequence[Decoder], replies: Sequence[Distribution], starts: np.ndarray | None = None) -> list[int]:
+    """Finish the pending step of each of ``decoders``, all of one config;
+    returns their tokens. With no ``starts``, ``replies`` are one decoder's,
+    fused a stream at a time. Otherwise they are a stacked round, decoder
+    ``i``'s from row ``starts[i]``, and each role's rows, in stream then
+    decoder order (a stream's rows are one slice), are gathered into one stack."""
+    cfg, width, n = decoders[0].cfg, len(decoders[0]._roles), len(decoders)
+    for decoder in decoders:
+        got = len(replies) if starts is None else decoder._pending
+        if not decoder._pending or got != decoder._pending:
+            raise ValueError(f"{got} replies for {decoder._pending} pending requests")
         decoder._pending = 0
-        decoder.calls += len(replies)
-    if n > 1:  # rows in stream then decoder order, so that a stream's rows are one slice
-        runs = [[Distribution.stack([got[k + r] for k in range(0, cfg.streams * width, width) for _, got in members])
-                 for r in range(width)]]
-    else:
-        ((_, replies),) = members
+        decoder.calls += got
+    if starts is None:
         runs = [replies[k:k + width] for k in range(0, len(replies), width)]
+    else:
+        at = (np.arange(0, cfg.streams * width, width)[:, None] + starts).ravel()
+        runs = [[replies.stack.rows(at + r) for r in range(width)]]
     fused = []
     for run in runs:
         dist = run[0]
@@ -337,16 +338,18 @@ def _fuse(members: Sequence[tuple[Decoder, Sequence[Distribution]]]) -> list[int
         if cfg.tcd is not None:
             dist = tcd_adjust(dist, run[-1], cfg.tcd)
         fused.append(dist)
-    per_stream = [fused[0].rows(slice(j * n, (j + 1) * n)) for j in range(cfg.streams)] if n > 1 else fused
+    per_stream = fused if starts is None else [fused[0].rows(slice(j * n, (j + 1) * n)) for j in range(cfg.streams)]
     w = Weights.uniform(cfg.streams)
     mixed = mix_probs(per_stream, w) if cfg.space == "probability" else mix_logits(per_stream, w)
-    seeds = (child_seeds([d.seed for d, _ in members], [d.steps for d, _ in members]) if cfg.temperature > 0
+    seeds = (child_seeds([d.seed for d in decoders], [d.steps for d in decoders]) if cfg.temperature > 0
              else [None] * n)  # a greedy step derives none
-    tokens = sample_token(mixed, cfg.temperature, seeds) if n > 1 else [sample_token(mixed, cfg.temperature, seeds[0])]
-    for i, ((decoder, replies), token) in enumerate(zip(members, tokens)):
+    tokens = (sample_token(mixed, cfg.temperature, seeds) if starts is not None
+              else [sample_token(mixed, cfg.temperature, seeds[0])])
+    for i, (decoder, token) in enumerate(zip(decoders, tokens)):
         if decoder.keep_trace:
-            row = (lambda d: d.rows(i)) if n > 1 else (lambda d: d)
-            decoder.trace.steps.append(decoder._record(token, row(mixed), [row(d) for d in per_stream], replies))
+            row = (lambda d: d) if starts is None else (lambda d: d.rows(i))
+            own = replies if starts is None else replies[starts[i]:starts[i] + len(decoder._queries)]
+            decoder.trace.steps.append(decoder._record(token, row(mixed), [row(d) for d in per_stream], own))
         decoder.steps += 1
         if token in cfg.stop_tokens:
             decoder.done = True
@@ -363,16 +366,26 @@ def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int |
     """Score the pending steps of ``decoders`` in one ``score_batch`` call,
     read one reply per query, and advance each decoder: each one's token, up
     to a failed query, whose decoder's :class:`DecodeError` ends the list and
-    the round (the decoders after it keep their pending step). A list of
-    replies is fused by groups of one config and reply form, after the read.
-    Too few or too many replies raise ``ValueError``."""
+    the round (the decoders after it keep their pending step). A stacked
+    round is fused by groups of one config; any other is read one decoder at
+    a time. Too few or too many replies raise ``ValueError``."""
     steps = [decoder.pending() for decoder in decoders]
     replies = scorer.score_batch(steps, jobs=jobs)
-    whole = isinstance(replies, list)
+    if isinstance(replies, StackedRound):
+        starts = np.cumsum([0] + [len(pending) for pending in steps])
+        if len(replies) != starts[-1]:
+            raise ValueError(f"score_batch ran {'short' if len(replies) < starts[-1] else 'long'}: "
+                             f"{len(replies)} replies for the round's {starts[-1]} queries")
+        groups: dict[DecodeConfig, list[int]] = {}
+        for i, decoder in enumerate(decoders):
+            groups.setdefault(decoder.cfg, []).append(i)
+        tokens: dict[int, int] = {}
+        for members in groups.values():
+            tokens.update(zip(members, _fuse([decoders[i] for i in members], replies, starts[members])))
+        return [tokens[i] for i in range(len(decoders))]
     replies = iter(replies)
     outcomes: list[int | DecodeError] = []
-    groups: dict[object, list[tuple[int, Decoder, list[Distribution]]]] = {}
-    for i, (decoder, pending) in enumerate(zip(decoders, steps)):
+    for decoder, pending in zip(decoders, steps):
         got: list[Distribution] = []
         try:
             got.extend(islice(replies, len(pending)))  # a failed reply leaves the ones before it in got
@@ -381,18 +394,9 @@ def _round(decoders: Sequence[Decoder], scorer: Scorer, jobs: int) -> list[int |
             return outcomes
         if len(got) < len(pending):
             raise ValueError(f"score_batch ran short: {len(got)} replies for a step of {len(pending)} queries")
-        if not whole:
-            outcomes.append(decoder.advance(got))
-            continue
-        sizes = {len(d) for d in got}
-        stackable = len(sizes) == 1 and all(d.support is None for d in got)
-        groups.setdefault((decoder.cfg, *sizes) if stackable else i, []).append((i, decoder, got))
-        outcomes.append(0)  # its token, once its group is fused
+        outcomes.append(decoder.advance(got))
     if next(replies, _END) is not _END:
         raise ValueError(f"score_batch ran long: more replies than the round's {sum(map(len, steps))} queries")
-    for members in groups.values():
-        for (i, _, _), token in zip(members, _fuse([(decoder, got) for _, decoder, got in members])):
-            outcomes[i] = token
     return outcomes
 
 

@@ -213,9 +213,13 @@ SIM_CHUNK = 1 << 9
 
 def _mix_equicorrelated(z: np.ndarray, scale: np.ndarray, rho: float, bias: np.ndarray, out: np.ndarray) -> None:
     """``scale * (sqrt(rho)*g + sqrt(1-rho)*h) - bias`` into ``out``, for the shared
-    field ``g = z[0]`` and the first ``len(out)`` per-stream fields ``h = z[1:]``."""
-    np.multiply(z[1:1 + len(out)], math.sqrt(1.0 - rho) * scale, out=out)
-    out += math.sqrt(rho) * scale * z[0]
+    field ``g = z[0]`` and the first ``len(out)`` per-stream fields ``h = z[1:]``
+    (at rho=1, ``scale * g - bias``: no h is read, and none need be drawn)."""
+    if rho == 1.0:
+        np.multiply(scale, z[0], out=out)
+    else:
+        np.multiply(z[1:1 + len(out)], math.sqrt(1.0 - rho) * scale, out=out)
+        out += math.sqrt(rho) * scale * z[0]
     out -= bias[:len(out)]
 
 
@@ -230,7 +234,8 @@ def simulate_ce_grid(
 
     Each batch draws one ``(1 + max J, SIM_BATCH, V)`` array of normals in
     ``dtype``, stream-major: row 0 is the shared field g, the rest the
-    per-stream fields h. They are centred under p once. Each correlation then
+    per-stream fields h (g alone when every correlation is 1, where no h is
+    read). They are centred under p once. Each correlation then
     runs over the batch in chunks of at most ``SIM_CHUNK`` samples: one reused
     ``(J, chunk, V)`` buffer takes ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) -
     bias`` (``_mix_equicorrelated``), its feasibility check, the p-weighted
@@ -262,6 +267,7 @@ def simulate_ce_grid(
     bias_col = np.asarray(biases[:jmax], dtype=dtype)[:, None, None]
     # at rho=1 with equal biases every stream's delta is one row, computed once
     one_row = len(set(biases[:jmax])) == 1
+    fields = 1 if all(rho == 1.0 for rho in rhos) else 1 + jmax
 
     # per correlation: p-weighted delta^2, per-stream CE gap, and the mixture's
     # conditional and single-label CE gaps per stream count
@@ -292,7 +298,7 @@ def simulate_ce_grid(
         )
         rows = np.arange(min(b, SIM_CHUNK))
 
-        z = _centred_normals(rng, 1 + jmax, pd)
+        z = _centred_normals(rng, fields, pd)
         # per-sample scale: after centering under p the p-weighted variance of
         # a unit normal field is 1 - ||p||^2, so dividing it out targets
         # E[delta^2] = 2*A/N^alpha exactly in expectation
@@ -346,7 +352,7 @@ def simulate_ce_grid(
                     f"negative in more than 1% of draws ({resampled} resampled)"
                 )
             idx = np.flatnonzero(bad)
-            z[:, idx] = _centred_normals(rng, 1 + jmax, pd[idx])
+            z[:, idx] = _centred_normals(rng, fields, pd[idx])
         else:
             raise ScaleError("could not find feasible draws; scale far too large")
 

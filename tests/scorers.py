@@ -1,6 +1,19 @@
-"""Test scorers written one query at a time, over the one scorer protocol."""
+"""Test scorers written one query at a time, over the one scorer protocol,
+and the dense stack of a whole round."""
 
+import numpy as np
+
+from vps.aggregation import Distribution
 from vps.backends import ScoreRequest, ScoreStep
+
+
+def stack_of(dists):
+    """The dense 1-D ``dists``, of one vocabulary, as one checked stack, a row
+    each, raw scores too."""
+    stack = Distribution(np.stack([d.probs for d in dists]))
+    if any(d._logits is not None for d in dists):
+        object.__setattr__(stack, "_logits", np.stack([d.raw_scores for d in dists]))
+    return stack
 
 
 def requests_of(step):

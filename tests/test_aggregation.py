@@ -21,6 +21,8 @@ from vps.aggregation import (
 )
 from vps.backends import ScoreResponse
 
+from scorers import stack_of
+
 
 def random_dist(rng, size):
     return Distribution.from_probs(rng.dirichlet(np.ones(size)))
@@ -123,6 +125,23 @@ class TestBatchCheck:
                 assert got.probs is got.values and len(got) == len(want)
                 assert np.shares_memory(got.values, rows)
                 assert np.array_equal(got.raw_scores, want.raw_scores)
+
+
+    def test_rows_at_an_index_array_equal_the_row_views(self):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(size=(5, 6))
+        logits[1, 2] = -np.inf
+        for stack in (Distribution(rng.dirichlet(np.ones(6), size=5), flags=("topm_renormalized",)),
+                      stack_of([Distribution.from_logits(z) for z in logits])):
+            for index in ([4, 0, 0, 2], [1], []):
+                got = stack.rows(np.array(index, dtype=np.intp))
+                assert got.values.shape == (len(index), 6) and got.probs is got.values
+                assert got.flags == stack.flags and len(got) == len(stack)
+                for k, i in enumerate(index):
+                    row, alone = got.rows(k), stack.rows(i)
+                    assert row.values.tobytes() == alone.values.tobytes()
+                    assert row.raw_scores.tobytes() == alone.raw_scores.tobytes()
+                    assert row.flags == alone.flags
 
 
 class TestWeights:
@@ -513,10 +532,14 @@ class TestSparseMatchesDense:
 def reference_sample(d, temperature, seed):
     """sample_token of one distribution, by the 1-D rule written out: search
     the cdf, then step back past zero-probability tokens."""
+    return reference_draw(d, temperature, np.random.default_rng(seed).random())
+
+
+def reference_draw(d, temperature, u):
+    """:func:`reference_sample` for the uniform draw ``u``."""
     q = d.probs
     if temperature != 1.0:
         q = softmax(np.where(q > 0.0, np.log(np.maximum(q, 1e-300)) / temperature, -np.inf))
-    u = np.random.default_rng(seed).random()
     idx = min(int(np.searchsorted(np.cumsum(q), u, side="right")), len(d) - 1)
     while q[idx] == 0.0:
         idx -= 1
@@ -554,7 +577,7 @@ class TestStacks:
     def test_each_row_gets_its_own_bits(self, seed, size, rows, a, beta, space, temperature):
         rng = np.random.default_rng(seed)
         streams = [self.random_rows(rng, rows, size) for _ in range(3)]
-        stacks = [Distribution.stack(s) for s in streams]
+        stacks = [stack_of(s) for s in streams]
         alone = [[s[i] for s in streams] for i in range(rows)]
         w = Weights.normalized(rng.random(3) + 0.1)
         cfg = TcdConfig(a, beta, space)
@@ -571,12 +594,27 @@ class TestStacks:
         assert sample_token(stacks[1], temperature, seeds) == want
         assert [sample_token(d, temperature, s) for d, s in zip(streams[1], seeds)] == want
 
+    def test_a_stack_draws_every_row_as_one_row_does(self, monkeypatch):
+        from vps import aggregation
+
+        rng = np.random.default_rng(4)
+        rows = self.random_rows(rng, 40, 6)
+        # the last row's draw lies past its cdf's final step, which sums to 1 - 5e-10
+        rows.append(Distribution.from_probs([0.0, 0.5, 0.0, 0.5 - 5e-10, 0.0, 0.0]))
+        draws = rng.random(len(rows)).tolist()[:-1] + [np.nextafter(1.0, 0.0)]
+        monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [draws[s] for s in seeds])
+        for temperature in (1.0, 0.7):
+            want = [reference_draw(d, temperature, u) for d, u in zip(rows, draws)]
+            assert want[-1] == 3
+            assert sample_token(stack_of(rows), temperature, list(range(len(rows)))) == want
+            assert [sample_token(d, temperature, k) for k, d in enumerate(rows)] == want
+
     def test_sparse_rows_do_not_stack(self):
         with pytest.raises(ValueError, match="integer vector"):
             Distribution([[0.5, 0.5], [0.5, 0.5]], support=[[0, 1], [1, 3]], size=5)
 
     def test_a_stack_refuses_bad_seeds(self):
-        stack = Distribution.stack([Distribution.from_probs([0.5, 0.5])] * 3)
+        stack = stack_of([Distribution.from_probs([0.5, 0.5])] * 3)
         with pytest.raises(ValueError, match="2 seeds for a stack of 3 rows"):
             sample_token(stack, 1.0, [1, 2])
         with pytest.raises(ValueError, match="2 seeds for a stack of 3 rows"):
@@ -602,5 +640,5 @@ class TestStacks:
         monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [Top().random() for _ in seeds])
         want = [reference_sample(d, 1.0, 0) for d in rows]
         assert want == [1, 2]
-        assert sample_token(Distribution.stack(rows), 1.0, [0, 0]) == want
+        assert sample_token(stack_of(rows), 1.0, [0, 0]) == want
         assert [sample_token(d, 1.0, 0) for d in rows] == want

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vps.aggregation import Distribution, TcdConfig, argmax_token
-from vps.backends import MockBackend, ScoreRequest, ScoreStep
+from vps.backends import MockBackend, ScoreRequest, ScoreStep, StackedRound
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
 from vps.decode_engine import (
@@ -35,7 +35,7 @@ from vps.eval_harness import (
 from vps.frame_selection import uniform_offset_plan
 from vps.views import IDENTITY, augmented_view
 
-from scorers import Counting, PerQuery, requests_of
+from scorers import Counting, PerQuery, requests_of, stack_of
 from test_decode_engine import HashBackend
 
 
@@ -132,7 +132,7 @@ class TestToyScoreBatch:
         backward = backend.score_batch(steps_of(requests[::-1]))
         for a, b in zip(forward, backward[::-1]):
             assert np.array_equal(a.probs, b.probs)
-        assert backend.score_batch([]) == []
+        assert list(backend.score_batch([])) == []
         replies = backend.score_batch(steps_of(requests + [ScoreRequest("toy:missing", (0,), "identity", "q", ())]))
         for a, b in zip(forward, replies):  # the rows before the unknown video, then its error
             assert np.array_equal(a.probs, b.probs)
@@ -499,7 +499,8 @@ class TestFailures:
         # round 2 ends at item 2's failure; items 3-5 score their step 2 with items 0-1's step 3
         assert rounds == [6 * 4, 6 * 4, 5 * 4, 3 * 4]
 
-    @pytest.mark.parametrize("form", [list, iter])
+    @pytest.mark.parametrize("form", [list, iter, lambda replies: StackedRound(stack_of(replies))],
+                             ids=["list", "iter", "stacked"])
     def test_wrong_reply_count_propagates(self, form):
         class Miscounting(ScoreOnly):
             """A batching scorer that drops the last reply of every batch, or
@@ -510,7 +511,7 @@ class TestFailures:
                 self.extra = extra
 
             def score_batch(self, steps, jobs=1):
-                replies = self.inner.score_batch(steps)
+                replies = list(self.inner.score_batch(steps))
                 return form(replies + replies[-1:] if self.extra else replies[:-1])
 
         world = ToyWorld.symmetric(4, 0.55)
@@ -559,9 +560,10 @@ class TestFailures:
 
 
 class Whole:
-    """Reads each round of ``inner`` whole and returns it as a list; a round
-    with a failed query goes back, as the toy's does, as an iterator over the
-    replies before it, which then raises."""
+    """Reads each round of ``inner`` whole. A round of dense replies of one
+    vocabulary goes back as the toy's does, one stack; any other as a list,
+    which is read lazily. A round with a failed query goes back, as the toy's
+    does, as an iterator over the replies before it, which then raises."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -572,6 +574,8 @@ class Whole:
             replies.extend(self.inner.score_batch(steps, jobs))
         except Exception as exc:  # noqa: BLE001 - raised again at its reply
             return then_raise(replies, exc)
+        if len({len(d) for d in replies}) == 1 and all(d.support is None for d in replies):
+            return StackedRound(stack_of(replies))
         return replies
 
 
@@ -606,8 +610,8 @@ def fixture(key, vocab, sparse):
 
 
 class TestWholeAndLazyRounds:
-    """A round returned as a list is fused whole, a lazily read one decoder by
-    decoder; both must give every decoder the same bits."""
+    """A stacked round is fused whole, any other read lazily, one decoder at a
+    time; both must give every decoder the same bits."""
 
     VOCAB = 5
 
@@ -699,3 +703,77 @@ class TestWholeRoundCalls:
         assert audit == {"vps:8+tcd+ritual": 16 * 24} and all(r.error is None for r in results)
         (views,) = rounds  # one round of 16 decoders of one config
         assert calls == {"mix_probs": 1, "tcd_adjust": 1, "parse_view": len(views)}
+
+    def test_a_toy_round_builds_no_per_query_distribution(self, monkeypatch):
+        world = ToyWorld.symmetric(4, 0.55)
+        backend = ToyBackend(world)
+        episodes = [toy_episode(world, 64, seed=s) for s in range(16)]
+        for ep in episodes:
+            backend.add_episode(ep)
+        plan, cfg = uniform_offset_plan(64, 4, 4), DecodeConfig(streams=4, temperature=0.7, tcd=TcdConfig())
+        built = Counter()
+        rows, check = Distribution.rows, Distribution.__post_init__
+
+        def counted_rows(self, index):
+            built["row" if isinstance(index, int) else "rows"] += 1
+            return rows(self, index)
+
+        def counted_check(self):
+            built["checked"] += 1
+            return check(self)
+
+        monkeypatch.setattr(Distribution, "rows", counted_rows)
+        monkeypatch.setattr(Distribution, "__post_init__", counted_check)
+        counts = []
+        for n in (4, 16):
+            built.clear()
+            decoders = [Decoder(ep.video_ref, "q", plan, cfg, seed=k, keep_trace=k == 0)
+                        for k, ep in enumerate(episodes[:n])]
+            assert run_lockstep([decoders], backend) == [None]
+            assert all(d.steps == 1 for d in decoders)
+            # only the traced decoder's rows are built: its mixture, 4 streams and the flags of 4 x 2 replies
+            assert built["row"] == 1 + 4 + 4 * 2
+            counts.append(dict(built))
+        assert counts[0] == counts[1]  # a round of 64 queries builds what a round of 16 does
+
+
+class LazyToy(Counting):
+    """A toy backend whose rounds are read lazily, through :class:`Counting`."""
+
+    def token_text(self, token):
+        return self.inner.token_text(token)
+
+
+class TestStackedAndLazyRuns:
+    @pytest.mark.parametrize("space", ["probability", "logit"])
+    @pytest.mark.parametrize("temperature", ["0", "0.7"])
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_vps_run_writes_the_same_files_either_way(self, monkeypatch, tmp_path, space, temperature, jobs):
+        import vps.decode_engine as decode_engine
+        from vps import cli
+
+        forms = []
+        fuse = decode_engine._fuse
+
+        def noting(decoders, replies, starts=None):
+            forms.append("stacked" if starts is not None else "lazy")
+            return fuse(decoders, replies, starts)
+
+        monkeypatch.setattr(decode_engine, "_fuse", noting)
+        argv = ["run", "--backend", "toy", "--toy-episodes", "6", "--k", "4", "--max-tokens", "2", "--seed", "5",
+                "--methods", "baseline,vps:1,vps:8,sc:8,vps:4+tcd,vps:8+tcd+ritual", "--space", space,
+                "--temperature", temperature, "--jobs", jobs, "--trace", "--out-dir"]
+        assert cli.main(argv + [str(tmp_path / "stacked")]) == 0
+        assert set(forms) == {"stacked"}
+        build = cli._build_toy
+
+        def lazily(args):
+            items, backend, stop_tokens = build(args)
+            return items, LazyToy(backend), stop_tokens
+
+        monkeypatch.setattr(cli, "_build_toy", lazily)
+        forms.clear()
+        assert cli.main(argv + [str(tmp_path / "lazy")]) == 0
+        assert set(forms) == {"lazy"}
+        for name in ("results.jsonl", "summary.json", "accuracy.csv", "trace.jsonl"):
+            assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "stacked" / name).read_bytes(), name

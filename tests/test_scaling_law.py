@@ -236,6 +236,26 @@ class TestSweep:
             res = grid[(1.0, J)]
             assert res.mixture_excess == pytest.approx(res.stream_excess.mean(), rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("biases", [(0.01,) * 8, (0.0, 0.02, 0.01, 0.03, 0.0, 0.01, 0.04, 0.02)])
+    def test_full_correlation_draws_only_the_shared_field(self, monkeypatch, dtype, biases):
+        # at rho=1 no per-stream field is read: g drawn alone has the bits of g drawn with every h
+        spec = SimSpec(64, scaling_law.SIM_BATCH + 302, 67, params_with(b=biases))
+        fields, centred = [], scaling_law._centred_normals
+
+        def noting(rng, n, p):
+            fields.append(n)
+            return centred(rng, n, p)
+
+        monkeypatch.setattr(scaling_law, "_centred_normals", noting)
+        alone = simulate_ce_grid(spec, [1, 2, 8], [1.0], dtype=dtype)
+        assert fields == [1, 1]  # one draw per batch, of g alone
+        shared = simulate_ce_grid(spec, [1, 2, 8], [0.0, 1.0], dtype=dtype)
+        assert fields == [1, 1, 9, 9]
+        for J in (1, 2, 8):
+            assert alone[(1.0, J)].resampled == 0
+            assert_same_result(alone[(1.0, J)], shared[(1.0, J)])
+
     def test_redraws_near_the_feasibility_edge(self):
         spec = SimSpec(8, 50_000, 41, params_with(b=(0.0,) * 4, A=0.02))
         with warnings.catch_warnings():
