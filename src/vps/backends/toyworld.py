@@ -161,7 +161,7 @@ def toy_episode(world: ToyWorld, total_frames: int, seed: int) -> ToyEpisode:
     options = tuple(f"label {letters[z]}" for z in range(world.n_labels))
     return ToyEpisode(
         label=label,
-        frames=tuple(int(f) for f in frames),
+        frames=tuple(frames.tolist()),
         video_ref=f"toy:{seed}",
         question="Which hidden label generated the video?",
         options=options,
@@ -194,9 +194,10 @@ class ToyBackend:
     def add_episode(self, episode: ToyEpisode) -> str:
         """Register ``episode`` for scoring; raises ``ValueError`` at a frame
         symbol outside ``[0, n_symbols)``."""
-        bad = [s for s in episode.frames if not 0 <= s < self.world.n_symbols]
-        if bad:
-            raise ValueError(f"symbol {bad[0]} outside emission support")
+        frames = np.asarray(episode.frames)
+        bad = np.flatnonzero((frames < 0) | (frames >= self.world.n_symbols))
+        if bad.size:
+            raise ValueError(f"symbol {episode.frames[bad[0]]} outside emission support")
         self._episodes[episode.video_ref] = episode
         return episode.video_ref
 

@@ -19,15 +19,22 @@ the cross-entropy excess of each stream and of their uniform mixture.
 One sweep serves a whole (correlation, stream count) grid: per batch it draws
 the shared and per-stream normal fields once, stream-major in the bulk dtype,
 and centres them once (centring is linear, so each correlation's mix of them
-is centred too). Each correlation then works through the batch in sample
-chunks that one reused buffer holds, and at rho=1 with equal biases it
-computes the one error every stream shares, not J copies. A batch with an
-infeasible draw is redrawn in those rows and recomputed whole.
+is centred too). Every field has its own generator, spawned from the batch's
+seed, so a field has the same bits however many fields a sweep draws. The
+batch then splits into (correlation, sample chunk) tasks, each with its own
+small buffer, and at rho=1 with equal biases a task computes the one error
+every stream shares, not J copies. The field draws and the chunk tasks run on
+a thread pool as wide as the CPUs the process may use (numpy releases the GIL
+in both); each task writes only its own rows, so the results do not depend on
+the thread count or the chunk size. A batch with an infeasible draw is
+redrawn in those rows and recomputed whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -197,11 +204,11 @@ class _Accumulator:
         return np.sqrt(var / self.n)
 
 
-def _centred_normals(rng: np.random.Generator, fields: int, p: np.ndarray) -> np.ndarray:
-    """(fields, samples, V) standard normals in ``p``'s dtype, each made zero-mean under its row of ``p``."""
-    z = rng.standard_normal((fields, *p.shape), dtype=p.dtype)
-    z -= np.einsum("bv,kbv->kb", p, z)[:, :, None]
-    return z
+def _centred_field(rngs: Sequence[np.random.Generator], field: int, p: np.ndarray, out: np.ndarray) -> None:
+    """Standard normals of field ``field`` from its own generator ``rngs[field]`` into ``out``
+    (``p``'s shape and dtype), each row made zero-mean under its row of ``p``."""
+    rngs[field].standard_normal(dtype=out.dtype, out=out)
+    out -= np.einsum("bv,bv->b", p, out)[:, None]
 
 
 # samples per Monte Carlo batch; each batch has its own child seed
@@ -209,6 +216,8 @@ SIM_BATCH = 1 << 13
 # most samples per pass over a batch's relative errors, sized so that the
 # (J, chunk, V) buffer stays in cache
 SIM_CHUNK = 1 << 9
+# most threads a sweep runs at once: the CPUs this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _mix_equicorrelated(z: np.ndarray, scale: np.ndarray, rho: float, bias: np.ndarray, out: np.ndarray) -> None:
@@ -232,23 +241,29 @@ def simulate_ce_grid(
     """Shared-draw sweep over (correlation, stream count) combinations;
     ``correlations`` defaults to ``spec.params.correlation`` alone.
 
-    Each batch draws one ``(1 + max J, SIM_BATCH, V)`` array of normals in
-    ``dtype``, stream-major: row 0 is the shared field g, the rest the
-    per-stream fields h (g alone when every correlation is 1, where no h is
-    read). They are centred under p once. Each correlation then
-    runs over the batch in chunks of at most ``SIM_CHUNK`` samples: one reused
-    ``(J, chunk, V)`` buffer takes ``scale * (sqrt(rho)*g + sqrt(1-rho)*h) -
-    bias`` (``_mix_equicorrelated``), its feasibility check, the p-weighted
-    delta^2, the mixtures, ``log1p`` and the per-stream CE in turn. Beyond the
-    normals and p, a batch's working memory is that buffer (J * SIM_CHUNK * V
-    values), two ``(chunk, V)`` arrays and the per-sample statistics, not one
-    ``(J, batch, V)`` array per pass. At rho=1 with equal biases every
-    stream's delta is the same row, which is computed once. Streams for
-    smaller J are the leading subset of the largest draw, so the mixtures come
-    from a running sum over the sorted stream counts. A batch with a row whose
-    relative error reaches -1 is redrawn in those rows and recomputed whole:
-    rejected draws never reach the (float64) accumulators. Chunks of two or
-    more rows give the same bits as one pass over the batch.
+    Each batch's child seed draws p and the labels, and spawns one generator
+    per normal field: field 0 is the shared field g, field j the per-stream
+    field h_j (g alone when every correlation is 1, where no h is read). The
+    fields fill one ``(fields, SIM_BATCH, V)`` array in ``dtype``, each drawn
+    and centred under p by its own task on a thread pool (``_centred_field``).
+    Then one task per (correlation, chunk of at most ``SIM_CHUNK`` samples)
+    takes its own ``(J, chunk, V)`` buffer through ``scale * (sqrt(rho)*g +
+    sqrt(1-rho)*h) - bias`` (``_mix_equicorrelated``), its feasibility check,
+    the p-weighted delta^2, the mixtures, ``log1p`` and the per-stream CE in
+    turn, and writes its rows of that correlation's per-sample statistics.
+    Beyond the normals and p, a task's working memory is that buffer (J *
+    SIM_CHUNK * V values) and two ``(chunk, V)`` arrays. At rho=1 with equal
+    biases every stream's delta is the same row, which is computed once.
+    Streams for smaller J are the leading subset of the largest draw, so the
+    mixtures come from a running sum over the sorted stream counts. A batch
+    with a row whose relative error reaches -1 is redrawn in those rows, each
+    field from its own generator, and recomputed whole: rejected draws never
+    reach the (float64) accumulators, which add the batches in order.
+
+    The pool runs as many threads as the process has CPUs (at most one per
+    task) and is shut down before the function returns or raises. Results
+    depend only on the seed: they are the same bits at any thread count and
+    any chunk size of two or more rows.
     """
     params = spec.params
     js = sorted(set(int(j) for j in streams_list))
@@ -283,86 +298,99 @@ def simulate_ce_grid(
     resample_budget = max(100, int(0.01 * n) + 100)
     n_batches = (n + SIM_BATCH - 1) // SIM_BATCH
     children = np.random.SeedSequence(spec.seed).spawn(n_batches)
-    done = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        b = min(SIM_BATCH, n - done)
-        # true distribution per sample: simplex-uniform
-        expo = rng.standard_exponential((b, V))
-        p = expo / expo.sum(axis=1, keepdims=True)
-        pd = p.astype(dtype, copy=False)
-        # label drawn from p, for the plain paired estimator
-        cdf = np.cumsum(p, axis=1)
-        labels = np.minimum(
-            (cdf < rng.random((b, 1))).sum(axis=1), V - 1
-        )
-        rows = np.arange(min(b, SIM_CHUNK))
 
-        z = _centred_normals(rng, fields, pd)
-        # per-sample scale: after centering under p the p-weighted variance of
-        # a unit normal field is 1 - ||p||^2, so dividing it out targets
-        # E[delta^2] = 2*A/N^alpha exactly in expectation
-        pnorm = 1.0 - np.einsum("bv,bv->b", pd, pd)
-        scale = np.sqrt(2.0 * cap / pnorm).astype(dtype, copy=False)[:, None]
-        # near-equal chunks: a one-row chunk would sum p*delta^2 in another order than its batch
-        chunks = -(-b // SIM_CHUNK)
-        bounds = [b * i // chunks for i in range(chunks + 1)]
-        buf = np.empty(jmax * min(b, SIM_CHUNK) * V, dtype=dtype)
-        dbar = np.empty((min(b, SIM_CHUNK), V), dtype=dtype)
-
-        # resample rows where any stream's relative error would reach -1
-        for _attempt in range(100):
-            bad = np.zeros(b, dtype=bool)
-            stats = []
-            for rho in rhos:
-                width = 1 if rho == 1.0 and one_row else jmax  # rows of delta
-                d2 = np.empty(b, dtype=dtype)
-                # einsum's (b, J) layout, whose column sums the accumulators round in
-                stream = np.empty((jmax, b), dtype=dtype).T
-                mix, lab = np.empty((2, b, len(js)), dtype=dtype)
-                stats.append((d2, stream, mix, lab))
-                for lo, hi in zip(bounds, bounds[1:]):
-                    c, m = slice(lo, hi), hi - lo
-                    delta = buf[: width * m * V].reshape(width, m, V)
-                    _mix_equicorrelated(z[:, c], scale[c], rho, bias_col, delta)
-                    bad[c] |= delta.min(axis=0).min(axis=1) <= -1.0
-                    if bad.any():
-                        continue  # the batch is redrawn: skip its statistics
-                    pc = pd[c]
-                    d2[c] = np.einsum("bv,jbv,jbv->b", pc, delta, delta) / width
-                    if width == 1:  # every stream and mixture has this one row's error
-                        np.log1p(delta, out=delta)
-                        mix[c] = -np.einsum("bv,bv->b", pc, delta[0])[:, None]
-                        lab[c] = -delta[0, rows[:m], labels[c]][:, None]
-                    else:
-                        running = np.zeros((m, V), dtype=dtype)
-                        for k, (j0, J) in enumerate(zip([0, *js], js)):
-                            running += delta[j0:J].sum(axis=0)
-                            mixed = np.log1p(np.divide(running, J, out=dbar[:m]), out=dbar[:m])
-                            mix[c, k] = -np.einsum("bv,bv->b", pc, mixed)
-                            lab[c, k] = -mixed[rows[:m], labels[c]]
-                        np.log1p(delta, out=delta)
-                    stream[c] = -np.einsum("bv,jbv->bj", pc, delta)
-            if not bad.any():
-                break
-            resampled += int(bad.sum())
-            if resampled > resample_budget:
-                raise ScaleError(
-                    f"perturbation scale 2*A/N^alpha = {2 * cap:.3g} drives token mass "
-                    f"negative in more than 1% of draws ({resampled} resampled)"
-                )
-            idx = np.flatnonzero(bad)
-            z[:, idx] = _centred_normals(rng, fields, pd[idx])
+    def reduce_chunk(z, pd, scale, labels, rho, stats, bad, lo, hi) -> None:
+        """One (correlation, chunk) task: the chunk's infeasible rows into ``bad`` and, if
+        there are none, its rows of the correlation's statistics (else the batch is redrawn)."""
+        c, m = slice(lo, hi), hi - lo
+        width = 1 if rho == 1.0 and one_row else jmax  # rows of delta
+        delta = np.empty((width, m, V), dtype=dtype)
+        _mix_equicorrelated(z[:, c], scale[c], rho, bias_col, delta)
+        bad[c] = delta.min(axis=0).min(axis=1) <= -1.0
+        if bad[c].any():
+            return
+        d2, stream, mix, lab = stats
+        pc, rows = pd[c], np.arange(m)
+        d2[c] = np.einsum("bv,jbv,jbv->b", pc, delta, delta) / width
+        if width == 1:  # every stream and mixture has this one row's error
+            np.log1p(delta, out=delta)
+            mix[c] = -np.einsum("bv,bv->b", pc, delta[0])[:, None]
+            lab[c] = -delta[0, rows, labels[c]][:, None]
         else:
-            raise ScaleError("could not find feasible draws; scale far too large")
+            running = np.zeros((m, V), dtype=dtype)
+            dbar = np.empty((m, V), dtype=dtype)
+            for k, (j0, J) in enumerate(zip([0, *js], js)):
+                running += delta[j0:J].sum(axis=0)
+                mixed = np.log1p(np.divide(running, J, out=dbar), out=dbar)
+                mix[c, k] = -np.einsum("bv,bv->b", pc, mixed)
+                lab[c, k] = -mixed[rows, labels[c]]
+            np.log1p(delta, out=delta)
+        stream[c] = -np.einsum("bv,jbv->bj", pc, delta)
 
-        ent_acc.add(-np.einsum("bv,bv->b", p, np.log(p))[:, None])
-        for rho, (d2, stream, mix, lab) in zip(rhos, stats):
-            d2_acc[rho].add(d2[:, None])
-            stream_acc[rho].add(stream)
-            mix_acc[rho].add(mix)
-            lab_acc[rho].add(lab)
-        done += b
+    most_tasks = max(fields, len(rhos) * -(-min(n, SIM_BATCH) // SIM_CHUNK))
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, most_tasks)) as pool:
+        done = 0
+        for child in children:
+            rng = np.random.default_rng(child)
+            field_rngs = [np.random.default_rng(s) for s in child.spawn(fields)]
+            b = min(SIM_BATCH, n - done)
+            # true distribution per sample: simplex-uniform
+            expo = rng.standard_exponential((b, V))
+            p = expo / expo.sum(axis=1, keepdims=True)
+            pd = p.astype(dtype, copy=False)
+            # label drawn from p, for the plain paired estimator
+            cdf = np.cumsum(p, axis=1)
+            labels = np.minimum(
+                (cdf < rng.random((b, 1))).sum(axis=1), V - 1
+            )
+
+            z = np.empty((fields, b, V), dtype=dtype)
+            list(pool.map(lambda f: _centred_field(field_rngs, f, pd, z[f]), range(fields)))
+            # per-sample scale: after centering under p the p-weighted variance of
+            # a unit normal field is 1 - ||p||^2, so dividing it out targets
+            # E[delta^2] = 2*A/N^alpha exactly in expectation
+            pnorm = 1.0 - np.einsum("bv,bv->b", pd, pd)
+            scale = np.sqrt(2.0 * cap / pnorm).astype(dtype, copy=False)[:, None]
+            # near-equal chunks: a one-row chunk would sum p*delta^2 in another order than its batch
+            chunks = -(-b // SIM_CHUNK)
+            bounds = [b * i // chunks for i in range(chunks + 1)]
+            stats = [
+                # d2, then einsum's (b, J) layout, whose column sums the accumulators round in, then mix and lab
+                (np.empty(b, dtype=dtype), np.empty((jmax, b), dtype=dtype).T, *np.empty((2, b, len(js)), dtype=dtype))
+                for _rho in rhos
+            ]
+            # one infeasibility mask per correlation: two correlations' tasks share a chunk's rows
+            bad = np.empty((len(rhos), b), dtype=bool)
+            tasks = [
+                (rho, stats[i], bad[i], lo, hi) for i, rho in enumerate(rhos) for lo, hi in zip(bounds, bounds[1:])
+            ]
+
+            # resample rows where any stream's relative error would reach -1
+            for _attempt in range(100):
+                list(pool.map(lambda task: reduce_chunk(z, pd, scale, labels, *task), tasks))
+                rejected = bad.any(axis=0)
+                if not rejected.any():
+                    break
+                resampled += int(rejected.sum())
+                if resampled > resample_budget:
+                    raise ScaleError(
+                        f"perturbation scale 2*A/N^alpha = {2 * cap:.3g} drives token mass "
+                        f"negative in more than 1% of draws ({resampled} resampled)"
+                    )
+                idx = np.flatnonzero(rejected)
+                fresh = np.empty((fields, idx.size, V), dtype=dtype)
+                list(pool.map(lambda f: _centred_field(field_rngs, f, pd[idx], fresh[f]), range(fields)))
+                z[:, idx] = fresh
+            else:
+                raise ScaleError("could not find feasible draws; scale far too large")
+
+            ent_acc.add(-np.einsum("bv,bv->b", p, np.log(p))[:, None])
+            for rho, (d2, stream, mix, lab) in zip(rhos, stats):
+                d2_acc[rho].add(d2[:, None])
+                stream_acc[rho].add(stream)
+                mix_acc[rho].add(mix)
+                lab_acc[rho].add(lab)
+            done += b
 
     results: dict[tuple[float, int], SimResult] = {}
     for rho in rhos:

@@ -166,6 +166,17 @@ class TestToyPosterior:
         with pytest.raises(ValueError, match="^symbol 4 "):
             backend.score_batch([padding, negative])
 
+    @pytest.mark.parametrize("frames, first", [((0, 3, 7, -2, 9), 7), ((3, -2, 0, 7), -2), ((4,) * 5, 4)])
+    def test_add_episode_names_the_first_bad_symbol_of_many(self, frames, first):
+        backend = ToyBackend(ToyWorld.symmetric(4, 0.7))
+        with pytest.raises(ValueError, match=f"^symbol {first} outside emission support$"):
+            backend.add_episode(ToyEpisode(0, frames, "bad", "q", ("label A",), "A"))
+        assert backend.add_episode(ToyEpisode(0, (0, 3, 1), "good", "q", ("label A",), "A")) == "good"
+
+    def test_toy_episode_frames_are_python_ints(self):
+        episode = toy_episode(ToyWorld.symmetric(4, 0.7), 16, 3)
+        assert all(type(f) is int and 0 <= f < 4 for f in episode.frames)
+
     def test_information_monotonicity(self):
         # expected log-loss with more observed frames is no worse
         world = ToyWorld.symmetric(4, 0.55)

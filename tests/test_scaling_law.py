@@ -1,6 +1,8 @@
 """Closed-form losses, the Monte Carlo validator, and curve fitting."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -241,17 +243,23 @@ class TestSweep:
     def test_full_correlation_draws_only_the_shared_field(self, monkeypatch, dtype, biases):
         # at rho=1 no per-stream field is read: g drawn alone has the bits of g drawn with every h
         spec = SimSpec(64, scaling_law.SIM_BATCH + 302, 67, params_with(b=biases))
-        fields, centred = [], scaling_law._centred_normals
+        fields, centred = [], scaling_law._centred_field
 
-        def noting(rng, n, p):
-            fields.append(n)
-            return centred(rng, n, p)
+        def noting(rngs, field, p, out):
+            fields.append(field)
+            centred(rngs, field, p, out)
 
-        monkeypatch.setattr(scaling_law, "_centred_normals", noting)
+        # a batch's fields are drawn on pool threads in any order; the batches come one after another
+        def drawn_per_batch(per_batch):
+            drawn = [sorted(fields[i:i + per_batch]) for i in range(0, len(fields), per_batch)]
+            fields.clear()
+            return drawn
+
+        monkeypatch.setattr(scaling_law, "_centred_field", noting)
         alone = simulate_ce_grid(spec, [1, 2, 8], [1.0], dtype=dtype)
-        assert fields == [1, 1]  # one draw per batch, of g alone
+        assert drawn_per_batch(1) == [[0], [0]]  # g alone
         shared = simulate_ce_grid(spec, [1, 2, 8], [0.0, 1.0], dtype=dtype)
-        assert fields == [1, 1, 9, 9]
+        assert drawn_per_batch(9) == [list(range(9))] * 2
         for J in (1, 2, 8):
             assert alone[(1.0, J)].resampled == 0
             assert_same_result(alone[(1.0, J)], shared[(1.0, J)])
@@ -288,6 +296,45 @@ class TestSweep:
                 for key, res in whole.items():
                     assert_same_result(chunked[key], res)
             assert (whole[(0.0, 1)].resampled > 0) == (spec.seed == 41)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, dtype):
+        # the edge spec redraws rows; the other spans two batches, the second of 302 rows
+        specs = [
+            SimSpec(8, 10_000, 41, params_with(b=(0.0,) * 4, A=0.02)),
+            SimSpec(16, scaling_law.SIM_BATCH + 302, 59, params_with(b=(0.01, 0.02, 0.04, 0.03))),
+        ]
+        switch = sys.getswitchinterval()
+        for spec in specs:
+            grids = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(scaling_law, "_WORKERS", workers)
+                sys.setswitchinterval(1e-5)  # threads trade the interpreter often: a lost write would show
+                try:
+                    grids.append(simulate_ce_grid(spec, [1, 2, 4], [0.0, 0.5, 1.0], dtype=dtype))
+                finally:
+                    sys.setswitchinterval(switch)
+            for key, res in grids[0].items():
+                for grid in grids[1:]:
+                    assert_same_result(grid[key], res)
+            assert (grids[0][(0.0, 1)].resampled > 0) == (spec.seed == 41)
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(scaling_law, "_WORKERS", 3)
+        running, centred = [], scaling_law._centred_field
+
+        def noting(rngs, field, p, out):
+            running.append(threading.active_count())
+            centred(rngs, field, p, out)
+
+        monkeypatch.setattr(scaling_law, "_centred_field", noting)
+        before = threading.active_count()
+        simulate_ce_grid(SimSpec(16, 3_001, 61, params_with(b=(0.0,) * 4)), [1, 4], [0.0, 0.5])
+        assert threading.active_count() == before
+        assert max(running) > before  # the fields were drawn on pool threads
+        with pytest.raises(ScaleError):
+            simulate_ce_grid(SimSpec(8, 50_000, 37, params_with(b=(0.0,), A=0.5)), [1])
+        assert threading.active_count() == before
 
     def test_mc_grid_peak_memory(self):
         # the benchmark's mc-grid shape; a (J, batch, V) array per pass peaks near 58 MiB
