@@ -8,17 +8,17 @@ holds every reply as a row of one checked dense stack, fused by row index;
 any other iterable is read lazily, and a failed query raises at its reply,
 after the replies before it. An exception from the call itself propagates. A scorer that converts lossily names the conversion in the
 distribution's ``flags``. The decode engine's round is the one reader of the
-replies. Shipped scorers: a deterministic table-driven mock, an exact-Bayes
-toy video world (:mod:`vps.backends.toyworld`), and an HTTP client for
-external inference servers (:mod:`vps.backends.wire`). :class:`ScoreRequest`
-is one query on its own, for the one-query ``score`` conveniences of the
-last two; no decode builds one.
+replies. Shipped scorers: an exact-Bayes toy video world
+(:mod:`vps.backends.toyworld`) and an HTTP client for external inference
+servers (:mod:`vps.backends.wire`). :class:`ScoreRequest` is one query on its
+own, for the one-query ``score`` conveniences of the two; no decode builds
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "ScoreResponse",
     "Scorer",
     "StackedRound",
-    "FixtureMissError",
-    "MockBackend",
 ]
 
 
@@ -166,43 +164,3 @@ class StackedRound(Sequence[Distribution]):
 @runtime_checkable
 class Scorer(Protocol):
     def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterable[Distribution]: ...
-
-
-class FixtureMissError(KeyError):
-    """The mock backend has no fixture for the requested key."""
-
-    def __init__(self, key: tuple) -> None:
-        super().__init__(f"no fixture for (frame_set, view, generated) = {key!r}")
-        self.key = key
-
-
-class MockBackend:
-    """Deterministic scorer backed by a fixture table.
-
-    Fixtures are keyed by ``(frame_set, view, generated-prefix)`` tuples and
-    returned verbatim. ``vocab`` optionally maps token ids to text for answer
-    extraction.
-    """
-
-    def __init__(
-        self,
-        fixtures: Mapping[tuple[tuple[int, ...], str, tuple[int, ...]], Distribution],
-        vocab: Sequence[str] | None = None,
-    ) -> None:
-        self.fixtures = dict(fixtures)
-        self.vocab = tuple(vocab) if vocab is not None else None
-
-    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
-        """The fixture of each query, lazily; a query without one raises
-        :class:`FixtureMissError` when its reply is read."""
-        for step in steps:
-            for frame_set, view in step.queries:
-                key = (frame_set, view, step.generated)
-                if key not in self.fixtures:
-                    raise FixtureMissError(key)
-                yield self.fixtures[key]
-
-    def token_text(self, token: int) -> str:
-        if self.vocab is None:
-            return str(token)
-        return self.vocab[token]

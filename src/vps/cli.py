@@ -378,7 +378,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy seeds only with non-negative integers."""
+    """A ``--seed`` value: a non-negative integer, the seeds that numpy's
+    ``SeedSequence`` and :mod:`vps.seeds` take."""
     try:
         if (seed := int(text)) >= 0:
             return seed

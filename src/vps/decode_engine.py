@@ -49,7 +49,7 @@ from .aggregation import (
 )
 from .backends import Scorer, ScoreStep, StackedRound, check_query
 from .frame_selection import FrameSelectionPlan
-from .seeds import child_seeds, derive_seed
+from .seeds import child_seeds
 from .views import IDENTITY, augmented_view, zero_view
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "DecodeTrace",
     "DecodeError",
     "negative_view",
-    "derive_seed",
     "Decoder",
     "run_lockstep",
     "step",

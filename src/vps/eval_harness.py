@@ -31,7 +31,7 @@ from .frame_selection import (
     identical_sets_plan,
     uniform_offset_plan,
 )
-from .seeds import child_seeds
+from .seeds import child_seeds, derive_seed
 
 __all__ = [
     "TASKS",
@@ -401,7 +401,7 @@ def method_decodes(
 
     A mixture method runs one greedy J-stream decode; ``sc:J`` runs J
     single-stream samples at ``temperature`` over one frame set (sample
-    ``s`` seeded ``derive_seed(seed, s)``), so a difference from the
+    ``s`` seeded ``child_seeds([seed], [s])``), so a difference from the
     frame-subset mixture comes from the inputs, not the voting.
     """
     decodes = _method_decodes(method, frames_per_stream, strategy, space, temperature, max_tokens, stop_tokens)
@@ -528,7 +528,7 @@ def run_benchmark(
     """
     audit: dict[str, int] = {}
     results: list[MethodResult] = []
-    seeds = child_seeds([seed] * len(items), range(len(items)))
+    seeds = [derive_seed(seed, i) for i in range(len(items))]
     for method in methods:
         audit[method.tag] = 0
         method_results = []
@@ -560,8 +560,8 @@ def toy_benchmark(
 
     backend = ToyBackend(world)
     items = []
-    for e, episode_seed in enumerate(child_seeds([seed] * n_episodes, range(n_episodes))):
-        episode = toy_episode(world, total_frames, episode_seed)
+    for e in range(n_episodes):
+        episode = toy_episode(world, total_frames, derive_seed(seed, e))
         backend.add_episode(episode)
         items.append(
             EvalItem(

@@ -1,5 +1,7 @@
 """Test scorers written one query at a time, over the one scorer protocol,
-and the dense stack of a whole round."""
+a fixture-table mock, and the dense stack of a whole round."""
+
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,3 +58,43 @@ class PerQuery:
         for step in steps:
             for req in requests_of(step):
                 yield self.score(req)
+
+
+class FixtureMissError(KeyError):
+    """The mock backend has no fixture for the requested key."""
+
+    def __init__(self, key: tuple) -> None:
+        super().__init__(f"no fixture for (frame_set, view, generated) = {key!r}")
+        self.key = key
+
+
+class MockBackend:
+    """Deterministic scorer backed by a fixture table.
+
+    Fixtures are keyed by ``(frame_set, view, generated-prefix)`` tuples and
+    returned verbatim. ``vocab`` optionally maps token ids to text for answer
+    extraction.
+    """
+
+    def __init__(
+        self,
+        fixtures: Mapping[tuple[tuple[int, ...], str, tuple[int, ...]], Distribution],
+        vocab: Sequence[str] | None = None,
+    ) -> None:
+        self.fixtures = dict(fixtures)
+        self.vocab = tuple(vocab) if vocab is not None else None
+
+    def score_batch(self, steps: Sequence[ScoreStep], jobs: int = 1) -> Iterator[Distribution]:
+        """The fixture of each query, lazily; a query without one raises
+        :class:`FixtureMissError` when its reply is read."""
+        for step in steps:
+            for frame_set, view in step.queries:
+                key = (frame_set, view, step.generated)
+                if key not in self.fixtures:
+                    raise FixtureMissError(key)
+                yield self.fixtures[key]
+
+    def token_text(self, token: int) -> str:
+        if self.vocab is None:
+            return str(token)
+        return self.vocab[token]

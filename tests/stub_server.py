@@ -1,6 +1,6 @@
 """In-process HTTP stub for the scoring, judge, and embedding endpoints.
 
-The reference server for offline tests and demos: serves /v1/score from a
+The reference server for the offline tests: it serves /v1/score from a
 fixture table, /v1/judge from a scripted reply list, and /v1/embed from a
 text-to-vector map. It speaks HTTP/1.1 with keep-alive, records each
 request's path, body and headers, and counts accepted connections. It can

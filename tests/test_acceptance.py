@@ -16,6 +16,7 @@ import pytest
 
 from oracles import oracle_bolt_draws
 from scorers import PerQuery
+from stub_server import StubServer
 from vps.aggregation import (
     Distribution,
     TcdConfig,
@@ -25,7 +26,6 @@ from vps.aggregation import (
     tcd_adjust,
 )
 from vps.backends import ScoreRequest
-from vps.backends.stub_server import StubServer
 from vps.backends.toyworld import ToyWorld
 from vps.decode_engine import DecodeConfig, Decoder, decode, step
 from vps.eval_harness import MethodResult, MethodSpec, accuracy, run_benchmark, toy_benchmark

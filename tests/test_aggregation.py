@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vps.seeds
 from vps.aggregation import (
     Distribution,
     TcdConfig,
@@ -531,8 +532,9 @@ class TestSparseMatchesDense:
 
 def reference_sample(d, temperature, seed):
     """sample_token of one distribution, by the 1-D rule written out: search
-    the cdf, then step back past zero-probability tokens."""
-    return reference_draw(d, temperature, np.random.default_rng(seed).random())
+    the cdf, then step back past zero-probability tokens, with the seed's
+    uniform from :mod:`vps.seeds`."""
+    return reference_draw(d, temperature, vps.seeds.first_uniforms([seed])[0])
 
 
 def reference_draw(d, temperature, u):
@@ -631,13 +633,10 @@ class TestStacks:
     def test_a_draw_past_the_last_cdf_step_takes_the_last_positive_token(self, monkeypatch):
         from vps import aggregation
 
-        class Top:
-            def random(self):
-                return np.nextafter(1.0, 0.0)  # above the cdf of row 0, which sums to 1 - 5e-10
-
+        top = np.nextafter(1.0, 0.0)  # above the cdf of row 0, which sums to 1 - 5e-10
         rows = [Distribution.from_probs([0.5, 0.5 - 5e-10, 0.0, 0.0]), Distribution.from_probs([0.25, 0.25, 0.5, 0.0])]
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())  # the reference's draw
-        monkeypatch.setattr(aggregation, "first_uniforms", lambda seeds: [Top().random() for _ in seeds])
+        for module in (vps.seeds, aggregation):  # the reference's draw and sample_token's
+            monkeypatch.setattr(module, "first_uniforms", lambda seeds: [top] * len(seeds))
         want = [reference_sample(d, 1.0, 0) for d in rows]
         assert want == [1, 2]
         assert sample_token(stack_of(rows), 1.0, [0, 0]) == want

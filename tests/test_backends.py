@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, Weights, argmax_token, mix_probs
-from vps.backends import FixtureMissError, MockBackend, ScoreRequest, ScoreResponse, ScoreStep
+from vps.backends import ScoreRequest, ScoreResponse, ScoreStep
 from vps.backends.toyworld import ToyBackend, ToyEpisode, ToyWorld, toy_episode, toy_posterior
 from vps.eval_harness import RITUAL_TAG_POOL
 
-from scorers import score_one
+from scorers import FixtureMissError, MockBackend, score_one
 
 
 def req(frame_set=(0, 16, 32, 48), view="identity", generated=(), video_ref="v", top_m=None):

@@ -125,7 +125,8 @@ class TestRunCommand:
     def test_trace_records_the_runs_own_first_decode(self, tmp_path, monkeypatch, method):
         from vps import eval_harness
         from vps.backends.toyworld import ToyWorld
-        from vps.decode_engine import decode, derive_seed
+        from vps.decode_engine import decode
+        from vps.seeds import derive_seed
 
         decoders = []
 
@@ -368,7 +369,7 @@ class TestWireRunIntegration:
     def test_run_over_stub_server_with_description_metrics(self, tmp_path):
         import math
 
-        from vps.backends.stub_server import StubServer
+        from stub_server import StubServer
 
         # stub model: binary item answered "yes", description item captioned
         vocab = ["yes", "no", " a", " cat", " sat", "</s>"]
@@ -620,7 +621,7 @@ class TestReportCommand:
         assert not (tmp_path / "report").exists()
 
     def test_refuses_description_rows_reported_by_two_runs(self, tmp_path, capsys):
-        from vps.backends.stub_server import StubServer
+        from stub_server import StubServer
 
         vocab = [" a", " cat", "</s>"]
         dataset = tmp_path / "data.jsonl"
@@ -643,7 +644,7 @@ class TestReportCommand:
         assert not (tmp_path / "report").exists()
 
     def test_single_run_report_reproduces_the_run_tables(self, tmp_path):
-        from vps.backends.stub_server import StubServer
+        from stub_server import StubServer
 
         vocab = ["yes", "no", " a", " cat", "</s>"]
 

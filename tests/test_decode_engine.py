@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vps.aggregation import Distribution, TcdConfig, Weights, argmax_token, mix_probs
-from vps.backends import FixtureMissError, MockBackend, ScoreRequest
+from vps.backends import ScoreRequest
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.decode_engine import (
     DecodeConfig,
@@ -22,7 +22,7 @@ from vps.decode_engine import (
 )
 from vps.frame_selection import FrameSelectionPlan, uniform_offset_plan
 
-from scorers import Counting, PerQuery, requests_of
+from scorers import Counting, FixtureMissError, MockBackend, PerQuery, requests_of
 
 
 class HashBackend(PerQuery):
@@ -408,8 +408,7 @@ class TestGreedySeed:
         def refuse(seed, index):
             raise AssertionError("a greedy step derived a sampling seed")
 
-        monkeypatch.setattr(decode_engine, "derive_seed", refuse)
-        monkeypatch.setattr(decode_engine, "child_seeds", refuse)  # a round of several decoders
+        monkeypatch.setattr(decode_engine, "child_seeds", refuse)
         for jobs in (1, 2):
             assert decode("v", "p", plan, HashBackend(6), cfg, seed=3, jobs=jobs)[1].to_jsonl() == want
         assert main(argv + [str(tmp_path / "greedy")]) == 0

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vps.aggregation import Distribution
-from vps.backends import MockBackend
 from vps.backends.toyworld import ToyWorld
-from vps.decode_engine import derive_seed
 from vps.eval_harness import (
     BINARY_SCAFFOLD,
     DESCRIPTION_SCAFFOLD,
@@ -32,6 +30,9 @@ from vps.eval_harness import (
     toy_benchmark,
 )
 from vps.frame_selection import identical_sets_plan
+from vps.seeds import derive_seed
+
+from scorers import MockBackend
 
 
 def mc_item(**kw):
@@ -375,13 +376,15 @@ class TestRunBenchmark:
         methods = [MethodSpec.parse(tag) for tag in ("vps:4", "sc:3", "vps:2+tcd")]
         kw = dict(frames_per_stream=4, seed=9, max_tokens=2, stop_tokens=frozenset({world.stop_token}))
         expected = run_benchmark(items, backend, methods, **kw)
-        calls = []
-        derive = eval_harness.child_seeds
-        monkeypatch.setattr(eval_harness, "child_seeds", lambda seeds, indices: calls.extend(seeds) or derive(seeds, indices))
+        derived, sampled = [], []
+        derive, children = eval_harness.derive_seed, eval_harness.child_seeds
+        monkeypatch.setattr(eval_harness, "derive_seed", lambda seed, index: derived.append(seed) or derive(seed, index))
+        monkeypatch.setattr(eval_harness, "child_seeds",
+                            lambda seeds, indices: sampled.extend(seeds) or children(seeds, indices))
         assert run_benchmark(items, backend, methods, **kw) == expected
         # one seed per item for the whole run, plus one per sc:3 sample, derived from its item's seed
-        assert calls.count(9) == len(items)
-        assert len(calls) == len(items) + 3 * len(items)
+        assert derived == [9] * len(items)
+        assert sorted(sampled) == sorted([derive(9, i) for i in range(len(items))] * 3)
 
     def test_vps_beats_baseline_on_toy_world(self):
         world = ToyWorld.symmetric(4, 0.55)

@@ -13,12 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vps.aggregation import Distribution, TcdConfig, argmax_token
-from vps.backends import MockBackend, ScoreRequest, ScoreStep, StackedRound
+from vps.backends import ScoreRequest, ScoreStep, StackedRound
 from vps.backends.toyworld import ToyBackend, ToyWorld, toy_episode
 from vps.backends.wire import WireBackend, WireConfig
-from vps.decode_engine import (
-    DecodeConfig, DecodeError, Decoder, DecodeTrace, decode, derive_seed, negative_view, run_lockstep,
-)
+from vps.decode_engine import DecodeConfig, DecodeError, Decoder, DecodeTrace, decode, negative_view, run_lockstep
 from vps.eval_harness import (
     RITUAL_TAG_POOL,
     EvalItem,
@@ -33,9 +31,10 @@ from vps.eval_harness import (
     toy_benchmark,
 )
 from vps.frame_selection import uniform_offset_plan
+from vps.seeds import derive_seed
 from vps.views import IDENTITY, augmented_view
 
-from scorers import Counting, PerQuery, requests_of, stack_of
+from scorers import Counting, MockBackend, PerQuery, requests_of, stack_of
 from test_decode_engine import HashBackend
 
 

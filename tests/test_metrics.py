@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from vps.backends.stub_server import StubServer
 from vps.metrics import (
     HttpEmbedClient,
     HttpJudgeClient,
@@ -15,6 +14,8 @@ from vps.metrics import (
     rouge_l,
     sts_score,
 )
+
+from stub_server import StubServer
 
 
 class TestRougeL:

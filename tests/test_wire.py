@@ -23,7 +23,6 @@ import pytest
 from vps import jsonhttp
 from vps.aggregation import TcdConfig
 from vps.backends import ScoreRequest, ScoreStep
-from vps.backends.stub_server import StubServer
 from vps.backends.wire import (
     BackendError,
     WireBackend,
@@ -36,6 +35,7 @@ from vps.decode_engine import DecodeConfig, DecodeError, DecodeTrace, decode, ne
 from vps.frame_selection import uniform_offset_plan
 
 from scorers import PerQuery
+from stub_server import StubServer
 
 
 def req(top_m=None):
