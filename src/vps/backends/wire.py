@@ -5,7 +5,9 @@ The request body is JSON with fields ``video_ref``, ``frame_set``, ``view``,
 response carries ``vocab_size`` plus either a full ``scores`` vector or
 ``top`` (token, log-probability) pairs with a ``remainder`` mass. Requests
 travel over the pooled keep-alive connections of :mod:`vps.jsonhttp`, each
-in one socket write, with replies read by its lean HTTP/1.1 parser.
+in one socket write, with replies read by its lean HTTP/1.1 parser and
+decoded by :func:`vps.jsonhttp.loads` (orjson, with ``json.loads`` deciding
+the bodies orjson refuses, such as NaN and Infinity literals).
 :meth:`WireBackend.score_batch` is the scorer: a round of decoder steps is
 one request per query, ``jobs`` in flight at a time, and a failed request
 raises at its reply, after the replies before it. ``score`` and
@@ -17,7 +19,6 @@ backoff); other non-success statuses are not retried.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -33,6 +34,7 @@ from ..jsonhttp import (
     Reply,
     WireTransportError,
     auth_headers,
+    loads,
 )
 from . import ScoreRequest, ScoreResponse, ScoreStep
 
@@ -164,8 +166,8 @@ class WireBackend:
         if status != 200:
             raise BackendError(status, data.decode("utf-8", "replace"))
         try:
-            payload = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = loads(data)
+        except ValueError as exc:  # also bad UTF-8 and integers past the digit limit
             raise WireParseError(f"malformed response body: {data[:200]!r}") from exc
         return _parse_payload(payload)
 
@@ -181,8 +183,9 @@ def _parse_payload(payload: object) -> ScoreResponse:
     if not isinstance(payload, dict) or "vocab_size" not in payload:
         raise WireParseError(f"response missing vocab_size: {payload!r}")
     vocab_size = payload["vocab_size"]
-    if type(vocab_size) is not int:  # a float, or a bool, would be truncated to a vocabulary
-        raise WireParseError(f"vocab_size must be an integer: {vocab_size!r}")
+    # a float, or a bool, would be truncated to a vocabulary; 2**63 and up is no index
+    if type(vocab_size) is not int or not 0 < vocab_size < 2**63:
+        raise WireParseError(f"vocab_size must be a positive integer below 2**63: {vocab_size!r}")
     try:
         if "scores" in payload and payload["scores"] is not None:
             return ScoreResponse(vocab_size, scores=payload["scores"])

@@ -7,13 +7,12 @@ endpoints are provided alongside.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .jsonhttp import BackendError, JsonEndpoint, auth_headers
+from .jsonhttp import BackendError, JsonEndpoint, auth_headers, loads
 
 __all__ = [
     "rouge_l",
@@ -175,7 +174,7 @@ def _post_json(endpoint: JsonEndpoint, path: str, body: dict, token_env: str) ->
     status, _headers, data = endpoint.post(path, body, auth_headers(token_env))
     if status != 200:
         raise BackendError(status, data.decode("utf-8", "replace"))
-    return json.loads(data)
+    return loads(data)
 
 
 class HttpEmbedClient:

@@ -1,5 +1,6 @@
-"""Runtime dependencies: the HTTP clients run on the standard library alone,
-and nothing, the loss-model fit included, loads SciPy; every exported name
+"""Runtime dependencies: the HTTP clients send over the standard library and
+decode replies with orjson, which only a run that decodes a reply loads;
+nothing, the loss-model fit included, loads SciPy; every exported name
 resolves."""
 
 import importlib
@@ -53,6 +54,27 @@ def test_no_command_or_fit_loads_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     assert run_fresh(code).splitlines()[-1] == "[]"
+
+
+def test_only_a_decoded_reply_loads_orjson(tmp_path):
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "import vps, vps.cli, vps.metrics, vps.backends.wire\n"
+        f"assert vps.cli.main(['run', '--backend', 'toy', '--toy-episodes', '4', '--methods', 'baseline,vps:2',"
+        f" '--out-dir', {str(tmp_path / 'toy')!r}]) == 0\n"
+        "assert vps.cli.main(['simulate', '--samples', '2000', '--streams', '1,2']) == 0\n"
+        "print('orjson' in sys.modules)\n"
+        "from stub_server import StubServer\n"
+        "from vps.backends import ScoreRequest\n"
+        "from vps.backends.wire import WireBackend, WireConfig\n"
+        "with StubServer(score_handler=lambda body: {'vocab_size': 2, 'scores': [0.0, 1.0]}) as server:\n"
+        "    WireBackend(WireConfig(server.url)).score_response(ScoreRequest('vid', (0,), 'identity', 'p', ()))\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    lines = run_fresh(code).splitlines()
+    assert lines[-2:] == ["False", "True"]
 
 
 def test_every_exported_name_resolves():

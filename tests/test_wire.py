@@ -18,6 +18,7 @@ import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
+import orjson
 import pytest
 
 from vps import jsonhttp
@@ -29,6 +30,7 @@ from vps.backends.wire import (
     WireConfig,
     WireParseError,
     WireTransportError,
+    _parse_payload,
 )
 from vps.cli import main
 from vps.decode_engine import DecodeConfig, DecodeError, DecodeTrace, decode, negative_view
@@ -59,7 +61,8 @@ def fast_config(url, retries=3):
 @contextlib.contextmanager
 def scripted_server(replies, close_after_reply=False):
     """/v1/score answered from a script of (status, headers, payload), the
-    last reply repeating; yields the URL and the list of statuses sent."""
+    last reply repeating, a bytes payload sent as it is; yields the URL and
+    the list of statuses sent."""
     sent = []
 
     class Handler(BaseHTTPRequestHandler):
@@ -72,7 +75,7 @@ def scripted_server(replies, close_after_reply=False):
             self.rfile.read(int(self.headers["Content-Length"]))
             status, headers, payload = replies[min(len(sent), len(replies) - 1)]
             sent.append(status)
-            data = json.dumps(payload).encode()
+            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
             self.send_response(status)
             for name, value in headers.items():
                 self.send_header(name, value)
@@ -326,9 +329,14 @@ class TestProtocolErrors:
         {"vocab_size": 3.0, "scores": [0.0, 0.0, 0.0]},
         {"vocab_size": True, "scores": [0.0]},
         {"vocab_size": "3", "top": [[0, -1.0]], "remainder": 0.5},
-    ], ids=["fraction", "float", "bool", "string"])
+        {"vocab_size": 2**63, "scores": [0.0]},
+        {"vocab_size": 2**64, "scores": [0.0]},
+        {"vocab_size": 2**63, "top": [[0, -1.0]], "remainder": 0.5},
+        {"vocab_size": 2**64, "top": [[0, -1.0]], "remainder": 0.5},
+    ], ids=["fraction", "float", "bool", "string", "full-2**63", "full-2**64", "top-2**63", "top-2**64"])
     def test_non_integer_vocab_size(self, payload):
-        # int() would have truncated each of these to a vocabulary
+        # int() would have truncated the first four to a vocabulary; 2**63 and
+        # up fit no index (2**64 decodes to a float, 2**63 to an int)
         with StubServer(score_handler=lambda body: payload) as server:
             with pytest.raises(WireParseError, match="vocab_size"):
                 WireBackend(fast_config(server.url)).score_response(req())
@@ -340,6 +348,25 @@ class TestProtocolErrors:
         with StubServer(score_handler=handler) as server:
             with pytest.raises(WireParseError, match="finite"):
                 WireBackend(fast_config(server.url)).score_response(req())
+
+    def test_top_reply_with_a_minus_infinity_literal_decodes_as_json_loads_does(self):
+        # orjson refuses the -Infinity literal the stub sends, so json.loads decodes this reply
+        payload = {"vocab_size": 5, "top": [[3, math.log(0.6)], [0, math.log(0.3)], [4, -math.inf]], "remainder": 0.1}
+        data = json.dumps(payload).encode()
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
+        expected = _parse_payload(json.loads(data)).to_distribution()[0]
+        with StubServer(score_handler=lambda body: payload) as server:
+            got = WireBackend(fast_config(server.url)).score(req(top_m=3))
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.support.tobytes() == expected.support.tobytes()
+        assert (got.size, got.flags) == (expected.size, expected.flags) == (5, ("topm_renormalized",))
+
+    def test_an_integer_past_the_digit_limit_fails_as_a_parse_error(self):
+        # json.loads raises a plain ValueError past 4300 digits
+        with scripted_server([(200, {}, b"1" * 5000)]) as (url, _sent):
+            with pytest.raises(WireParseError, match="malformed response body"):
+                WireBackend(fast_config(url)).score_response(req())
 
     @pytest.mark.parametrize(
         "payload",
